@@ -6,7 +6,7 @@ Layers, bottom up:
   gate-level IR with a textual ``.qc`` format
 - :mod:`qummsa.oracles` / :mod:`qummsa.simplify`: phase-oracle construction
   and the three equivalence-preserving rewrite passes
-- :mod:`qummsa.grover_long`: the zero-failure amplification engine
+- :mod:`qummsa.grover_long`: the zero-failure engine (two-amplitude and dense reference)
 - :mod:`qummsa.baselines`: exponential search and the classic minimum finder
 - :mod:`qummsa.driver`: the threshold-descent min/max algorithm
 - :mod:`qummsa.analysis`: closed-form failure and complexity models

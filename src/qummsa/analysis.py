@@ -1,10 +1,10 @@
 """Closed-form failure-rate and complexity models.
 
-The amplitude recursion here is the analytic twin of the state-vector engine:
-good/bad per-state amplitudes evolve under one complex 2-term recurrence per
-iteration, so failure rates over whole (M/N, M~/N~) grids cost microseconds
-instead of full simulations.  The recursion is validated against the engine
-to 1e-9 by the test suite.
+Failure rates come from :func:`qummsa.grover_long.amplitude_recursion`, the
+two-amplitude engine the search loops also run on: good/bad per-state
+amplitudes evolve under one complex 2-term recurrence per iteration, so whole
+(M/N, M~/N~) grids cost microseconds instead of dense simulations.  The test
+suite checks the recursion against the dense state-vector reference.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .grover_long import SearchParams, compute_params
+from .grover_long import SearchParams, amplitude_recursion, compute_params
 
 SQRT2 = math.sqrt(2.0)
 
@@ -31,31 +31,6 @@ class MisestimationPoint:
         for name, r in (("ratio_true", self.ratio_true), ("ratio_est", self.ratio_est)):
             if not 0.0 < r <= 1.0:
                 raise ValueError(f"{name} must lie in (0, 1], got {r}")
-
-
-def amplitude_recursion(
-    M: float, N: float, phi: float, iterations: int
-) -> list[tuple[complex, complex]]:
-    """Per-state amplitudes (a_good, a_bad) after 0..iterations steps.
-
-    Starts from a = b = 1/sqrt(N).  One step, with ph = e^{i phi}:
-
-        s  = (ph - 1)/N * (M*ph*a + (N - M)*b)
-        a' = -s - ph*a
-        b' = -s - b
-
-    i.e. the oracle phases the good amplitudes, then the rank-1 reflection
-    mixes in the overlap with the initial state and the global sign flips.
-    Only M/N matters, so fractional (M, N) such as (ratio, 1.0) are valid.
-    """
-    a = b = complex(1.0 / math.sqrt(N))
-    ph = np.exp(1j * phi)
-    out = [(a, b)]
-    for _ in range(iterations):
-        s = (ph - 1.0) / N * (M * ph * a + (N - M) * b)
-        a, b = -s - ph * a, -s - b
-        out.append((a, b))
-    return out
 
 
 def grover_long_failure(

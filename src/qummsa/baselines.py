@@ -1,8 +1,8 @@
 """Comparison baselines: exponential search (QESA) and the classic minimum finder.
 
-Both are simulated exactly: the register is a dense state vector, every
-"standard Grover iteration" is a phase inversion plus a reflection about the
-prepared state, and measurements are seeded inverse-CDF samples.
+Both are simulated exactly from the uniform start over the occupied values: a
+"standard Grover iteration" is the two-amplitude recursion at phi = pi, so no
+2^n register is built, and measurements are seeded inverse-CDF draws.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CircuitError
+from .grover_long import support_probabilities, uniform_support
 from .oracles import MarkedSet
-from .statevector import StateVector
+from .statevector import StateVector, sample_indices
 
 GROWTH_FACTOR_MAX = 4.0 / 3.0
 
@@ -53,21 +54,6 @@ class QesaTrace:
     result: int | None = None
 
 
-def _grover_inversion_steps(psi: np.ndarray, marked_idx: np.ndarray, gamma: int) -> np.ndarray:
-    """gamma standard Grover iterations (phase inversion + reflection about psi)."""
-    s = psi.copy()
-    for _ in range(gamma):
-        s[marked_idx] *= -1.0
-        s = 2.0 * np.vdot(psi, s) * psi - s
-    return s
-
-
-def _sample(amps: np.ndarray, gen: np.random.Generator) -> int:
-    cdf = np.cumsum(np.abs(amps) ** 2)
-    u = gen.random() * cdf[-1]
-    return int(np.searchsorted(cdf, u, side="left").clip(0, len(cdf) - 1))
-
-
 def run_qesa(
     initial: StateVector, marked: MarkedSet, cfg: QesaConfig, rng=None
 ) -> QesaTrace:
@@ -75,26 +61,26 @@ def run_qesa(
 
     Round t draws gamma = floor(U[0, min(lam^(t-1), sqrt(N)))), runs that many
     standard Grover iterations on a freshly prepared register, and measures.
-    N counts the occupied (nonzero-amplitude) basis states.  If no marked
-    index carries amplitude the trace simply fails at max_t.
+    N counts the occupied (nonzero-amplitude) basis states, and ``initial``
+    must be the uniform superposition over them (CircuitError otherwise).
+    If no marked index carries amplitude the trace simply fails at max_t.
     """
     if marked.n != initial.n:
         raise CircuitError(f"dimension mismatch: marked.n={marked.n}, initial.n={initial.n}")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(
         cfg.rng_seed if rng is None else rng
     )
-    psi = initial.amps
-    n_occ = int(np.count_nonzero(np.abs(psi) ** 2 > 1e-18))
-    sqrt_n = math.sqrt(n_occ)
-    marked_idx = np.fromiter(sorted(marked.V), dtype=np.int64)
+    occupied = uniform_support(initial)
+    sqrt_n = math.sqrt(len(occupied))
+    is_marked = np.array([v in marked.V for v in occupied.tolist()])
 
     trace = QesaTrace()
     for t in range(1, cfg.max_t + 1):
         m = min(cfg.lam ** (t - 1), sqrt_n)
         gamma = int(gen.uniform(0.0, m))
-        final = _grover_inversion_steps(psi, marked_idx, gamma)
-        outcome = _sample(final, gen)
-        success = outcome in marked.V
+        idx = sample_indices(support_probabilities(is_marked, math.pi, gamma), 1, gen)[0]
+        outcome = int(occupied[idx])
+        success = bool(is_marked[idx])
         trace.iterations.append(QesaIteration(t, gamma, outcome, success))
         trace.preparations += 1
         trace.oracle_calls += gamma
@@ -163,15 +149,12 @@ def run_dha_minimum(
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(
         cfg.rng_seed if rng is None else rng
     )
-    values = db.values
-    N = len(values)
-    d0 = int(values[gen.integers(N)])
+    N = db.size
+    d0 = int(db.values[gen.integers(N)])
     if N == 1:
         return DhaResult(d0, 0, 0, 0, 0, 0.0, 0.0)
 
-    psi = np.zeros(2**db.n, dtype=np.complex128)
-    psi[list(values)] = 1.0 / math.sqrt(N)
-    value_set = set(values)
+    ordered = db.sorted_values
     lg = math.log2(N)
     sqrt_n = math.sqrt(N)
     budget = search_coeff * sqrt_n + prep_coeff * lg**2
@@ -185,14 +168,13 @@ def run_dha_minimum(
     while time_used < budget:
         m = min(cfg.lam ** (t - 1), sqrt_n)
         gamma = int(gen.uniform(0.0, m))
-        marked_idx = np.arange(d0, dtype=np.int64)  # strictly below the threshold
-        final = _grover_inversion_steps(psi, marked_idx, gamma)
-        outcome = _sample(final, gen)
+        probs = support_probabilities(ordered < d0, math.pi, gamma)  # marks values below d0
+        outcome = int(ordered[sample_indices(probs, 1, gen)[0]])
         rounds += 1
         preparations += 1
         grover_total += gamma
         time_used += gamma + lg
-        if outcome in value_set and outcome < d0:
+        if outcome < d0:
             d0 = outcome
             updates += 1
             t = 1

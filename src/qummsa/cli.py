@@ -19,8 +19,8 @@ import numpy as np
 from . import analysis, baselines, driver, simplify
 from .circuit import circuit_to_matrix, export_circuit, parse_circuit, run_circuit
 from .dataio import format_csv, load_database, titanic_database
-from .errors import DataError, ParseError, QummsaError
-from .grover_long import compute_params
+from .errors import CircuitError, DataError, ParseError, QummsaError
+from .grover_long import SearchParams, compute_params, run_grover_long
 from .oracles import MarkedSet, ThresholdPredicate, build_multi_oracle
 from .statevector import StateVector, make_basis_state, make_superposition
 
@@ -32,14 +32,26 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid integer {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+def _ranged(kind, accept, expected: str):
+    """argparse type: parse with ``kind``, then refuse values ``accept`` rejects."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _ranged(int, lambda v: v >= 1, "a positive integer")
+_RESOLUTION = _ranged(int, lambda v: v >= 10, "an integer >= 10")
+_UNIT_OPEN = _ranged(float, lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
+_UNIT_EPS = _ranged(float, lambda v: 0.0 <= v < 1.0, "a value in [0, 1)")
+_GROWTH = _ranged(float, lambda v: 1.0 < v <= baselines.GROWTH_FACTOR_MAX, "a value in (1, 4/3]")
 
 
 def _power_int(text: str) -> int:
@@ -90,16 +102,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=1)
-    p.add_argument("--lam", type=float, default=4.0 / 3.0)
+    p.add_argument("--lam", type=_GROWTH, default=4.0 / 3.0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("failure-map", help="failure-rate grid over (true, estimated) ratios")
-    p.add_argument("--resolution", type=_positive_int, default=50)
+    p.add_argument("--resolution", type=_RESOLUTION, default=50)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("failure-curves", help="sample-estimated failure vs the baseline")
     p.add_argument("--E", default="0.01,0.03,0.05", help="comma-separated acceptable errors")
-    p.add_argument("--confidence", type=float, default=0.95)
+    p.add_argument("--confidence", type=_UNIT_OPEN, default=0.95)
     p.add_argument("--sigma2", type=float, default=0.25)
     p.add_argument("--points", type=_positive_int, default=40)
     p.add_argument("--draws", type=_positive_int, default=200)
@@ -107,15 +119,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("complexity", help="total-cost curves for both algorithms")
-    p.add_argument("--eps", type=float, default=0.1)
+    p.add_argument("--eps", type=_UNIT_EPS, default=0.1)
     p.add_argument("--c", type=_positive_int, default=3)
     p.add_argument("--nmin", type=_power_int, default=2**8)
     p.add_argument("--nmax", type=_power_int, default=2**30)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sample-size", help="minimum sample size h = Z^2 sigma^2 / E^2")
-    p.add_argument("--confidence", type=float, required=True)
-    p.add_argument("--error", type=float, required=True)
+    p.add_argument("--confidence", type=_UNIT_OPEN, required=True)
+    p.add_argument("--error", type=_UNIT_OPEN, required=True)
     p.add_argument("--sigma2", type=float, default=0.25)
     p.add_argument("--z", type=float, default=None, help="override the Z lookup")
 
@@ -305,16 +317,18 @@ def _cmd_sample_size(args) -> int:
 
 
 def _cmd_build_oracle(args, argv) -> int:
-    if args.marked is not None:
-        try:
+    try:
+        if args.marked is not None:
             indices = frozenset(int(tok) for tok in args.marked.split(",") if tok.strip())
-        except ValueError:
-            raise DataError(f"bad --marked list {args.marked!r}") from None
-        marked = MarkedSet(args.n, indices)
-    elif args.threshold_le is not None:
-        marked = ThresholdPredicate("min", args.threshold_le, args.n).marked_set()
-    else:
-        marked = ThresholdPredicate("max", args.threshold_ge, args.n).marked_set()
+            marked = MarkedSet(args.n, indices)
+        elif args.threshold_le is not None:
+            marked = ThresholdPredicate("min", args.threshold_le, args.n).marked_set()
+        else:
+            marked = ThresholdPredicate("max", args.threshold_ge, args.n).marked_set()
+    except CircuitError as exc:  # indices or threshold outside the n-qubit range
+        raise DataError(str(exc)) from None
+    except ValueError:  # a --marked token that is not an integer
+        raise DataError(f"bad --marked list {args.marked!r}") from None
     circuit = build_multi_oracle(marked, args.phi)
     if args.simplify:
         circuit = simplify.simplify_all(circuit)
@@ -374,9 +388,6 @@ def _simulate_grover_long(circuit, state, iterations):
     Marked set and phase are recovered from the circuit's diagonal; the
     iteration count defaults to the tuned value for |V| out of 2^n states.
     """
-    from .grover_long import run_grover_long
-    from .grover_long import SearchParams
-
     u = circuit_to_matrix(circuit)
     diag = np.diagonal(u)
     if np.max(np.abs(u - np.diag(diag))) > 1e-9:

@@ -10,15 +10,17 @@ probability of stopping early is (1/2)^c.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError
-from .grover_long import SearchParams, compute_params, run_grover_long
-from .oracles import MarkedSet, ThresholdPredicate
-from .statevector import StateVector, make_superposition, sample_measurement
+from .grover_long import SearchParams, compute_params, support_probabilities
+from .statevector import StateVector, make_superposition, sample_indices
+# No longer called here; kept importable under this module because the
+# benchmark's tracer (perfbench/spans.py) wraps them by this path.
+from .grover_long import run_grover_long  # noqa: F401
+from .statevector import sample_measurement  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -27,12 +29,14 @@ class Database:
 
     records: tuple[tuple[str, int], ...]
     n: int
+    values: tuple[int, ...] = field(init=False, repr=False, compare=False)  # record order
+    sorted_values: np.ndarray = field(init=False, repr=False, compare=False)  # ascending
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple((str(l), int(v)) for l, v in self.records))
         if not self.records:
             raise DataError("database must be nonempty")
-        values = [v for _, v in self.records]
+        values = tuple(v for _, v in self.records)
         if len(set(values)) != len(values):
             dupes = sorted({v for v in values if values.count(v) > 1})
             raise DataError(f"duplicate data values {dupes}: each value must be distinct")
@@ -40,10 +44,10 @@ class Database:
             raise DataError(
                 f"values must lie in [0, {2**self.n - 1}] for n={self.n} qubits"
             )
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(v for _, v in self.records)
+        ordered = np.array(sorted(values))
+        ordered.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "sorted_values", ordered)
 
     @property
     def size(self) -> int:
@@ -105,7 +109,6 @@ def estimate_params(
     strategy: EstimationStrategy,
     mode: str = "min",
     rng: np.random.Generator | None = None,
-    j_rule: str = "2beta",
     sample=None,
 ) -> SearchParams:
     """Search parameters for the threshold at d0 under the given strategy.
@@ -118,13 +121,13 @@ def estimate_params(
     if isinstance(strategy, UniformEstimation):
         space = 2**db.n
         m_est = d0 + 1 if mode == "min" else space - d0
-        return compute_params(max(m_est, 1), space, j_rule)
+        return compute_params(max(m_est, 1), space)
     if isinstance(strategy, SampledEstimation):
         if sample is None:
             sample = draw_sample(db, strategy, rng)
         values = np.asarray(sample)
         count = int(np.sum(values <= d0) if mode == "min" else np.sum(values >= d0))
-        return compute_params(max(count, 1), len(values), j_rule)
+        return compute_params(max(count, 1), len(values))
     raise TypeError(f"unknown estimation strategy {strategy!r}")
 
 
@@ -158,8 +161,6 @@ def run_qummsa(
     mode: str = "min",
     rng=None,
     retry_cap: int = 32,
-    engine_mode: str = "rank1",
-    j_rule: str = "2beta",
 ) -> QummsaResult:
     """Threshold-descent search for the minimum (or maximum) of ``db``.
 
@@ -169,10 +170,12 @@ def run_qummsa(
     or advances it (d1 == d0).  After c consecutive confirmations d0 is
     returned.
 
+    Searches run in the two-amplitude subspace of the uniform start, so a
+    measurement is a draw over the stored values, never outside the database.
+
     retry_cap bounds the inner repeat: misestimated parameters make the
-    inner search fallible, and measured values absent from the database are
-    rejected outright, so a cap converts pathological non-termination into a
-    reported failure (success=False, best d0 so far returned).
+    inner search fallible, so a cap converts pathological non-termination
+    into a reported failure (success=False, best d0 so far returned).
     """
     if c < 1:
         raise ValueError(f"interrupt constant c must be >= 1, got {c}")
@@ -180,8 +183,7 @@ def run_qummsa(
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
-    values = set(db.values)
-    psi = db.initial_state()
+    ordered = db.sorted_values
     sample = draw_sample(db, strategy, gen)  # one sample serves the whole run
     d0 = int(db.values[gen.integers(db.size)])
     result = QummsaResult(minimum=d0, main_loops=0)
@@ -190,20 +192,18 @@ def run_qummsa(
         return a < b if mode == "min" else a > b
 
     streak = 0
-    marked: MarkedSet | None = None
     while streak < c:
-        if marked is None:  # oracle is rebuilt only when d0 changed
-            marked = ThresholdPredicate(mode, d0, db.n).marked_set()
-        params = estimate_params(d0, db, strategy, mode, gen, j_rule, sample=sample)
+        params = estimate_params(d0, db, strategy, mode, gen, sample=sample)
+        is_marked = ordered <= d0 if mode == "min" else ordered >= d0
+        probs = support_probabilities(is_marked, params.phi, params.iterations)
         d1 = None
         attempts = 0
         for _ in range(retry_cap):
-            final = run_grover_long(psi, marked, params, mode=engine_mode)
             attempts += 1
             result.preparations += 1
             result.grover_iterations += params.iterations
-            outcome = sample_measurement(final, gen)
-            if outcome in values and not better(d0, outcome):
+            outcome = int(ordered[sample_indices(probs, 1, gen)[0]])
+            if not better(d0, outcome):
                 d1 = outcome
                 break
         if d1 is None:
@@ -217,7 +217,6 @@ def run_qummsa(
             streak = 0
             result.descents += 1
             d0 = d1
-            marked = None
         else:
             streak += 1
     result.minimum = d0

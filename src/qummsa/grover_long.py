@@ -99,7 +99,7 @@ def grover_long_states(
         return
 
     if prep is None:
-        prep = _derive_preparation(initial)
+        prep = build_preparation(uniform_support(initial).tolist(), initial.n)
     oracle = build_multi_oracle(marked, params.phi)
     i0 = build_I0(initial.n, params.phi)
     unprep = invert_circuit(prep)
@@ -124,16 +124,50 @@ def run_grover_long(
     return state
 
 
-def _derive_preparation(initial: StateVector) -> Circuit:
-    probs = initial.probabilities()
-    occupied = np.flatnonzero(probs > 1e-18)
+def uniform_support(initial: StateVector) -> np.ndarray:
+    """Ascending occupied indices of ``initial``; CircuitError unless it is uniform on them."""
+    occupied = np.flatnonzero(initial.probabilities() > 1e-18)
     amp = 1.0 / math.sqrt(len(occupied))
     if np.max(np.abs(initial.amps[occupied] - amp)) > 1e-9:
-        raise CircuitError(
-            "gate-level mode needs a uniform-superposition initial state "
-            "or an explicit preparation circuit"
-        )
-    return build_preparation(occupied.tolist(), initial.n)
+        raise CircuitError("initial state must be uniform over its occupied indices")
+    return occupied
+
+
+def amplitude_recursion(
+    M: float, N: float, phi: float, iterations: int
+) -> list[tuple[complex, complex]]:
+    """Per-state amplitudes (a_good, a_bad) after 0..iterations steps.
+
+    Starts from a = b = 1/sqrt(N).  One step, with ph = e^{i phi}:
+
+        s  = (ph - 1)/N * (M*ph*a + (N - M)*b)
+        a' = -s - ph*a
+        b' = -s - b
+
+    i.e. the oracle phases the good amplitudes, then the rank-1 reflection
+    mixes in the overlap with the initial state and the global sign flips.
+    Only M/N matters, so fractional (M, N) such as (ratio, 1.0) are valid.
+    At phi = pi this is the standard Grover iteration.
+    """
+    a = b = complex(1.0 / math.sqrt(N))
+    ph = np.exp(1j * phi)
+    out = [(a, b)]
+    for _ in range(iterations):
+        s = (ph - 1.0) / N * (M * ph * a + (N - M) * b)
+        a, b = -s - ph * a, -s - b
+        out.append((a, b))
+    return out
+
+
+def support_probabilities(is_marked: np.ndarray, phi: float, iterations: int) -> np.ndarray:
+    """Outcome probability of each occupied value after a search from the uniform start.
+
+    ``is_marked`` masks the occupied values in ascending order; marked values get
+    |a|^2 and the others |b|^2 from the last step of :func:`amplitude_recursion`.
+    """
+    is_marked = np.asarray(is_marked, dtype=bool)
+    a, b = amplitude_recursion(int(is_marked.sum()), is_marked.size, phi, iterations)[-1]
+    return np.where(is_marked, abs(a) ** 2, abs(b) ** 2)
 
 
 def success_probability(final: StateVector, marked: MarkedSet) -> float:
@@ -143,16 +177,14 @@ def success_probability(final: StateVector, marked: MarkedSet) -> float:
 
 
 def iteration_branches(M: float, N: float, j_rule: str = "2beta") -> tuple[int, int]:
-    """The two candidate iteration counts (floor-based, ceil-based).
+    """The two candidate iteration counts (floor-based, as compute_params, and ceil-based).
 
     Under the default rule the floor branch is never smaller; both are kept so
     the max can be audited.
     """
-    beta = math.asin(math.sqrt(M / N))
-    denom = 2.0 * beta if j_rule == "2beta" else beta
-    floor_branch = math.floor((math.pi / 2 - beta) / denom + 1e-12) + 1
-    ceil_branch = math.ceil((math.pi - 6 * beta) / (4 * beta))
-    return floor_branch, ceil_branch
+    params = compute_params(M, N, j_rule)
+    ceil_branch = math.ceil((math.pi - 6 * params.beta) / (4 * params.beta))
+    return params.iterations, ceil_branch
 
 
 def iteration_count_model(M: float, N: float, j_rule: str = "2beta") -> int:

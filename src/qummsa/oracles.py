@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Control, GateOp, concat, on_one, on_zero
 from .errors import CircuitError
-from .statevector import StateVector, make_superposition
 
 
 @dataclass(frozen=True)
@@ -157,8 +156,3 @@ def build_preparation(occupied, n: int) -> Circuit:
 
     split(n - 1, (), occ)
     return Circuit(n, tuple(ops))
-
-
-def preparation_state(occupied, n: int) -> StateVector:
-    """The state W|0...0> without going through gates (abstract W handle)."""
-    return make_superposition(n, occupied)

@@ -141,19 +141,25 @@ def measure_distribution(state: StateVector) -> np.ndarray:
 
 
 def sample_measurement(state: StateVector, rng) -> int:
-    """Sample one basis index; ``rng`` is a seed or numpy Generator.
-
-    Inverse-CDF sampling: cumulative sums accumulate in index order and the
-    first index where cdf >= u is returned, so zero-amplitude outcomes are
-    never produced.
-    """
+    """Sample one basis index (see :func:`sample_indices`); ``rng`` is a seed or Generator."""
     return int(sample_measurements(state, 1, rng)[0])
 
 
 def sample_measurements(state: StateVector, size: int, rng) -> np.ndarray:
     """Vectorized version of sample_measurement; deterministic for a fixed seed."""
+    return sample_indices(state.probabilities(), size, rng)
+
+
+def sample_indices(probs: np.ndarray, size: int, rng) -> np.ndarray:
+    """Inverse-CDF draws of ``size`` indices into a probability array.
+
+    The first index where cdf >= u is returned, so zero-probability indices
+    are never drawn.  A total further than NORM_TOL from 1 raises CircuitError.
+    """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    cdf = np.cumsum(state.probabilities())
+    cdf = np.cumsum(probs)
+    if abs(cdf[-1] - 1.0) > NORM_TOL:
+        raise CircuitError(f"probabilities sum to {cdf[-1]!r}, not 1 within {NORM_TOL}")
     u = gen.random(size) * cdf[-1]
     return np.searchsorted(cdf, u, side="left").clip(0, len(cdf) - 1)
 

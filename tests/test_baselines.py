@@ -5,8 +5,9 @@ import pytest
 
 from qummsa.baselines import QesaConfig, qesa_failure_model, run_dha_minimum, run_qesa
 from qummsa.driver import Database
+from qummsa.errors import CircuitError
 from qummsa.oracles import MarkedSet
-from qummsa.statevector import make_superposition
+from qummsa.statevector import StateVector, make_superposition
 
 
 def test_config_validation():
@@ -189,3 +190,42 @@ def test_dha_cost_scales_like_sqrt_n():
         costs.append(np.mean(total))
     slope = np.polyfit(np.log(sizes), np.log(costs), 1)[0]
     assert 0.4 < slope < 0.65, slope
+
+
+def test_run_qesa_refuses_non_uniform_start():
+    skewed = StateVector(2, np.array([0.8, 0.6, 0.0, 0.0], dtype=complex))
+    with pytest.raises(CircuitError, match="uniform"):
+        run_qesa(skewed, MarkedSet(2, frozenset({1})), QesaConfig(rng_seed=0))
+
+
+def test_run_qesa_seeded_traces_pinned():
+    # values recorded with the dense state-vector simulation; index 5 is marked
+    # but unoccupied
+    psi = make_superposition(5, [1, 4, 6, 9, 13, 17, 20, 22, 27, 30])
+    marked = MarkedSet(5, frozenset({4, 5, 27}))
+    expected = {
+        1: [(1, 0, 30, False), (2, 0, 30, False), (3, 0, 13, False), (4, 1, 4, True)],
+        2: [(1, 0, 6, False), (2, 1, 4, True)],
+        3: [(1, 0, 6, False), (2, 1, 27, True)],
+    }
+    for seed, rounds in expected.items():
+        trace = run_qesa(psi, marked, QesaConfig(max_t=30), rng=np.random.default_rng(seed))
+        assert [tuple(it) for it in trace.iterations] == rounds
+
+
+def test_dha_seeded_runs_pinned(titanic):
+    # (minimum, rounds, preparations, grover_iterations), recorded with the
+    # dense state-vector simulation
+    sparse = Database(tuple((f"v{i}", (389 * i + 71) % 1024) for i in range(40)), 10)
+    wide = Database(tuple((f"v{i}", (389 * i + 71) % 4096) for i in range(400)), 12)
+    cases = [
+        (titanic, 1, (1, 27, 27, 38)),
+        (titanic, 4, (1, 28, 28, 31)),
+        (sparse, 1, (8, 29, 29, 36)),
+        (sparse, 2, (8, 29, 29, 32)),
+        (wide, 2, (1, 55, 55, 95)),
+        (wide, 8, (1, 56, 56, 75)),
+    ]
+    for db, seed, expected in cases:
+        res = run_dha_minimum(db, QesaConfig(), rng=np.random.default_rng(seed))
+        assert (res.minimum, res.rounds, res.preparations, res.grover_iterations) == expected

@@ -216,6 +216,26 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["find-min", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["sample-size", "--confidence", "1.5", "--error", "0.05"], 1),
+        (["complexity", "--eps", "1.0"], 1),
+        (["failure-map", "--resolution", "5"], 1),
+        (["baseline-dha", "titanic", "--lam", "2"], 1),
+        (["build-oracle", "--n", "3", "--threshold-le", "9", "--phi", "1"], 2),
+    ],
+)
+def test_cli_out_of_range_arguments(argv, code, capsys):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err and "error:" in err
+
+
 def test_cli_build_oracle_threshold(tmp_path, capsys):
     out = tmp_path / "thr.qc"
     assert main([

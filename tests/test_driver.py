@@ -203,3 +203,23 @@ def test_loop_failure_bound(r0, c, expected):
 def test_loop_failure_bound_validation():
     with pytest.raises(ValueError):
         loop_failure_bound(0, 3)
+
+
+@pytest.mark.parametrize(
+    "source,mode,strategy,seed,expected",
+    [
+        ("titanic", "min", UniformEstimation(), 1, (1, 7, 7)),
+        ("titanic", "max", SampledEstimation(None), 2, (63, 8, 8)),
+        ("titanic", "min", SampledEstimation(9), 3, (1, 6, 8)),
+        ("sparse", "max", UniformEstimation(), 4, (1009, 5, 6)),
+        ("sparse", "min", SampledEstimation(9), 5, (8, 6, 8)),
+    ],
+)
+def test_seeded_runs_pinned(titanic, source, mode, strategy, seed, expected):
+    # (minimum, main_loops, preparations), recorded with the dense
+    # state-vector simulation
+    db = titanic
+    if source == "sparse":
+        db = Database(tuple((f"v{i}", (389 * i + 71) % 1024) for i in range(40)), 10)
+    res = run_qummsa(db, c=3, strategy=strategy, mode=mode, rng=np.random.default_rng(seed))
+    assert (res.minimum, res.main_loops, res.preparations) == expected

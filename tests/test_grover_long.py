@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qummsa.analysis import amplitude_recursion
+from qummsa.driver import UniformEstimation, estimate_params
 from qummsa.errors import CircuitError
 from qummsa.grover_long import (
     SearchParams,
@@ -13,8 +16,9 @@ from qummsa.grover_long import (
     iteration_count_model,
     run_grover_long,
     success_probability,
+    support_probabilities,
 )
-from qummsa.oracles import MarkedSet
+from qummsa.oracles import MarkedSet, ThresholdPredicate
 from qummsa.statevector import make_basis_state, make_superposition
 
 
@@ -209,3 +213,57 @@ def test_unoccupied_states_stay_empty():
     assert success_probability(final, marked) == pytest.approx(
         success_probability(final, occupied_marked)
     )
+
+
+@settings(deadline=None, max_examples=150)
+@given(data=st.data())
+def test_support_probabilities_match_dense_reference(data):
+    # the reference may also mark unoccupied indices (as the baselines' oracles
+    # do); an empty mask is represented by marking only unoccupied ones
+    n = data.draw(st.integers(1, 7), label="n")
+    occ = sorted(data.draw(st.sets(st.integers(0, 2**n - 1), min_size=1), label="occupied"))
+    mask = np.array(data.draw(st.lists(st.booleans(), min_size=len(occ), max_size=len(occ))))
+    free = sorted(set(range(2**n)) - set(occ))
+    extra = data.draw(st.sets(st.sampled_from(free)) if free else st.just(set()), label="extra")
+    marked = set(np.asarray(occ)[mask].tolist()) | extra
+    assume(marked)
+    phi = data.draw(st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True), label="phi")
+    iterations = data.draw(st.integers(0, 20), label="J")
+    params = SearchParams(float(mask.sum()), float(len(occ)), 0.0, phi, iterations)
+    dense = run_grover_long(make_superposition(n, occ), MarkedSet(n, frozenset(marked)), params)
+    np.testing.assert_allclose(
+        support_probabilities(mask, phi, iterations), dense.probabilities()[occ], atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("mode", ["min", "max"])
+def test_support_probabilities_match_driver_reference(titanic, mode):
+    # the reference is built exactly as the dense driver built it
+    ordered = titanic.sorted_values
+    for d0 in (int(ordered[3]), int(ordered[17]), int(ordered[-4])):
+        params = estimate_params(d0, titanic, UniformEstimation(), mode)
+        marked = ThresholdPredicate(mode, d0, titanic.n).marked_set()
+        dense = run_grover_long(titanic.initial_state(), marked, params)
+        mask = ordered <= d0 if mode == "min" else ordered >= d0
+        np.testing.assert_allclose(
+            support_probabilities(mask, params.phi, params.iterations),
+            dense.probabilities()[ordered],
+            atol=1e-12,
+        )
+
+
+@pytest.mark.parametrize("marked", [[4, 5, 27], [0]])
+def test_support_probabilities_standard_grover_step(marked):
+    # phi = pi is the baselines' phase inversion plus reflection about psi;
+    # [0] marks only an unoccupied index, as the baseline does at the minimum
+    occ = [1, 4, 6, 9, 13, 17, 20, 22, 27, 30]
+    psi = make_superposition(5, occ).amps
+    mask = np.isin(occ, marked)
+    for gamma in range(12):
+        s = psi.copy()
+        for _ in range(gamma):
+            s[marked] *= -1.0
+            s = 2.0 * np.vdot(psi, s) * psi - s
+        np.testing.assert_allclose(
+            support_probabilities(mask, math.pi, gamma), np.abs(s[occ]) ** 2, atol=1e-12
+        )

@@ -12,7 +12,6 @@ from qummsa.oracles import (
     build_single_oracle,
     build_threshold_oracle,
     dyadic_blocks,
-    preparation_state,
 )
 from qummsa.statevector import make_basis_state, make_superposition
 
@@ -190,9 +189,6 @@ def test_preparation_random_occupancies(n, seed):
         occ = sorted(int(v) for v in rng.choice(2**n, size=k, replace=False))
         out = run_circuit(build_preparation(occ, n), make_basis_state(n, 0))
         np.testing.assert_allclose(out.amps, make_superposition(n, occ).amps, atol=1e-10)
-        np.testing.assert_allclose(
-            preparation_state(occ, n).amps, make_superposition(n, occ).amps, atol=0
-        )
 
 
 def test_preparation_empty_rejected():

@@ -11,6 +11,7 @@ from qummsa.statevector import (
     make_basis_state,
     make_superposition,
     measure_distribution,
+    sample_indices,
     sample_measurement,
     sample_measurements,
     states_equal_up_to_global_phase,
@@ -149,6 +150,14 @@ def test_sample_convergence_to_distribution():
     samples = sample_measurements(state, 1_000_000, np.random.default_rng(3))
     freqs = np.bincount(samples, minlength=8) / len(samples)
     assert np.max(np.abs(freqs - measure_distribution(state))) < 5e-3
+
+
+def test_sample_refuses_unnormalised_state():
+    state = StateVector(2, 2.0 * make_superposition(2, range(4)).amps)  # norm 2
+    with pytest.raises(CircuitError):
+        sample_measurements(state, 10, np.random.default_rng(0))
+    with pytest.raises(CircuitError):
+        sample_indices(np.full(3, 0.5), 1, np.random.default_rng(0))
 
 
 def test_norm_preserved_over_long_random_circuit():
