@@ -1,10 +1,12 @@
 """Closed-form failure-rate and complexity models.
 
-Failure rates come from :func:`qummsa.grover_long.amplitude_recursion`, the
+Failure rates come from :func:`qummsa.grover_long.final_amplitudes`, the
 two-amplitude engine the search loops also run on: good/bad per-state
-amplitudes evolve under one complex 2-term recurrence per iteration, so whole
-(M/N, M~/N~) grids cost microseconds instead of dense simulations.  The test
-suite checks the recursion against the dense state-vector reference.
+amplitudes evolve under one 2x2 complex step matrix per iteration, and J
+iterations cost O(log J) by repeated squaring of that matrix, evaluated over
+whole arrays of (M/N, M~/N~) at once.  The test suite checks it against the
+step-by-step :func:`~qummsa.grover_long.amplitude_recursion` and that against
+the dense state-vector reference.
 """
 
 from __future__ import annotations
@@ -15,9 +17,23 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .grover_long import SearchParams, amplitude_recursion, compute_params
+from .grover_long import compute_params, final_amplitudes
+# re-exported: the tests' step-by-step reference, also wrapped by perfbench/spans.py
+from .grover_long import amplitude_recursion  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
+# cells per block of failure_contour_grid rows: each complex temporary stays
+# near 0.5 MB (one row, where a row alone is larger)
+_GRID_BLOCK_CELLS = 1 << 15
+
+
+def _check_ratios(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ValueError unless every one lies in (0, 1]."""
+    arr = np.asarray(values, dtype=float)
+    bad = arr[~((arr > 0.0) & (arr <= 1.0))]
+    if bad.size:
+        raise ValueError(f"{name} must lie in (0, 1], got {bad.flat[0]}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -28,9 +44,8 @@ class MisestimationPoint:
     ratio_est: float
 
     def __post_init__(self):
-        for name, r in (("ratio_true", self.ratio_true), ("ratio_est", self.ratio_est)):
-            if not 0.0 < r <= 1.0:
-                raise ValueError(f"{name} must lie in (0, 1], got {r}")
+        _check_ratios("ratio_true", self.ratio_true)
+        _check_ratios("ratio_est", self.ratio_est)
 
 
 def grover_long_failure(
@@ -47,12 +62,23 @@ def grover_long_failure(
     else:
         point = MisestimationPoint(float(ratio_true), float(ratio_est))
     params = compute_params(point.ratio_est, 1.0, j_rule)
-    if params.iterations == 0:
-        return float(1.0 - point.ratio_true)
-    amps = amplitude_recursion(point.ratio_true, 1.0, params.phi, params.iterations)
-    a_good = amps[-1][0]
-    eps = 1.0 - point.ratio_true * abs(a_good) ** 2
-    return float(min(max(eps, 0.0), 1.0))
+    return float(_failure(point.ratio_true, params.phi, params.iterations))
+
+
+def _failure(ratio_true, phi, iterations):
+    """1 - (marked mass) after a search with (phi, J) from the uniform start, in [0, 1]."""
+    a_good, _ = final_amplitudes(ratio_true, 1.0, phi, iterations)
+    return np.clip(1.0 - ratio_true * abs(a_good) ** 2, 0.0, 1.0)
+
+
+def _tuned(ratio_est, j_rule: str) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, J) arrays shaped like ``ratio_est``, from one compute_params per distinct value."""
+    ratio_est = _check_ratios("ratio_est", ratio_est)
+    distinct, inverse = np.unique(ratio_est, return_inverse=True)
+    params = [compute_params(r, 1.0, j_rule) for r in distinct.tolist()]
+    phi = np.array([p.phi for p in params])[inverse].reshape(ratio_est.shape)
+    iterations = np.array([p.iterations for p in params])[inverse].reshape(ratio_est.shape)
+    return phi, iterations
 
 
 def failure_contour_grid(
@@ -61,15 +87,18 @@ def failure_contour_grid(
     """Failure-rate surface over (ratio_true, ratio_est) in (0, 1]^2.
 
     Returns (true_axis, est_axis, grid) with grid[i, j] evaluated at
-    (true_axis[i], est_axis[j]).
+    (true_axis[i], est_axis[j]).  Rows are evaluated in blocks, so temporaries
+    stay small next to the grid itself.
     """
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
     axis = np.linspace(1.0 / resolution, 1.0, resolution)
+    phi, iterations = _tuned(axis, j_rule)
     grid = np.empty((resolution, resolution))
-    for i, rt in enumerate(axis):
-        for j, re_ in enumerate(axis):
-            grid[i, j] = grover_long_failure(rt, re_, j_rule)
+    rows = max(1, _GRID_BLOCK_CELLS // resolution)
+    for start in range(0, resolution, rows):
+        block = axis[start : start + rows, None]
+        grid[start : start + rows] = _failure(block, phi, iterations)
     return axis, axis.copy(), grid
 
 
@@ -154,11 +183,10 @@ def sampled_failure_curve(
         ratios = np.linspace(1.0 / resolution, 1.0, resolution)
     h = min_sample_size(spec)
     rows = []
-    for r in ratios:
+    for r in _check_ratios("ratio_true", ratios):
         counts = gen.binomial(h, r, size=draws)
-        eps_vals = [
-            grover_long_failure(r, max(int(c), 1) / h, j_rule) for c in counts
-        ]
+        phi, iterations = _tuned(np.maximum(counts, 1) / h, j_rule)
+        eps_vals = _failure(r, phi, iterations)
         j_budget = compute_params(r, 1.0, j_rule).iterations
         t, cum = 1, 0.0
         while True:

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, baselines, driver, simplify
 from .circuit import circuit_to_matrix, export_circuit, parse_circuit, run_circuit
-from .dataio import format_csv, load_database, titanic_database
+from .dataio import csv_stamp, format_csv, load_database, titanic_database
 from .errors import CircuitError, DataError, ParseError, QummsaError
 from .grover_long import SearchParams, compute_params, run_grover_long
 from .oracles import MarkedSet, ThresholdPredicate, build_multi_oracle
@@ -246,16 +246,14 @@ def _cmd_dha(args, argv) -> int:
 
 def _cmd_failure_map(args, argv) -> int:
     true_axis, est_axis, grid = analysis.failure_contour_grid(args.resolution)
-    rows = [
-        {
-            "ratio_true": f"{float(rt)!r}",
-            "ratio_est": f"{float(re_)!r}",
-            "eps_gl": f"{float(grid[i, j])!r}",
-        }
-        for i, rt in enumerate(true_axis)
-        for j, re_ in enumerate(est_axis)
-    ]
-    _emit(format_csv(rows, _invocation(argv)), args.out)
+    # written row by row: reprs of floats need no CSV quoting, and each axis
+    # value is rendered once rather than once per cell
+    est = [f",{re_!r}," for re_ in est_axis.tolist()]
+    lines = [csv_stamp(_invocation(argv)), "ratio_true,ratio_est,eps_gl\n"]
+    for rt, row in zip(true_axis.tolist(), grid.tolist()):
+        head = repr(rt)
+        lines.extend(f"{head}{mid}{eps!r}\n" for mid, eps in zip(est, row))
+    _emit("".join(lines), args.out)
     return 0
 
 

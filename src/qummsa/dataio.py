@@ -84,10 +84,15 @@ def titanic_database() -> Database:
     return parse_database(text, source="titanic_ages.csv")
 
 
+def csv_stamp(invocation: str) -> str:
+    """The reproducibility stamp comment line that opens every CSV output."""
+    return f"# invocation: {invocation}\n"
+
+
 def format_csv(rows: list[dict], invocation: str) -> str:
     """Render rows as CSV with a reproducibility stamp comment on top."""
     out = io.StringIO()
-    out.write(f"# invocation: {invocation}\n")
+    out.write(csv_stamp(invocation))
     if rows:
         writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()), lineterminator="\n")
         writer.writeheader()

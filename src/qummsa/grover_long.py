@@ -15,6 +15,7 @@ exact, since any J >= the minimum admits a matched phase.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -133,40 +134,107 @@ def uniform_support(initial: StateVector) -> np.ndarray:
     return occupied
 
 
+def _step_matrix(M, N, ph):
+    """Entries (g00, g01, g10, g11) of one step (a, b) -> (g00 a + g01 b, g10 a + g11 b).
+
+    With c = (ph - 1)/N the step is s = c (M ph a + (N - M) b), a' = -s - ph a,
+    b' = -s - b: the oracle phases the good amplitudes, then the rank-1
+    reflection mixes in the overlap with the initial state and the global sign
+    flips.  Works on Python complex and on numpy arrays alike.
+    """
+    c = (ph - 1.0) / N
+    return (-ph - c * M * ph, -c * (N - M), -c * M * ph, -1.0 - c * (N - M))
+
+
+def _mul(g, h):
+    """Product of two 2x2 matrices given as (x00, x01, x10, x11)."""
+    return (
+        g[0] * h[0] + g[1] * h[2],
+        g[0] * h[1] + g[1] * h[3],
+        g[2] * h[0] + g[3] * h[2],
+        g[2] * h[1] + g[3] * h[3],
+    )
+
+
 def amplitude_recursion(
     M: float, N: float, phi: float, iterations: int
 ) -> list[tuple[complex, complex]]:
     """Per-state amplitudes (a_good, a_bad) after 0..iterations steps.
 
-    Starts from a = b = 1/sqrt(N).  One step, with ph = e^{i phi}:
-
-        s  = (ph - 1)/N * (M*ph*a + (N - M)*b)
-        a' = -s - ph*a
-        b' = -s - b
-
-    i.e. the oracle phases the good amplitudes, then the rank-1 reflection
-    mixes in the overlap with the initial state and the global sign flips.
-    Only M/N matters, so fractional (M, N) such as (ratio, 1.0) are valid.
-    At phi = pi this is the standard Grover iteration.
+    Starts from a = b = 1/sqrt(N) and applies :func:`_step_matrix` once per
+    step, with ph = e^{i phi}.  Only M/N matters, so fractional (M, N) such as
+    (ratio, 1.0) are valid.  At phi = pi this is the standard Grover iteration.
+    This step-by-step trajectory is the reference :func:`final_amplitudes` is
+    tested against.
     """
+    g00, g01, g10, g11 = _step_matrix(M, N, cmath.exp(1j * phi))
     a = b = complex(1.0 / math.sqrt(N))
-    ph = np.exp(1j * phi)
     out = [(a, b)]
     for _ in range(iterations):
-        s = (ph - 1.0) / N * (M * ph * a + (N - M) * b)
-        a, b = -s - ph * a, -s - b
+        a, b = g00 * a + g01 * b, g10 * a + g11 * b
         out.append((a, b))
     return out
+
+
+def final_amplitudes(M, N, phi, iterations):
+    """Per-state amplitudes (a_good, a_bad) after ``iterations`` steps, in O(log J).
+
+    Equals the last entry of :func:`amplitude_recursion`: the step matrix is
+    raised to the power J by repeated squaring.  If any argument is a numpy
+    array, all four broadcast and each element has its own J (the result is a
+    pair of complex arrays); otherwise the arguments are scalars and the
+    arithmetic stays in Python ``complex``, which is cheaper for one search.
+    """
+    arrays = (
+        isinstance(M, np.ndarray)
+        or isinstance(N, np.ndarray)
+        or isinstance(phi, np.ndarray)
+        or isinstance(iterations, np.ndarray)
+    )
+    if not arrays:
+        j = int(iterations)
+        if j < 0:
+            raise ValueError(f"iterations must be >= 0, got {j}")
+        g = _step_matrix(float(M), float(N), cmath.exp(1j * float(phi)))
+        a = b = complex(1.0 / math.sqrt(N))
+        while j:
+            if j & 1:
+                a, b = g[0] * a + g[1] * b, g[2] * a + g[3] * b
+            j >>= 1
+            if j:
+                g = _mul(g, g)
+        return a, b
+
+    M, N, phi, j = np.broadcast_arrays(
+        np.asarray(M, dtype=float),
+        np.asarray(N, dtype=float),
+        np.asarray(phi, dtype=float),
+        np.asarray(iterations, dtype=np.int64),
+    )
+    if np.any(j < 0):
+        raise ValueError(f"iterations must be >= 0, got {int(j.min())}")
+    g = _step_matrix(M, N, np.exp(1j * phi))
+    a = b = (1.0 / np.sqrt(N)).astype(complex)
+    while True:
+        odd = (j & 1).astype(bool)
+        a, b = (
+            np.where(odd, g[0] * a + g[1] * b, a),
+            np.where(odd, g[2] * a + g[3] * b, b),
+        )
+        j = j >> 1
+        if not j.any():
+            return a, b
+        g = _mul(g, g)
 
 
 def support_probabilities(is_marked: np.ndarray, phi: float, iterations: int) -> np.ndarray:
     """Outcome probability of each occupied value after a search from the uniform start.
 
     ``is_marked`` masks the occupied values in ascending order; marked values get
-    |a|^2 and the others |b|^2 from the last step of :func:`amplitude_recursion`.
+    |a|^2 and the others |b|^2 from :func:`final_amplitudes`.
     """
     is_marked = np.asarray(is_marked, dtype=bool)
-    a, b = amplitude_recursion(int(is_marked.sum()), is_marked.size, phi, iterations)[-1]
+    a, b = final_amplitudes(np.count_nonzero(is_marked), is_marked.size, phi, iterations)
     return np.where(is_marked, abs(a) ** 2, abs(b) ** 2)
 
 

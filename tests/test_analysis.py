@@ -1,7 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qummsa import analysis
 
 from qummsa.analysis import (
     ComplexityParams,
@@ -101,6 +106,46 @@ def test_contour_grid_spot_checks_against_simulation():
 def test_contour_grid_resolution_guard():
     with pytest.raises(ValueError):
         failure_contour_grid(5)
+
+
+def per_cell_grid(true_axis, est_axis):
+    return np.array([[grover_long_failure(rt, re_) for re_ in est_axis] for rt in true_axis])
+
+
+@settings(deadline=None, max_examples=15)
+@given(resolution=st.integers(10, 40))
+def test_contour_grid_matches_per_cell_failure(resolution):
+    true_axis, est_axis, grid = failure_contour_grid(resolution)
+    np.testing.assert_allclose(grid, per_cell_grid(true_axis, est_axis), rtol=0, atol=1e-13)
+
+
+def test_contour_grid_row_blocks(monkeypatch):
+    # 100 cells per block at resolution 23: blocks of 4 rows, the last one of 3
+    monkeypatch.setattr(analysis, "_GRID_BLOCK_CELLS", 100)
+    true_axis, est_axis, grid = failure_contour_grid(23)
+    np.testing.assert_allclose(grid, per_cell_grid(true_axis, est_axis), rtol=0, atol=1e-13)
+
+
+def test_contour_grid_temporaries_stay_small():
+    # the grid itself is 2 MB; evaluated in one piece its complex temporaries
+    # would take tens of MB
+    tracemalloc.start()
+    try:
+        _, _, grid = failure_contour_grid(512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grid.nbytes + 16 * 2**20
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.25, 1.0 + 1e-12, math.nan])
+def test_array_path_refuses_ratios_outside_unit_interval(bad):
+    # the same rule as MisestimationPoint: no ratio outside (0, 1] is clipped
+    spec = SampleSpec(z=1.96, error=0.05)
+    with pytest.raises(ValueError, match=r"ratio_true must lie in \(0, 1\]"):
+        sampled_failure_curve(spec, ratios=[0.5, bad], draws=10, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"ratio_est must lie in \(0, 1\]"):
+        analysis._tuned(np.array([0.5, bad]), "2beta")
 
 
 # --- sample sizing --------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from qummsa.analysis import failure_contour_grid
 from qummsa.cli import main
 from qummsa.dataio import format_csv, load_database, parse_database, titanic_database
 from qummsa.errors import DataError
@@ -186,6 +187,22 @@ def test_cli_failure_map(capsys):
     assert lines[0].startswith("# invocation: qummsa failure-map")
     assert lines[1] == "ratio_true,ratio_est,eps_gl"
     assert len(lines) == 2 + 100
+
+
+def test_cli_failure_map_matches_repr_rendering(capsys):
+    # the CSV the command writes row by row is the DictWriter rendering of
+    # the grid, with every float as its repr
+    assert main(["failure-map", "--resolution", "16"]) == 0
+    out = capsys.readouterr().out
+    true_axis, est_axis, grid = failure_contour_grid(16)
+    rows = [
+        {"ratio_true": repr(float(rt)), "ratio_est": repr(float(re_)), "eps_gl": repr(float(grid[i, j]))}
+        for i, rt in enumerate(true_axis)
+        for j, re_ in enumerate(est_axis)
+    ]
+    expected = format_csv(rows, "qummsa failure-map --resolution 16")
+    assert out.splitlines() == expected.splitlines()
+    assert out == expected
 
 
 def test_cli_failure_curves(capsys):

@@ -13,6 +13,8 @@ from qummsa.driver import (
     run_qummsa,
 )
 from qummsa.errors import DataError
+from qummsa.grover_long import support_probabilities
+from qummsa.statevector import NORM_TOL
 
 
 def full_database(n):
@@ -223,3 +225,20 @@ def test_seeded_runs_pinned(titanic, source, mode, strategy, seed, expected):
         db = Database(tuple((f"v{i}", (389 * i + 71) % 1024) for i in range(40)), 10)
     res = run_qummsa(db, c=3, strategy=strategy, mode=mode, rng=np.random.default_rng(seed))
     assert (res.minimum, res.main_loops, res.preparations) == expected
+
+
+def test_uniform_estimation_large_iteration_counts():
+    # 572 values in 2^40: uniform estimation tunes every loop for d0/2^40, so
+    # J runs to the hundreds of thousands on a 572-value support.  The loop
+    # at d0 = 0 is tuned for 1/2^40 while 1 of 572 values is marked, and it
+    # exhausts the retry cap: success is False, as with the step-by-step
+    # recursion, and (main_loops, preparations) are that recursion's too
+    db = Database(tuple((f"v{v}", v) for v in range(0, 4000, 7)), 40)
+    res = run_qummsa(db, strategy=UniformEstimation(), rng=np.random.default_rng(1))
+    assert (res.minimum, res.main_loops, res.preparations, res.success) == (0, 9, 87, False)
+    assert max(rec.iterations for rec in res.records) > 100_000
+    for rec in res.records:
+        params = estimate_params(rec.d0, db, UniformEstimation())
+        assert params.iterations == rec.iterations
+        probs = support_probabilities(db.sorted_values <= rec.d0, params.phi, params.iterations)
+        assert abs(probs.sum() - 1.0) < NORM_TOL

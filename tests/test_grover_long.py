@@ -11,6 +11,7 @@ from qummsa.errors import CircuitError
 from qummsa.grover_long import (
     SearchParams,
     compute_params,
+    final_amplitudes,
     grover_long_states,
     iteration_branches,
     iteration_count_model,
@@ -267,3 +268,40 @@ def test_support_probabilities_standard_grover_step(marked):
         np.testing.assert_allclose(
             support_probabilities(mask, math.pi, gamma), np.abs(s[occ]) ** 2, atol=1e-12
         )
+
+
+_counts = st.integers(1, 2**20).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n)))
+_phis = st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True)
+
+
+@settings(deadline=None, max_examples=200)
+@given(mn=_counts, phi=_phis, iterations=st.integers(0, 300))
+def test_final_amplitudes_match_recursion_trajectory(mn, phi, iterations):
+    # the scalar call gives the last step; one array call over J = 0..iterations
+    # gives the whole step-by-step trajectory
+    M, N = mn
+    trajectory = np.array(amplitude_recursion(M, N, phi, iterations))
+    np.testing.assert_allclose(final_amplitudes(M, N, phi, iterations), trajectory[-1], atol=1e-12)
+    a, b = final_amplitudes(M, N, phi, np.arange(iterations + 1))
+    np.testing.assert_allclose(np.stack([a, b], axis=1), trajectory, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=100)
+@given(cells=st.lists(st.tuples(_counts, _phis, st.integers(0, 2000)), min_size=1, max_size=20))
+def test_final_amplitudes_array_matches_scalar(cells):
+    M = np.array([float(m) for (m, _), _, _ in cells])
+    N = np.array([float(n) for (_, n), _, _ in cells])
+    phi = np.array([p for _, p, _ in cells])
+    J = np.array([j for _, _, j in cells])
+    a, b = final_amplitudes(M, N, phi, J)
+    for k, ((m, n), p, j) in enumerate(cells):
+        np.testing.assert_allclose((a[k], b[k]), final_amplitudes(m, n, p, j), atol=1e-12)
+
+
+def test_final_amplitudes_broadcast_and_validation():
+    a, b = final_amplitudes(np.array([[1.0], [2.0]]), 8, 1.3, np.array([0, 3, 5]))
+    assert a.shape == b.shape == (2, 3)
+    np.testing.assert_allclose(a[1, 2], final_amplitudes(2.0, 8, 1.3, 5)[0], atol=1e-15)
+    for iterations in (-1, np.array([2, -1])):
+        with pytest.raises(ValueError, match="iterations must be >= 0"):
+            final_amplitudes(1, 4, 1.0, iterations)
