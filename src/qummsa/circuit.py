@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,12 +57,18 @@ class GateOp:
             raise CircuitError(f"{self.kind} requires a finite angle parameter")
         if not needs_param and self.param is not None:
             raise CircuitError(f"{self.kind} takes no parameter")
-        ctrls = tuple(Control(int(q), int(v)) for q, v in self.controls)
+        # int-valued Controls are kept as given, so gates can share one tuple
+        ctrls = tuple(self.controls)
+        if not all(type(c) is Control and type(c.qubit) is type(c.value) is int for c in ctrls):
+            ctrls = tuple(Control(int(q), int(v)) for q, v in ctrls)
         object.__setattr__(self, "controls", ctrls)
-        if self.target in [c.qubit for c in ctrls]:
+        qubits = {c.qubit for c in ctrls}
+        if self.target in qubits:
             raise CircuitError(f"target qubit {self.target} also appears as a control")
-        if len({c.qubit for c in ctrls}) != len(ctrls):
+        if len(qubits) != len(ctrls):
             raise CircuitError("control qubits must be pairwise distinct")
+        if not {c.value for c in ctrls} <= {0, 1}:
+            raise CircuitError("control values must be 0 or 1")
 
     def inverse(self) -> "GateOp":
         if self.kind in _PARAMETRIC:
@@ -134,7 +140,7 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
 
 
 def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
-    """Apply the circuit gate by gate without materializing any matrix."""
+    """Apply the circuit gate by gate; Circuit already validated every op."""
     if circuit.n != state.n:
         raise CircuitError(
             f"dimension mismatch: circuit has n={circuit.n}, state has n={state.n}"

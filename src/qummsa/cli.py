@@ -17,12 +17,18 @@ import sys
 import numpy as np
 
 from . import analysis, baselines, driver, simplify
-from .circuit import circuit_to_matrix, export_circuit, parse_circuit, run_circuit
+from .circuit import DENSE_MAX_QUBITS, circuit_to_matrix, export_circuit, parse_circuit, run_circuit
 from .dataio import csv_stamp, format_csv, load_database, titanic_database
 from .errors import CircuitError, DataError, ParseError, QummsaError
 from .grover_long import SearchParams, compute_params, run_grover_long
 from .oracles import MarkedSet, ThresholdPredicate, build_multi_oracle
 from .statevector import StateVector, make_basis_state, make_superposition
+
+
+# Largest register `simulate` runs: it writes one CSV row per basis state, so
+# 2^20 rows (about 40 MB of text, from a 16 MB state) is the most it produces.
+# With --grover-long the circuit is lowered densely, so DENSE_MAX_QUBITS holds.
+SIMULATE_MAX_QUBITS = 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -366,6 +372,10 @@ def _initial_state(spec: str, n: int) -> StateVector:
 def _cmd_simulate(args, argv) -> int:
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circuit = parse_circuit(fh.read())
+    limit = DENSE_MAX_QUBITS if args.grover_long else SIMULATE_MAX_QUBITS
+    if circuit.n > limit:
+        mode = " with --grover-long" if args.grover_long else ""
+        raise DataError(f"simulate{mode} runs at most {limit} qubits; the circuit has {circuit.n}")
     state = _initial_state(args.initial, circuit.n)
     if args.grover_long:
         final = _simulate_grover_long(circuit, state, args.iterations)

@@ -12,8 +12,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Control, GateOp, concat, on_one, on_zero
+from .circuit import Circuit, Control, GateOp, on_one, on_zero
 from .errors import CircuitError
+
+# Largest marked set a threshold predicate enumerates.  The raw oracle carries
+# up to three gates per marked index, each with n-1 controls, so a threshold
+# at large n (``--threshold-ge 0`` at n=40 marks 2^40 indices) is refused
+# before anything of that size is allocated.
+MARKED_MAX = 2**16
 
 
 @dataclass(frozen=True)
@@ -50,16 +56,13 @@ class ThresholdPredicate:
             raise CircuitError(f"d0={self.d0} out of range for {self.n} qubits")
 
     def marked_set(self) -> MarkedSet:
-        if self.mode == "min":
-            return MarkedSet(self.n, frozenset(range(0, self.d0 + 1)))
-        return MarkedSet(self.n, frozenset(range(self.d0, 2**self.n)))
-
-
-def _value_controls(n: int, v: int) -> tuple[Control, ...]:
-    """Controls on q[1..n-1] matching the corresponding bits of v."""
-    return tuple(
-        on_one(j) if (v >> j) & 1 else on_zero(j) for j in range(1, n)
-    )
+        """The marked indices; more than MARKED_MAX are refused before any is listed."""
+        lo, hi = (0, self.d0 + 1) if self.mode == "min" else (self.d0, 2**self.n)
+        if hi - lo > MARKED_MAX:
+            raise CircuitError(
+                f"threshold marks {hi - lo} indices, more than the {MARKED_MAX} an oracle is built for"
+            )
+        return MarkedSet(self.n, frozenset(range(lo, hi)))
 
 
 def build_I0(n: int, phi: float) -> Circuit:
@@ -75,24 +78,31 @@ def build_single_oracle(n: int, v: int, phi: float) -> Circuit:
     """Oracle marking the single basis index v with phase e^{i phi}."""
     if not 0 <= v < 2**n:
         raise CircuitError(f"marked index {v} out of range for {n} qubits")
-    ctrls = _value_controls(n, v)
-    phase = GateOp("PHASE", 0, ctrls, phi)
-    if v & 1:
-        return Circuit(n, (phase,))
-    flip = GateOp("X", 0, ctrls)
-    return Circuit(n, (flip, phase, flip))
+    return Circuit(n, _oracle_ops(n, [v], phi))
 
 
 def build_multi_oracle(marked: MarkedSet, phi: float) -> Circuit:
-    """Oracle marking every index in V: concatenated single-index oracles.
+    """Oracle marking every index in V: the single-index oracles in sequence.
 
-    Indices are emitted grouped by maximal dyadic blocks so later rewrite
-    passes see mergeable neighbours next to each other.
+    Indices are emitted in ascending order, so the members of each maximal
+    dyadic block sit next to each other for the rewrite passes.
     """
-    ordered: list[int] = []
-    for lo, hi in dyadic_blocks(sorted(marked.V)):
-        ordered.extend(range(lo, hi + 1))
-    return concat(*(build_single_oracle(marked.n, v, phi) for v in ordered))
+    return Circuit(marked.n, _oracle_ops(marked.n, sorted(marked.V), phi))
+
+
+def _oracle_ops(n: int, indices, phi: float) -> tuple[GateOp, ...]:
+    """Each index's gates in order, controlled on q[1..n-1] matching its bits."""
+    polarities = [(on_zero(j), on_one(j)) for j in range(1, n)]
+    ops: list[GateOp] = []
+    for v in indices:
+        ctrls = tuple(pair[(v >> j) & 1] for j, pair in enumerate(polarities, 1))
+        phase = GateOp("PHASE", 0, ctrls, phi)
+        if v & 1:
+            ops.append(phase)
+        else:
+            flip = GateOp("X", 0, ctrls)
+            ops.extend((flip, phase, flip))
+    return tuple(ops)
 
 
 def build_threshold_oracle(pred: ThresholdPredicate, phi: float) -> Circuit:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qummsa.dataio import titanic_database
+
+# One profile for every property test.  Examples that run a dense reference
+# vary widely in time, so hypothesis's per-example deadline is off; each test
+# keeps its own max_examples.
+settings.register_profile("qummsa", deadline=None)
+settings.load_profile("qummsa")
 
 
 @pytest.fixture(scope="session")

@@ -112,7 +112,7 @@ def per_cell_grid(true_axis, est_axis):
     return np.array([[grover_long_failure(rt, re_) for re_ in est_axis] for rt in true_axis])
 
 
-@settings(deadline=None, max_examples=15)
+@settings(max_examples=15)
 @given(resolution=st.integers(10, 40))
 def test_contour_grid_matches_per_cell_failure(resolution):
     true_axis, est_axis, grid = failure_contour_grid(resolution)

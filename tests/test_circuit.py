@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qummsa.circuit import (
+    GATE_KINDS,
     Circuit,
     Control,
     GateOp,
@@ -20,7 +21,7 @@ from qummsa.circuit import (
 )
 from qummsa.errors import CircuitError, ParseError
 from qummsa.oracles import build_I0, build_preparation
-from qummsa.statevector import make_basis_state, make_superposition
+from qummsa.statevector import StateVector, apply_gate, make_basis_state, make_superposition
 
 from conftest import assert_phase_equal
 
@@ -101,6 +102,49 @@ def test_controlled_gate_fires_only_on_matching_basis_states(n):
                 np.testing.assert_allclose(out.amps, expected.amps, atol=1e-12)
 
 
+@st.composite
+def gate_ops(draw, n):
+    """Any gate kind, a random target, 0..n-1 controls of random polarity."""
+    kind = draw(st.sampled_from(GATE_KINDS))
+    target = draw(st.integers(0, n - 1))
+    others = draw(st.permutations([q for q in range(n) if q != target]))
+    n_ctrl = draw(st.integers(0, n - 1))
+    controls = tuple(Control(q, draw(st.integers(0, 1))) for q in others[:n_ctrl])
+    param = draw(st.floats(-2 * np.pi, 2 * np.pi)) if kind in ("RY", "PHASE") else None
+    return GateOp(kind, target, controls, param)
+
+
+@st.composite
+def random_states(draw, n):
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = gen.normal(size=2**n) + 1j * gen.normal(size=2**n)
+    return StateVector(n, amps / np.linalg.norm(amps))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_apply_gate_matches_gate_matrix_property(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    op = data.draw(gate_ops(n), label="op")
+    state = data.draw(random_states(n), label="state")
+    np.testing.assert_allclose(
+        apply_gate(state, op).amps, gate_to_matrix(op, n) @ state.amps, rtol=0, atol=1e-12
+    )
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_run_circuit_matches_circuit_matrix_property(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    ops = data.draw(st.lists(gate_ops(n), max_size=12), label="ops")
+    state = data.draw(random_states(n), label="state")
+    circuit = Circuit(n, tuple(ops))
+    np.testing.assert_allclose(
+        run_circuit(circuit, state).amps, circuit_to_matrix(circuit) @ state.amps,
+        rtol=0, atol=1e-12,
+    )
+
+
 def test_invert_circuit():
     rng = np.random.default_rng(13)
     circuit = random_circuit(3, 15, rng)
@@ -142,7 +186,7 @@ def test_round_trip_random_50_gates():
     assert parse_circuit(export_circuit(c)) == c
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(1, 6), st.integers(0, 30), st.integers(0, 2**32 - 1))
 def test_round_trip_property(n, n_gates, seed):
     c = random_circuit(n, n_gates, np.random.default_rng(seed))
@@ -191,6 +235,25 @@ def test_gateop_validation():
         GateOp("PHASE", 1, (Control(1, 0),), 1.0)  # target among controls
     with pytest.raises(CircuitError):
         Circuit(1, (GateOp("X", 3),))  # qubit out of range
+    with pytest.raises(CircuitError):
+        GateOp("X", 0, ((1, 2),))  # control value neither 0 nor 1
+    with pytest.raises(CircuitError):
+        GateOp("X", 0, (Control(1, -1),))
+
+
+def test_gateop_keeps_a_tuple_of_controls():
+    ctrls = (on_one(1), on_zero(2))
+    assert GateOp("X", 0, ctrls).controls is ctrls
+    assert GateOp("X", 0, [(1, 1), (2, 0)]).controls == ctrls
+    # a bool or numpy polarity is normalised to int: as an index, True would
+    # act as a mask rather than select the |1> slice
+    loose = GateOp("X", 0, (Control(1, True), Control(np.int64(2), np.int64(0))))
+    assert loose.controls == ctrls
+    assert all(type(v) is int for c in loose.controls for v in c)
+    state = make_superposition(3, range(8))
+    np.testing.assert_array_equal(
+        apply_gate(state, loose).amps, apply_gate(state, GateOp("X", 0, ctrls)).amps
+    )
 
 
 def test_gate_to_matrix_is_unitary():

@@ -1,10 +1,13 @@
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qummsa import cli
 from qummsa.analysis import failure_contour_grid
+from qummsa.circuit import DENSE_MAX_QUBITS
 from qummsa.cli import main
 from qummsa.dataio import format_csv, load_database, parse_database, titanic_database
 from qummsa.errors import DataError
@@ -251,6 +254,50 @@ def test_cli_out_of_range_arguments(argv, code, capsys):
     err = capsys.readouterr().err
     assert got == code
     assert "Traceback" not in err and "error:" in err
+
+
+def run_traced(argv):
+    """Exit code and peak traced allocation (bytes) of one CLI call."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+@pytest.mark.parametrize(
+    "flags", [["--threshold-ge", "0"], ["--threshold-le", str(2**40 - 1)]]
+)
+def test_cli_build_oracle_refuses_huge_threshold(flags, capsys):
+    # 2^40 marked indices: refused before the marked set is listed
+    code, peak = run_traced(["build-oracle", "--n", "40", *flags, "--phi", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "1099511627776 indices" in err and "Traceback" not in err
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("flags,limit", [([], cli.SIMULATE_MAX_QUBITS), (["--grover-long"], DENSE_MAX_QUBITS)])
+def test_cli_simulate_refuses_huge_register(tmp_path, flags, limit, capsys):
+    qc = tmp_path / "wide.qc"
+    qc.write_text(f"qubits: {limit + 1}\nX 0 | controls:\n")
+    code, peak = run_traced(["simulate", str(qc), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"at most {limit} qubits" in err and "Traceback" not in err
+    assert peak < 2**20
+
+
+def test_cli_simulate_runs_at_its_qubit_cap(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SIMULATE_MAX_QUBITS", 3)
+    qc = tmp_path / "flip.qc"
+    qc.write_text("qubits: 3\nX 0 | controls:\n")
+    assert main(["simulate", str(qc), "--initial", "basis:0"]) == 0
+    assert "1,001,1.0" in capsys.readouterr().out
+    qc.write_text("qubits: 4\nX 0 | controls:\n")
+    assert main(["simulate", str(qc)]) == 2
 
 
 def test_cli_build_oracle_threshold(tmp_path, capsys):

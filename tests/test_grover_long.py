@@ -216,7 +216,7 @@ def test_unoccupied_states_stay_empty():
     )
 
 
-@settings(deadline=None, max_examples=150)
+@settings(max_examples=150)
 @given(data=st.data())
 def test_support_probabilities_match_dense_reference(data):
     # the reference may also mark unoccupied indices (as the baselines' oracles
@@ -274,7 +274,7 @@ _counts = st.integers(1, 2**20).flatmap(lambda n: st.tuples(st.integers(0, n), s
 _phis = st.floats(0.0, 2 * math.pi, exclude_min=True, exclude_max=True)
 
 
-@settings(deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(mn=_counts, phi=_phis, iterations=st.integers(0, 300))
 def test_final_amplitudes_match_recursion_trajectory(mn, phi, iterations):
     # the scalar call gives the last step; one array call over J = 0..iterations
@@ -286,7 +286,7 @@ def test_final_amplitudes_match_recursion_trajectory(mn, phi, iterations):
     np.testing.assert_allclose(np.stack([a, b], axis=1), trajectory, atol=1e-12)
 
 
-@settings(deadline=None, max_examples=100)
+@settings(max_examples=100)
 @given(cells=st.lists(st.tuples(_counts, _phis, st.integers(0, 2000)), min_size=1, max_size=20))
 def test_final_amplitudes_array_matches_scalar(cells):
     M = np.array([float(m) for (m, _), _, _ in cells])

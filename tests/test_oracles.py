@@ -1,7 +1,20 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qummsa.circuit import circuit_to_matrix, concat, run_circuit
+from qummsa import oracles
+from qummsa.circuit import (
+    Circuit,
+    Control,
+    GateOp,
+    circuit_to_matrix,
+    concat,
+    export_circuit,
+    run_circuit,
+)
 from qummsa.errors import CircuitError
 from qummsa.oracles import (
     MarkedSet,
@@ -13,6 +26,7 @@ from qummsa.oracles import (
     build_threshold_oracle,
     dyadic_blocks,
 )
+from qummsa.simplify import simplify_all
 from qummsa.statevector import make_basis_state, make_superposition
 
 
@@ -116,6 +130,49 @@ def test_phase_linearity():
     )
 
 
+def concatenated_single_oracles(n, V, phi):
+    """The raw oracle as it was first built: one Circuit per index, joined."""
+    singles = []
+    for lo, hi in dyadic_blocks(sorted(V)):
+        for v in range(lo, hi + 1):
+            ctrls = tuple(Control(j, (v >> j) & 1) for j in range(1, n))
+            phase = GateOp("PHASE", 0, ctrls, phi)
+            flip = GateOp("X", 0, ctrls)
+            singles.append(Circuit(n, (phase,) if v & 1 else (flip, phase, flip)))
+    return concat(*singles)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_raw_oracle_matches_concatenated_single_oracles(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    V = data.draw(st.sets(st.integers(0, 2**n - 1), min_size=1), label="V")
+    phi = data.draw(st.floats(0.1, 6.2), label="phi")
+    built = build_multi_oracle(MarkedSet(n, frozenset(V)), phi)
+    assert built.ops == concatenated_single_oracles(n, V, phi).ops
+
+
+def test_raw_and_simplified_oracles_bit_identical_pin():
+    # sha256 over the .qc text and the amplitudes (raw bytes) that the raw and
+    # simplified n=10 oracles produce from the uniform state
+    rng = np.random.default_rng(20191021)
+    uniform = make_superposition(10, range(2**10))
+    h = hashlib.sha256()
+    for k in range(4):
+        phi = float(rng.uniform(0.1, 6.0))
+        if k < 2:
+            d0 = int(rng.integers(2**10))
+            marked = ThresholdPredicate(("min", "max")[k], d0, 10).marked_set()
+        else:
+            V = frozenset(int(v) for v in rng.choice(2**10, size=60, replace=False))
+            marked = MarkedSet(10, V)
+        raw = build_multi_oracle(marked, phi)
+        for circuit in (raw, simplify_all(raw)):
+            h.update(export_circuit(circuit).encode())
+            h.update(run_circuit(circuit, uniform).amps.tobytes())
+    assert h.hexdigest() == "8795717a1d1fb69e4f1d69df41eeed3a71fb150dbc394a8edd3e3480b672346c"
+
+
 def test_threshold_min_small():
     pred = ThresholdPredicate("min", 1, 2)
     np.testing.assert_allclose(
@@ -143,6 +200,16 @@ def test_threshold_validation():
         ThresholdPredicate("min", 4, 2)
     with pytest.raises(CircuitError):
         ThresholdPredicate("median", 1, 2)
+
+
+def test_threshold_marked_set_size_cap(monkeypatch):
+    monkeypatch.setattr(oracles, "MARKED_MAX", 8)
+    assert ThresholdPredicate("min", 7, 4).marked_set().size == 8
+    assert ThresholdPredicate("max", 8, 4).marked_set().size == 8
+    with pytest.raises(CircuitError, match="9 indices"):
+        ThresholdPredicate("min", 8, 4).marked_set()
+    with pytest.raises(CircuitError, match="9 indices"):
+        ThresholdPredicate("max", 7, 4).marked_set()
 
 
 def test_dyadic_blocks():
