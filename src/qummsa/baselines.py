@@ -165,10 +165,11 @@ def run_dha_minimum(
     rounds = 0
     updates = 0
     t = 1
+    below = ordered < d0  # marks values below d0; rebuilt when d0 falls
     while time_used < budget:
         m = min(cfg.lam ** (t - 1), sqrt_n)
         gamma = int(gen.uniform(0.0, m))
-        probs = support_probabilities(ordered < d0, math.pi, gamma)  # marks values below d0
+        probs = support_probabilities(below, math.pi, gamma)
         outcome = int(ordered[sample_indices(probs, 1, gen)[0]])
         rounds += 1
         preparations += 1
@@ -176,6 +177,7 @@ def run_dha_minimum(
         time_used += gamma + lg
         if outcome < d0:
             d0 = outcome
+            below = ordered < d0
             updates += 1
             t = 1
         else:

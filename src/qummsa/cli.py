@@ -9,6 +9,7 @@ byte-identical output.  Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import shlex
@@ -86,7 +87,9 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: building it costs more than most commands."""
     parser = _Parser(prog="qummsa")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -191,7 +194,7 @@ def _cmd_find(args, argv, mode: str) -> int:
                 "success": res.success,
             }
         )
-    target = min(db.values) if mode == "min" else max(db.values)
+    target = int(db.sorted_values[0 if mode == "min" else -1])
     found = counts.get(target, 0)
     payload = {
         "invocation": _invocation(argv),
@@ -232,7 +235,7 @@ def _cmd_dha(args, argv) -> int:
                 "threshold_updates": res.threshold_updates,
             }
         )
-    target = min(db.values)
+    target = int(db.sorted_values[0])
     payload = {
         "invocation": _invocation(argv),
         "seed": args.seed,

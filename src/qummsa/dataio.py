@@ -1,7 +1,7 @@
 """Dataset ingestion and delimited output helpers.
 
-Datasets are CSV files with a ``label,value`` header, UTF-8, one record per
-line.  Values must be distinct non-negative integers (duplicates are the one
+Datasets are CSV files with a ``label,value`` header, UTF-8 (a leading
+byte-order mark is allowed), one record per line.  Values must be distinct non-negative integers (duplicates are the one
 hypothesis the loader enforces hard, since equal values would break the
 threshold-descent rank argument).
 """
@@ -12,6 +12,7 @@ import csv
 import io
 import math
 from importlib import resources
+from operator import itemgetter
 
 from .driver import Database
 from .errors import DataError
@@ -35,16 +36,54 @@ def load_database(path_or_file, n: int | None = None) -> Database:
 
 
 def parse_database(text: str, n: int | None = None, source: str = "<string>") -> Database:
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    """Parse label/value CSV text; one leading UTF-8 byte-order mark is ignored.
+
+    A well-formed file is read by :func:`_column_records`; anything else goes
+    through :func:`_checked_records`, which names the first bad line.
+    """
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows:
         raise DataError(f"{source}: empty file")
     header = [h.strip().lower() for h in rows[0]]
     if header != ["label", "value"]:
         raise DataError(f"{source}: line 1: expected header 'label,value', got {rows[0]!r}")
+    body = rows[1:]
+    records = _column_records(body) or _checked_records(body, source)
+    if not records:
+        raise DataError(f"{source}: no records")
+
+    max_value = max(map(itemgetter(1), records))
+    needed = max(1, max_value.bit_length(), math.ceil(math.log2(len(records))))
+    if n is None:
+        n = needed
+    elif n < needed:
+        raise DataError(
+            f"{source}: n={n} too small: {len(records)} records with max value "
+            f"{max_value} need at least {needed} qubits"
+        )
+    return Database(records, n)
+
+
+def _column_records(body: list[list[str]]) -> list[tuple[str, int]] | None:
+    """The records of a well-formed body, in one pass over each column; None otherwise."""
+    if set(map(len, body)) != {2}:
+        return None
+    try:
+        values = list(map(int, map(itemgetter(1), body)))
+    except ValueError:
+        return None
+    if min(values) < 0 or len(set(values)) != len(values):
+        return None
+    return list(zip(map(itemgetter(0), body), values))
+
+
+def _checked_records(body: list[list[str]], source: str) -> list[tuple[str, int]]:
+    """Row by row: skip blank lines, and report the first bad line by its number."""
     records: list[tuple[str, int]] = []
     seen: dict[int, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in enumerate(body, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
@@ -63,19 +102,7 @@ def parse_database(text: str, n: int | None = None, source: str = "<string>") ->
             )
         seen[value] = lineno
         records.append((label, value))
-    if not records:
-        raise DataError(f"{source}: no records")
-
-    max_value = max(v for _, v in records)
-    needed = max(1, max_value.bit_length(), math.ceil(math.log2(len(records))))
-    if n is None:
-        n = needed
-    elif n < needed:
-        raise DataError(
-            f"{source}: n={n} too small: {len(records)} records with max value "
-            f"{max_value} need at least {needed} qubits"
-        )
-    return Database(tuple(records), n)
+    return records
 
 
 def titanic_database() -> Database:

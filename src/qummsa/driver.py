@@ -11,12 +11,13 @@ probability of stopping early is (1/2)^c.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DataError
 from .grover_long import SearchParams, compute_params, support_probabilities
-from .statevector import StateVector, make_superposition, sample_indices
+from .statevector import StateVector, checked_cdf, make_superposition, sample_indices
 # No longer called here; kept importable under this module because the
 # benchmark's tracer (perfbench/spans.py) wraps them by this path.
 from .grover_long import run_grover_long  # noqa: F401
@@ -33,19 +34,23 @@ class Database:
     sorted_values: np.ndarray = field(init=False, repr=False, compare=False)  # ascending
 
     def __post_init__(self):
-        object.__setattr__(self, "records", tuple((str(l), int(v)) for l, v in self.records))
-        if not self.records:
+        records = tuple(self.records)
+        if not _plain_records(records):
+            records = tuple((str(l), int(v)) for l, v in records)
+        if not records:
             raise DataError("database must be nonempty")
-        values = tuple(v for _, v in self.records)
-        if len(set(values)) != len(values):
-            dupes = sorted({v for v in values if values.count(v) > 1})
+        values = tuple(map(itemgetter(1), records))
+        ordered = ascending_array(values)
+        repeats = ordered[1:] == ordered[:-1]
+        if repeats.any():
+            dupes = np.unique(ordered[1:][repeats]).tolist()
             raise DataError(f"duplicate data values {dupes}: each value must be distinct")
-        if min(values) < 0 or max(values) >= 2**self.n:
+        if ordered[0] < 0 or int(ordered[-1]) >= 2**self.n:
             raise DataError(
                 f"values must lie in [0, {2**self.n - 1}] for n={self.n} qubits"
             )
-        ordered = np.array(sorted(values))
         ordered.flags.writeable = False
+        object.__setattr__(self, "records", records)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sorted_values", ordered)
 
@@ -58,9 +63,33 @@ class Database:
 
     def rank(self, value: int, mode: str = "min") -> int:
         """1-based rank of ``value`` from the relevant end (analysis only)."""
-        if mode == "min":
-            return sum(1 for v in self.values if v <= value)
-        return sum(1 for v in self.values if v >= value)
+        return _count_on_side(self.sorted_values, value, mode)
+
+
+def _count_on_side(ordered: np.ndarray, d0: int, mode: str) -> int:
+    """How many of the ascending ``ordered`` are <= d0 (min) or >= d0 (max): one bisection."""
+    if mode == "min":
+        return int(np.searchsorted(ordered, d0, side="right"))
+    return len(ordered) - int(np.searchsorted(ordered, d0, side="left"))
+
+
+def ascending_array(values) -> np.ndarray:
+    """Integers sorted into an exact array: int64 or uint64 where they fit, else objects."""
+    ordered = np.array(values)
+    if ordered.dtype.kind == "f":  # numpy rounds 2^63 and up beside smaller values to float64
+        ordered = np.array(values, dtype=object)
+    ordered.sort()
+    return ordered
+
+
+def _plain_records(records) -> bool:
+    """True when every record is already a ``(str, int)`` tuple, so none needs converting."""
+    return (
+        set(map(type, records)) <= {tuple}
+        and set(map(len, records)) <= {2}
+        and set(map(type, map(itemgetter(0), records))) <= {str}
+        and set(map(type, map(itemgetter(1), records))) <= {int}
+    )
 
 
 @dataclass(frozen=True)
@@ -103,6 +132,12 @@ def draw_sample(db: Database, strategy: EstimationStrategy, rng=None):
     raise TypeError(f"unknown estimation strategy {strategy!r}")
 
 
+def ascending_sample(db: Database, strategy: EstimationStrategy, rng=None) -> np.ndarray:
+    """:func:`draw_sample` as an ascending array; a census is ``db.sorted_values`` itself."""
+    sample = draw_sample(db, strategy, rng)
+    return db.sorted_values if sample is db.values else ascending_array(sample)
+
+
 def estimate_params(
     d0: int,
     db: Database,
@@ -114,7 +149,8 @@ def estimate_params(
     """Search parameters for the threshold at d0 under the given strategy.
 
     ``sample`` short-circuits the draw for callers that hold one fixed sample
-    across a whole run; otherwise one is drawn here.
+    across a whole run, as an ascending array (see :func:`ascending_sample`);
+    otherwise one is drawn here.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
@@ -124,10 +160,9 @@ def estimate_params(
         return compute_params(max(m_est, 1), space)
     if isinstance(strategy, SampledEstimation):
         if sample is None:
-            sample = draw_sample(db, strategy, rng)
-        values = np.asarray(sample)
-        count = int(np.sum(values <= d0) if mode == "min" else np.sum(values >= d0))
-        return compute_params(max(count, 1), len(values))
+            sample = ascending_sample(db, strategy, rng)
+        count = _count_on_side(sample, d0, mode)
+        return compute_params(max(count, 1), len(sample))
     raise TypeError(f"unknown estimation strategy {strategy!r}")
 
 
@@ -184,7 +219,7 @@ def run_qummsa(
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
     ordered = db.sorted_values
-    sample = draw_sample(db, strategy, gen)  # one sample serves the whole run
+    sample = ascending_sample(db, strategy, gen)  # one sample serves the whole run
     d0 = int(db.values[gen.integers(db.size)])
     result = QummsaResult(minimum=d0, main_loops=0)
 
@@ -196,13 +231,14 @@ def run_qummsa(
         params = estimate_params(d0, db, strategy, mode, gen, sample=sample)
         is_marked = ordered <= d0 if mode == "min" else ordered >= d0
         probs = support_probabilities(is_marked, params.phi, params.iterations)
+        cdf = checked_cdf(probs)  # every attempt draws from the same distribution
         d1 = None
         attempts = 0
         for _ in range(retry_cap):
             attempts += 1
             result.preparations += 1
             result.grover_iterations += params.iterations
-            outcome = int(ordered[sample_indices(probs, 1, gen)[0]])
+            outcome = int(ordered[sample_indices(probs, 1, gen, cdf=cdf)[0]])
             if not better(d0, outcome):
                 d1 = outcome
                 break

@@ -1,15 +1,21 @@
+import csv
+import hashlib
 import io
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qummsa import cli
 from qummsa.analysis import failure_contour_grid
 from qummsa.circuit import DENSE_MAX_QUBITS
 from qummsa.cli import main
 from qummsa.dataio import format_csv, load_database, parse_database, titanic_database
+from qummsa.driver import Database
 from qummsa.errors import DataError
 
 EQ8_CSV = "label,value\na,0\nb,2\nc,3\n"
@@ -311,3 +317,159 @@ def test_cli_build_oracle_threshold(tmp_path, capsys):
     assert report["n_two_qubit_equiv"] == 3
     text = out.read_text()
     assert text.startswith("qubits: 6\n")
+
+
+# --- ingest: byte-order mark, fast path, pinned outputs ----------------------
+
+
+def test_byte_order_mark_accepted(tmp_path, capsys):
+    assert parse_database("\ufeff" + EQ8_CSV).values == (0, 2, 3)
+    assert load_database(io.StringIO("\ufeff" + EQ8_CSV)).values == (0, 2, 3)
+    dataset = tmp_path / "bom.csv"
+    dataset.write_text(EQ8_CSV, encoding="utf-8-sig")
+    assert load_database(dataset).values == (0, 2, 3)
+    assert main(["find-min", str(dataset), "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["aggregate"]["target_value"] == 0
+    with pytest.raises(DataError, match="header"):  # one mark is stripped, not two
+        parse_database("\ufeff\ufeff" + EQ8_CSV)
+
+
+def row_by_row_parse(text, n=None, source="<string>"):
+    """Reference: the row-by-row ingest, with no column pass and no byte-order-mark strip."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows:
+        raise DataError(f"{source}: empty file")
+    header = [h.strip().lower() for h in rows[0]]
+    if header != ["label", "value"]:
+        raise DataError(f"{source}: line 1: expected header 'label,value', got {rows[0]!r}")
+    records = []
+    seen = {}
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2:
+            raise DataError(f"{source}: line {lineno}: expected 2 fields, got {len(row)}")
+        label, raw = row[0], row[1].strip()
+        try:
+            value = int(raw)
+        except ValueError:
+            raise DataError(f"{source}: line {lineno}: value {raw!r} is not an integer") from None
+        if value < 0:
+            raise DataError(f"{source}: line {lineno}: value {value} is negative")
+        if value in seen:
+            raise DataError(
+                f"{source}: line {lineno}: duplicate value {value} "
+                f"(first seen on line {seen[value]}); data values must be distinct"
+            )
+        seen[value] = lineno
+        records.append((label, value))
+    if not records:
+        raise DataError(f"{source}: no records")
+    max_value = max(v for _, v in records)
+    needed = max(1, max_value.bit_length(), math.ceil(math.log2(len(records))))
+    if n is None:
+        n = needed
+    elif n < needed:
+        raise DataError(
+            f"{source}: n={n} too small: {len(records)} records with max value "
+            f"{max_value} need at least {needed} qubits"
+        )
+    return Database(tuple(records), n)
+
+
+_INTS = st.one_of(
+    st.integers(0, 300), st.integers(-5, -1), st.integers(2**63 - 2, 2**63 + 2),
+    st.integers(2**70 - 3, 2**70),
+)
+_SPACES = st.sampled_from(["", " ", "\t", " \t"])
+_LABELS = st.text(alphabet='ab ,"\t', max_size=4).map(
+    lambda text: '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"') else text
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A header and rows: half the texts hold only well-formed rows of distinct values."""
+    if draw(st.booleans()):
+        values = draw(st.lists(_INTS.filter(lambda v: v >= 0), unique=True, min_size=1, max_size=20))
+        value_texts = [str(v) for v in values]
+    else:
+        pool = draw(st.lists(_INTS, min_size=1, max_size=12))
+        bad = ["x", "1.5", "", "0x10", "+7", "1_0", "  ", "--3"]
+        value_texts = draw(st.lists(st.sampled_from([str(v) for v in pool] + bad), max_size=20))
+    headers = ["label,value"] * 6 + ["Label , VALUE", "\ufefflabel,value", "name,age"]
+    lines = [draw(st.sampled_from(headers))]
+    for raw in value_texts:
+        kind = draw(st.sampled_from(["row"] * 8 + ["one field", "three fields", "blank"]))
+        label = draw(_LABELS)
+        if kind == "row":
+            lines.append(f"{label},{draw(_SPACES)}{raw}{draw(_SPACES)}")
+        elif kind == "one field":
+            lines.append(label)
+        elif kind == "three fields":
+            lines.append(f"{label},{raw},z")
+        else:
+            lines.append(draw(st.sampled_from(["", "   "])))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=400)
+@given(csv_texts(), st.one_of(st.none(), st.integers(1, 72)))
+def test_parse_database_matches_row_by_row(text, n):
+    def outcome(parse, text):
+        try:
+            return parse(text, n=n, source="t.csv")
+        except DataError as exc:
+            return str(exc)
+
+    got = outcome(parse_database, text)
+    want = outcome(row_by_row_parse, text[1:] if text.startswith("\ufeff") else text)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    assert (got.records, got.n) == (want.records, want.n)
+    assert got.sorted_values.tolist() == want.sorted_values.tolist() == sorted(got.values)
+
+
+def _cli_digest(argv, capsys) -> str:
+    assert main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+def test_wide_values_pinned(tmp_path, monkeypatch, capsys):
+    # a value of 2^70 needs an object array; recorded before the one-pass ingest
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "wide.csv").write_text(f"label,value\na,37\nb,{2**70}\nc,{2**70 - 5}\n")
+    pins = [
+        (["find-min", "wide.csv", "--strategy", "sampled", "--trials", "4", "--seed", "1"],
+         "85c513ac97b5ccda70b60b7965908605649af63cc905d1beb9a21bdae8b1f0b4"),
+        (["find-max", "wide.csv", "--trials", "4", "--seed", "2"],
+         "3e41385fe96ac7ab22bd21b1d71962a8bba74aed765b49e5f71deae20f30b245"),
+        (["baseline-dha", "wide.csv", "--trials", "4", "--seed", "3"],
+         "5b0d87c47189642774ee3e37855aa171b513e72f238250d64b5100b808dc8370"),
+    ]
+    for argv, digest in pins:
+        assert _cli_digest(argv, capsys) == digest, argv
+
+
+def test_sparse_find_commands_pinned(tmp_path, monkeypatch, capsys):
+    # 4096 seeded values in 2^18: census find-min, a 97-value sampled find-max
+    # and the baseline; recorded before the one-pass ingest
+    monkeypatch.chdir(tmp_path)
+    values = np.random.default_rng(2018).choice(2**18, size=4096, replace=False).tolist()
+    (tmp_path / "sparse.csv").write_text(
+        "label,value\n" + "".join(f"v{i},{v}\n" for i, v in enumerate(values))
+    )
+    common = ["sparse.csv", "--n", "18"]
+    pins = [
+        (["find-min", *common, "--strategy", "sampled", "--trials", "3", "--seed", "11"],
+         "64f8ea57dd8a5d65115c0b5a342068b8a766641c3516335d327fcf3e925c36e0"),
+        (["find-max", *common, "--strategy", "sampled", "--sample-size", "97", "--trials", "3",
+          "--seed", "12"],
+         "cccd6310b5fc69b7b943e83529ac3e069bd8f90df6dd1334a16c096c0629e8e7"),
+        (["baseline-dha", *common, "--trials", "3", "--seed", "13"],
+         "1cc4f188056d6e16f705f6280bf3f9931deebfa8bc88c73d6a6e26a6433dd7ab"),
+    ]
+    for argv, digest in pins:
+        assert _cli_digest(argv, capsys) == digest, argv

@@ -1,12 +1,16 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qummsa.driver import (
     Database,
     SampledEstimation,
     UniformEstimation,
+    ascending_sample,
     draw_sample,
     estimate_params,
     loop_failure_bound,
@@ -242,3 +246,65 @@ def test_uniform_estimation_large_iteration_counts():
         assert params.iterations == rec.iterations
         probs = support_probabilities(db.sorted_values <= rec.d0, params.phi, params.iterations)
         assert abs(probs.sum() - 1.0) < NORM_TOL
+
+
+def test_duplicate_report_is_not_quadratic():
+    # one repeated value among 200k: found on the sorted array, not by a
+    # count per value
+    values = list(range(200_000))
+    values[-1] = 123_456
+    records = tuple((f"v{i}", v) for i, v in enumerate(values))
+    start = time.perf_counter()
+    message = r"duplicate data values \[123456\]: each value must be distinct"
+    with pytest.raises(DataError, match=message):
+        Database(records, 18)
+    assert time.perf_counter() - start < 2.0
+
+
+def test_database_keeps_64_bit_values_exact():
+    # 2^63 and up beside a small value would make numpy infer float64
+    top = 2**63 + 3
+    db = Database((("a", 7), ("b", 2**63 + 1), ("c", top)), 64)
+    assert db.sorted_values.tolist() == [7, 2**63 + 1, top]
+    res = run_qummsa(db, strategy=SampledEstimation(None), mode="max", rng=np.random.default_rng(1))
+    assert res.minimum == top and res.success
+    with pytest.raises(DataError, match=rf"duplicate data values \[{top}\]"):
+        Database((("a", 7), ("b", top), ("c", top)), 64)
+
+
+def test_database_converts_loose_records():
+    db = Database([["a", np.int64(5)], ("b", True), (3, 2)], 3)
+    assert db.records == (("a", 5), ("b", 1), ("3", 2))
+    assert all(type(v) is int for v in db.values)
+
+
+@st.composite
+def databases_and_thresholds(draw):
+    value = st.one_of(st.integers(0, 2**12 - 1), st.integers(2**62, 2**70))
+    values = draw(st.lists(value, min_size=1, max_size=40, unique=True))
+    db = Database(tuple((f"v{i}", v) for i, v in enumerate(values)), max(values).bit_length() or 1)
+    d0 = draw(st.one_of(st.sampled_from(values), st.integers(0, 2**71)))  # inside or outside
+    return db, d0
+
+
+@settings(max_examples=300)
+@given(
+    databases_and_thresholds(),
+    st.sampled_from(["min", "max"]),
+    st.one_of(st.none(), st.integers(1, 50)),
+    st.integers(0, 2**32),
+)
+def test_estimate_count_is_the_masked_sum(case, mode, sample_size, seed):
+    db, d0 = case
+    strategy = SampledEstimation(sample_size)
+    # object dtype: numpy would round 2^63 and up beside small values to float64
+    sample = np.asarray(draw_sample(db, strategy, np.random.default_rng(seed)), dtype=object)
+    count = int(np.sum(sample <= d0) if mode == "min" else np.sum(sample >= d0))
+    held = ascending_sample(db, strategy, np.random.default_rng(seed))
+    for params in (
+        estimate_params(d0, db, strategy, mode, rng=np.random.default_rng(seed)),
+        estimate_params(d0, db, strategy, mode, sample=held),
+    ):
+        assert (params.m_est, params.n_est) == (max(count, 1), len(sample))
+    side = [v <= d0 if mode == "min" else v >= d0 for v in db.values]
+    assert db.rank(d0, mode) == sum(side)
