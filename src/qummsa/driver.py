@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DataError
 from .grover_long import SearchParams, compute_params, support_probabilities
-from .statevector import StateVector, checked_cdf, make_superposition, sample_indices
+from .statevector import StateVector, make_superposition, sample_indices
 # No longer called here; kept importable under this module because the
 # benchmark's tracer (perfbench/spans.py) wraps them by this path.
 from .grover_long import run_grover_long  # noqa: F401
@@ -40,7 +40,10 @@ class Database:
         if not records:
             raise DataError("database must be nonempty")
         values = tuple(map(itemgetter(1), records))
-        ordered = ascending_array(values)
+        ordered = np.array(values)
+        if ordered.dtype.kind == "f":  # numpy rounds 2^63 and up beside smaller values to float64
+            ordered = np.array(values, dtype=object)
+        ordered.sort()
         repeats = ordered[1:] == ordered[:-1]
         if repeats.any():
             dupes = np.unique(ordered[1:][repeats]).tolist()
@@ -66,22 +69,6 @@ class Database:
         return _count_on_side(self.sorted_values, value, mode)
 
 
-def _count_on_side(ordered: np.ndarray, d0: int, mode: str) -> int:
-    """How many of the ascending ``ordered`` are <= d0 (min) or >= d0 (max): one bisection."""
-    if mode == "min":
-        return int(np.searchsorted(ordered, d0, side="right"))
-    return len(ordered) - int(np.searchsorted(ordered, d0, side="left"))
-
-
-def ascending_array(values) -> np.ndarray:
-    """Integers sorted into an exact array: int64 or uint64 where they fit, else objects."""
-    ordered = np.array(values)
-    if ordered.dtype.kind == "f":  # numpy rounds 2^63 and up beside smaller values to float64
-        ordered = np.array(values, dtype=object)
-    ordered.sort()
-    return ordered
-
-
 def _plain_records(records) -> bool:
     """True when every record is already a ``(str, int)`` tuple, so none needs converting."""
     return (
@@ -90,6 +77,13 @@ def _plain_records(records) -> bool:
         and set(map(type, map(itemgetter(0), records))) <= {str}
         and set(map(type, map(itemgetter(1), records))) <= {int}
     )
+
+
+def _count_on_side(ordered: np.ndarray, d0: int, mode: str) -> int:
+    """How many of the ascending ``ordered`` are <= d0 (min) or >= d0 (max): one bisection."""
+    if mode == "min":
+        return int(np.searchsorted(ordered, d0, side="right"))
+    return len(ordered) - int(np.searchsorted(ordered, d0, side="left"))
 
 
 @dataclass(frozen=True)
@@ -126,16 +120,22 @@ def draw_sample(db: Database, strategy: EstimationStrategy, rng=None):
             raise DataError("sample size must be >= 1")
         if rng is None:
             raise ValueError("sampled estimation needs an rng")
-        return tuple(
-            int(v) for v in rng.choice(db.values, size=strategy.sample_size, replace=True)
-        )
+        # draw indices, not values: numpy would round 2^63 and up beside smaller values
+        picks = rng.choice(db.size, size=strategy.sample_size, replace=True)
+        return tuple(db.values[i] for i in picks)
     raise TypeError(f"unknown estimation strategy {strategy!r}")
 
 
 def ascending_sample(db: Database, strategy: EstimationStrategy, rng=None) -> np.ndarray:
-    """:func:`draw_sample` as an ascending array; a census is ``db.sorted_values`` itself."""
+    """:func:`draw_sample` as an ascending array in ``db.sorted_values``'s dtype.
+
+    A census is ``db.sorted_values`` itself.  Every threshold comes from the
+    database, so it fits that dtype and the count stays exact beyond 2^63.
+    """
     sample = draw_sample(db, strategy, rng)
-    return db.sorted_values if sample is db.values else ascending_array(sample)
+    if sample is db.values:
+        return db.sorted_values
+    return np.sort(np.array(sample, dtype=db.sorted_values.dtype))
 
 
 def estimate_params(
@@ -149,8 +149,9 @@ def estimate_params(
     """Search parameters for the threshold at d0 under the given strategy.
 
     ``sample`` short-circuits the draw for callers that hold one fixed sample
-    across a whole run, as an ascending array (see :func:`ascending_sample`);
-    otherwise one is drawn here.
+    across a whole run; otherwise one is drawn here.  It must be ascending, as
+    :func:`ascending_sample` returns it: the count is one bisection, so an
+    unsorted sample gives a wrong count without an error.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
@@ -231,14 +232,13 @@ def run_qummsa(
         params = estimate_params(d0, db, strategy, mode, gen, sample=sample)
         is_marked = ordered <= d0 if mode == "min" else ordered >= d0
         probs = support_probabilities(is_marked, params.phi, params.iterations)
-        cdf = checked_cdf(probs)  # every attempt draws from the same distribution
         d1 = None
         attempts = 0
         for _ in range(retry_cap):
             attempts += 1
             result.preparations += 1
             result.grover_iterations += params.iterations
-            outcome = int(ordered[sample_indices(probs, 1, gen, cdf=cdf)[0]])
+            outcome = int(ordered[sample_indices(probs, 1, gen)[0]])
             if not better(d0, outcome):
                 d1 = outcome
                 break

@@ -144,24 +144,16 @@ def sample_measurements(state: StateVector, size: int, rng) -> np.ndarray:
     return sample_indices(state.probabilities(), size, rng)
 
 
-def checked_cdf(probs: np.ndarray) -> np.ndarray:
-    """Cumulative sum of a probability array; CircuitError if it ends further than NORM_TOL from 1."""
-    cdf = np.cumsum(probs)
-    if abs(cdf[-1] - 1.0) > NORM_TOL:
-        raise CircuitError(f"probabilities sum to {cdf[-1]!r}, not 1 within {NORM_TOL}")
-    return cdf
-
-
-def sample_indices(probs: np.ndarray, size: int, rng, cdf: np.ndarray | None = None) -> np.ndarray:
+def sample_indices(probs: np.ndarray, size: int, rng) -> np.ndarray:
     """Inverse-CDF draws of ``size`` indices into a probability array.
 
     The first index where cdf >= u is returned, so zero-probability indices
-    are never drawn.  A caller that draws repeatedly from one distribution
-    passes its :func:`checked_cdf` as ``cdf`` instead of having it rebuilt.
+    are never drawn.  A total further than NORM_TOL from 1 raises CircuitError.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if cdf is None:
-        cdf = checked_cdf(probs)
+    cdf = np.cumsum(probs)
+    if abs(cdf[-1] - 1.0) > NORM_TOL:
+        raise CircuitError(f"probabilities sum to {cdf[-1]!r}, not 1 within {NORM_TOL}")
     u = gen.random(size) * cdf[-1]
     return np.minimum(cdf.searchsorted(u, side="left"), len(cdf) - 1)
 

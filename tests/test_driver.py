@@ -272,6 +272,23 @@ def test_database_keeps_64_bit_values_exact():
         Database((("a", 7), ("b", top), ("c", top)), 64)
 
 
+def test_sample_keeps_64_bit_values_exact():
+    top = 2**63 + 3
+    db = Database((("a", 7), ("b", 9), ("c", 2**63 + 1), ("d", top)), 64)
+    strategy = SampledEstimation(3)
+    drawn = set()
+    for seed in range(40):
+        sample = draw_sample(db, strategy, np.random.default_rng(seed))
+        assert set(sample) <= set(db.values)  # no value rounded through float64
+        drawn.add(min(sample) < 2**63 <= max(sample))
+        held = ascending_sample(db, strategy, np.random.default_rng(seed))
+        assert held.dtype == db.sorted_values.dtype and held.tolist() == sorted(sample)
+        for d0 in db.values:
+            for mode, side in (("min", [v <= d0 for v in sample]), ("max", [v >= d0 for v in sample])):
+                assert estimate_params(d0, db, strategy, mode, sample=held).m_est == max(sum(side), 1)
+    assert drawn == {True, False}  # samples on one side of 2^63 and across it
+
+
 def test_database_converts_loose_records():
     db = Database([["a", np.int64(5)], ("b", True), (3, 2)], 3)
     assert db.records == (("a", 5), ("b", 1), ("3", 2))
