@@ -17,6 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
+from .baselines import DHA_PREP_COEFF, DHA_SEARCH_COEFF, GROWTH_FACTOR_MAX, qesa_failure_model
 from .grover_long import compute_params, final_amplitudes
 # re-exported: the tests' step-by-step reference, also wrapped by perfbench/spans.py
 from .grover_long import amplitude_recursion  # noqa: F401
@@ -25,6 +26,12 @@ SQRT2 = math.sqrt(2.0)
 # cells per block of failure_contour_grid rows: each complex temporary stays
 # near 0.5 MB (one row, where a row alone is larger)
 _GRID_BLOCK_CELLS = 1 << 15
+# database size the failure curves' baseline is modelled at.  The curves are
+# stated in M/N alone; N enters only through the sqrt(N) cap on the
+# exponential search's draw range, and for every ratio down to 1e-6 the range
+# the iteration budget needs stays below that cap (1000), so the baseline
+# acts as N -> infinity.
+CURVE_MODEL_N = 1e6
 
 
 def _check_ratios(name: str, values) -> np.ndarray:
@@ -36,33 +43,15 @@ def _check_ratios(name: str, values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class MisestimationPoint:
-    """True and estimated solution fractions, both in (0, 1]."""
-
-    ratio_true: float
-    ratio_est: float
-
-    def __post_init__(self):
-        _check_ratios("ratio_true", self.ratio_true)
-        _check_ratios("ratio_est", self.ratio_est)
-
-
-def grover_long_failure(
-    ratio_true: float | MisestimationPoint,
-    ratio_est: float | None = None,
-    j_rule: str = "2beta",
-) -> float:
+def grover_long_failure(ratio_true: float, ratio_est: float) -> float:
     """Failure rate when the run is tuned for ratio_est but the truth is ratio_true.
 
-    Exactly zero (to rounding) on the diagonal ratio_true == ratio_est.
+    Both ratios must lie in (0, 1].  Exactly zero (to rounding) on the
+    diagonal ratio_true == ratio_est.
     """
-    if isinstance(ratio_true, MisestimationPoint):
-        point = ratio_true
-    else:
-        point = MisestimationPoint(float(ratio_true), float(ratio_est))
-    params = compute_params(point.ratio_est, 1.0, j_rule)
-    return float(_failure(point.ratio_true, params.phi, params.iterations))
+    ratio_true = float(_check_ratios("ratio_true", ratio_true))
+    params = compute_params(float(_check_ratios("ratio_est", ratio_est)), 1.0)
+    return float(_failure(ratio_true, params.phi, params.iterations))
 
 
 def _failure(ratio_true, phi, iterations):
@@ -71,19 +60,17 @@ def _failure(ratio_true, phi, iterations):
     return np.clip(1.0 - ratio_true * abs(a_good) ** 2, 0.0, 1.0)
 
 
-def _tuned(ratio_est, j_rule: str) -> tuple[np.ndarray, np.ndarray]:
+def _tuned(ratio_est) -> tuple[np.ndarray, np.ndarray]:
     """(phi, J) arrays shaped like ``ratio_est``, from one compute_params per distinct value."""
     ratio_est = _check_ratios("ratio_est", ratio_est)
     distinct, inverse = np.unique(ratio_est, return_inverse=True)
-    params = [compute_params(r, 1.0, j_rule) for r in distinct.tolist()]
+    params = [compute_params(r, 1.0) for r in distinct.tolist()]
     phi = np.array([p.phi for p in params])[inverse].reshape(ratio_est.shape)
     iterations = np.array([p.iterations for p in params])[inverse].reshape(ratio_est.shape)
     return phi, iterations
 
 
-def failure_contour_grid(
-    resolution: int, j_rule: str = "2beta"
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def failure_contour_grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Failure-rate surface over (ratio_true, ratio_est) in (0, 1]^2.
 
     Returns (true_axis, est_axis, grid) with grid[i, j] evaluated at
@@ -93,7 +80,7 @@ def failure_contour_grid(
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
     axis = np.linspace(1.0 / resolution, 1.0, resolution)
-    phi, iterations = _tuned(axis, j_rule)
+    phi, iterations = _tuned(axis)
     grid = np.empty((resolution, resolution))
     rows = max(1, _GRID_BLOCK_CELLS // resolution)
     for start in range(0, resolution, rows):
@@ -158,39 +145,27 @@ def qesa_expected_gamma(m: float) -> float:
     return exact + (m - f) / m * f
 
 
-def sampled_failure_curve(
-    spec: SampleSpec,
-    ratios=None,
-    resolution: int = 40,
-    draws: int = 200,
-    lam: float = 4.0 / 3.0,
-    n_model: float = 1e6,
-    rng=None,
-    j_rule: str = "2beta",
-) -> list[dict]:
+def sampled_failure_curve(spec: SampleSpec, ratios, draws: int = 200, rng=None) -> list[dict]:
     """Mean misestimated failure rate vs. the exponential-search baseline.
 
     For each true ratio, the solution fraction is estimated ``draws`` times
     from an h-sized sample (h from ``spec``), the resulting failure rates are
     averaged, and the baseline failure is evaluated at the iteration budget
     matched to the tuned run's J (equal cumulative Grover iterations, with
-    ``n_model`` standing in for the database size).
+    growth factor ``GROWTH_FACTOR_MAX`` and ``CURVE_MODEL_N`` standing in for
+    the database size).
     """
-    from .baselines import qesa_failure_model  # cross-module by design
-
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    if ratios is None:
-        ratios = np.linspace(1.0 / resolution, 1.0, resolution)
+    gen = np.random.default_rng(rng)
     h = min_sample_size(spec)
     rows = []
     for r in _check_ratios("ratio_true", ratios):
         counts = gen.binomial(h, r, size=draws)
-        phi, iterations = _tuned(np.maximum(counts, 1) / h, j_rule)
+        phi, iterations = _tuned(np.maximum(counts, 1) / h)
         eps_vals = _failure(r, phi, iterations)
-        j_budget = compute_params(r, 1.0, j_rule).iterations
+        j_budget = compute_params(r, 1.0).iterations
         t, cum = 1, 0.0
         while True:
-            cum += qesa_expected_gamma(min(lam ** (t - 1), math.sqrt(n_model)))
+            cum += qesa_expected_gamma(min(GROWTH_FACTOR_MAX ** (t - 1), math.sqrt(CURVE_MODEL_N)))
             if cum >= j_budget or t > 10_000:
                 break
             t += 1
@@ -200,7 +175,9 @@ def sampled_failure_curve(
                 "sample_size": h,
                 "eps_grover_long": float(np.mean(eps_vals)),
                 "qesa_t": t,
-                "eps_qesa": float(qesa_failure_model(float(r) * n_model, n_model, t, lam)),
+                "eps_qesa": float(
+                    qesa_failure_model(float(r) * CURVE_MODEL_N, CURVE_MODEL_N, t, GROWTH_FACTOR_MAX)
+                ),
             }
         )
     return rows
@@ -216,7 +193,6 @@ class ComplexityParams:
     N: float
     c: int = 3
     eps: float = 0.0
-    m0: float | None = None  # first-loop marked count; defaults to N/2
 
     def __post_init__(self):
         if self.N < 1:
@@ -273,10 +249,11 @@ def qummsa_complexity_structured(params: ComplexityParams) -> ComplexityReport:
     """Same cost assembled from its parts (halving sweep + confirmations).
 
     Differs from :func:`qummsa_complexity` by the constant
-    (pi/2)(2 + sqrt(2)) that the flat form absorbs into its sqrt(N) term;
-    degenerates to exactly 0 search cost at N = 1.
+    (pi/2)(2 + sqrt(2)) that the flat form absorbs into its sqrt(N) term.
+    The sweep starts from N/2 marked values and degenerates to exactly 0
+    search cost at N = 1.
     """
-    m0 = params.m0 if params.m0 is not None else params.N / 2.0
+    m0 = params.N / 2.0
     lg = math.log2(params.N)
     sweep = grover_iterations_closed(params.N, m0) if m0 >= 1 else 0.0
     confirmations = params.c * (math.pi / 2.0) * math.sqrt(params.N)
@@ -289,24 +266,20 @@ def qummsa_complexity_structured(params: ComplexityParams) -> ComplexityReport:
     )
 
 
-def dha_complexity(
-    N: float,
-    eps: float = 0.0,
-    search_coeff: float = 22.5,
-    prep_coeff: float = 1.4,
-) -> ComplexityReport:
+def dha_complexity(N: float, eps: float = 0.0) -> ComplexityReport:
     """Baseline minimum-finder cost, normalized by 1/(1 - eps) like the above.
 
-    The search term is the classic 22.5 sqrt(N) budget; the preparation term
-    is prep_coeff * log2(N)^2, reflecting ~log2(N)^2 preparations.
+    The same budget :func:`qummsa.baselines.run_dha_minimum` runs to: the
+    classic 22.5 sqrt(N) search term plus 1.4 log2(N)^2, reflecting
+    ~log2(N)^2 preparations.
     """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must lie in [0, 1), got {eps}")
     lg = math.log2(N)
-    search = search_coeff * math.sqrt(N)
-    prep = prep_coeff * lg**2
+    search = DHA_SEARCH_COEFF * math.sqrt(N)
+    prep = DHA_PREP_COEFF * lg**2
     return ComplexityReport(
         total=(search + prep) / (1.0 - eps),
         search_term=search,

@@ -19,15 +19,17 @@ from .oracles import MarkedSet
 from .statevector import StateVector, sample_indices
 
 GROWTH_FACTOR_MAX = 4.0 / 3.0
+# the minimum finder's time budget, DHA_SEARCH_COEFF sqrt(N) + DHA_PREP_COEFF log2(N)^2
+DHA_SEARCH_COEFF = 22.5
+DHA_PREP_COEFF = 1.4
 
 
 @dataclass(frozen=True)
 class QesaConfig:
-    """Exponential-search settings: growth factor, iteration cap, seed."""
+    """Exponential-search settings: growth factor and iteration cap."""
 
     lam: float = GROWTH_FACTOR_MAX
     max_t: int = 64
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if not 1.0 < self.lam <= GROWTH_FACTOR_MAX:
@@ -67,9 +69,7 @@ def run_qesa(
     """
     if marked.n != initial.n:
         raise CircuitError(f"dimension mismatch: marked.n={marked.n}, initial.n={initial.n}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(
-        cfg.rng_seed if rng is None else rng
-    )
+    gen = np.random.default_rng(rng)
     occupied = uniform_support(initial)
     sqrt_n = math.sqrt(len(occupied))
     is_marked = np.array([v in marked.V for v in occupied.tolist()])
@@ -131,24 +131,16 @@ class DhaResult:
     budget: float
 
 
-def run_dha_minimum(
-    db,
-    cfg: QesaConfig,
-    rng=None,
-    search_coeff: float = 22.5,
-    prep_coeff: float = 1.4,
-) -> DhaResult:
+def run_dha_minimum(db, cfg: QesaConfig, rng=None) -> DhaResult:
     """Threshold-descent minimum finding on top of exponential search.
 
     Repeatedly searches for values strictly below the current threshold,
     restarting the exponential schedule after every improvement, until the
-    time budget search_coeff*sqrt(N) + prep_coeff*log2(N)^2 is exhausted.
-    Time accounting per round: gamma oracle steps plus log2(N) preparation
-    steps.
+    time budget 22.5 sqrt(N) + 1.4 log2(N)^2 (the DHA_* constants) is
+    exhausted.  Time accounting per round: gamma oracle steps plus log2(N)
+    preparation steps.
     """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(
-        cfg.rng_seed if rng is None else rng
-    )
+    gen = np.random.default_rng(rng)
     N = db.size
     d0 = int(db.values[gen.integers(N)])
     if N == 1:
@@ -157,7 +149,7 @@ def run_dha_minimum(
     ordered = db.sorted_values
     lg = math.log2(N)
     sqrt_n = math.sqrt(N)
-    budget = search_coeff * sqrt_n + prep_coeff * lg**2
+    budget = DHA_SEARCH_COEFF * sqrt_n + DHA_PREP_COEFF * lg**2
 
     time_used = 0.0
     grover_total = 0

@@ -237,7 +237,7 @@ def parse_circuit(text: str) -> Circuit:
 
 def random_circuit(n: int, n_gates: int, rng) -> Circuit:
     """Arbitrary valid circuit; used by round-trip and norm-preservation tests."""
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     ops = []
     for _ in range(n_gates):
         kind = GATE_KINDS[gen.integers(len(GATE_KINDS))]

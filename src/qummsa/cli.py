@@ -45,7 +45,7 @@ def _ranged(kind, accept, expected: str):
     def parse(text: str):
         try:
             value = kind(text)
-        except ValueError:
+        except (ValueError, ArithmeticError):  # ArithmeticError: e.g. 0^-1
             value = None
         if value is None or not accept(value):
             raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
@@ -59,20 +59,22 @@ _RESOLUTION = _ranged(int, lambda v: v >= 10, "an integer >= 10")
 _UNIT_OPEN = _ranged(float, lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
 _UNIT_EPS = _ranged(float, lambda v: 0.0 <= v < 1.0, "a value in [0, 1)")
 _GROWTH = _ranged(float, lambda v: 1.0 < v <= baselines.GROWTH_FACTOR_MAX, "a value in (1, 4/3]")
+_POSITIVE = _ranged(float, lambda v: 0.0 < v < math.inf, "a positive number")
+_FINITE = _ranged(float, math.isfinite, "a finite number")
 
 
-def _power_int(text: str) -> int:
+def _power(text: str) -> int:
     """Plain integer or '2^k'."""
-    if "^" in text:
-        base, _, exp = text.partition("^")
-        try:
-            return int(base) ** int(exp)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid size {text!r}") from None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid size {text!r}") from None
+    base, caret, exp = text.partition("^")
+    return int(base) ** int(exp) if caret else int(text)
+
+
+_ERRORS = _ranged(
+    lambda text: [float(tok) for tok in text.split(",") if tok.strip()],
+    lambda v: v and all(0.0 < e < 1.0 for e in v),
+    "comma-separated values in (0, 1)",
+)
+_SIZE = _ranged(_power, lambda v: v >= 1, "a positive integer or 2^k")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -119,9 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("failure-curves", help="sample-estimated failure vs the baseline")
-    p.add_argument("--E", default="0.01,0.03,0.05", help="comma-separated acceptable errors")
+    p.add_argument("--E", type=_ERRORS, default="0.01,0.03,0.05",
+                   help="comma-separated acceptable errors")
     p.add_argument("--confidence", type=_UNIT_OPEN, default=0.95)
-    p.add_argument("--sigma2", type=float, default=0.25)
+    p.add_argument("--sigma2", type=_POSITIVE, default=0.25)
     p.add_argument("--points", type=_positive_int, default=40)
     p.add_argument("--draws", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=0)
@@ -130,15 +133,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complexity", help="total-cost curves for both algorithms")
     p.add_argument("--eps", type=_UNIT_EPS, default=0.1)
     p.add_argument("--c", type=_positive_int, default=3)
-    p.add_argument("--nmin", type=_power_int, default=2**8)
-    p.add_argument("--nmax", type=_power_int, default=2**30)
+    p.add_argument("--nmin", type=_SIZE, default=2**8)
+    p.add_argument("--nmax", type=_SIZE, default=2**30)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("sample-size", help="minimum sample size h = Z^2 sigma^2 / E^2")
     p.add_argument("--confidence", type=_UNIT_OPEN, required=True)
     p.add_argument("--error", type=_UNIT_OPEN, required=True)
-    p.add_argument("--sigma2", type=float, default=0.25)
-    p.add_argument("--z", type=float, default=None, help="override the Z lookup")
+    p.add_argument("--sigma2", type=_POSITIVE, default=0.25)
+    p.add_argument("--z", type=_POSITIVE, default=None, help="override the Z lookup")
 
     p = sub.add_parser("build-oracle", help="emit a phase-oracle circuit (.qc)")
     p.add_argument("--n", type=_positive_int, required=True)
@@ -146,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--marked", default=None, help="comma-separated basis indices")
     group.add_argument("--threshold-le", type=int, default=None, help="mark values <= d0")
     group.add_argument("--threshold-ge", type=int, default=None, help="mark values >= d0")
-    p.add_argument("--phi", type=float, required=True)
+    p.add_argument("--phi", type=_FINITE, required=True)
     p.add_argument("--simplify", action="store_true")
     p.add_argument("--out", default=None, help=".qc output path (cost JSON then on stdout)")
 
@@ -267,9 +270,7 @@ def _cmd_failure_map(args, argv) -> int:
 
 
 def _cmd_failure_curves(args, argv) -> int:
-    errors = [float(tok) for tok in args.E.split(",") if tok.strip()]
-    if not errors:
-        raise DataError("no acceptable errors given")
+    errors = args.E
     z = analysis.z_for_confidence(args.confidence)
     ratios = np.linspace(1.0 / args.points, 1.0, args.points)
     streams = np.random.SeedSequence(args.seed).spawn(len(errors))
@@ -293,6 +294,8 @@ def _cmd_failure_curves(args, argv) -> int:
 
 
 def _cmd_complexity(args, argv) -> int:
+    if args.nmax < max(args.nmin, 2):
+        build_parser().error(f"complexity: --nmax must be >= 2 and >= --nmin, got {args.nmax}")
     rows = []
     k = max(1, int(math.log2(args.nmin)))
     while 2**k <= args.nmax:

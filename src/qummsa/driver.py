@@ -217,7 +217,7 @@ def run_qummsa(
         raise ValueError(f"interrupt constant c must be >= 1, got {c}")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
 
     ordered = db.sorted_values
     sample = ascending_sample(db, strategy, gen)  # one sample serves the whole run

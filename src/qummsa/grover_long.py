@@ -6,11 +6,10 @@ fraction M/N, measuring after J iterations finds a marked state with zero
 theoretical failure rate; with estimated M~/N~ the failure rate is the one
 modelled in :mod:`qummsa.analysis`.
 
-The iteration count uses J = floor((pi/2 - beta)/(2*beta)) + 1 by default:
-each iteration advances the state angle by 2*beta, so this is the smallest
-count whose matched phase exists (j_rule="2beta").  The conservative variant
-j_rule="beta" treats the advance as beta and roughly doubles J; both are
-exact, since any J >= the minimum admits a matched phase.
+The iteration count is J = floor((pi/2 - beta)/(2*beta)) + 1: each iteration
+advances the state angle by 2*beta, so this is the smallest count whose
+matched phase phi = 2 asin(sin(pi/(4J + 2)) / sin(beta)) exists.  As M/N -> 0
+it approaches (pi/4) sqrt(N/M).
 """
 
 from __future__ import annotations
@@ -22,12 +21,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuit import Circuit, run_circuit, invert_circuit
+from .circuit import run_circuit, invert_circuit
 from .errors import CircuitError
 from .oracles import MarkedSet, build_I0, build_multi_oracle, build_preparation
 from .statevector import StateVector, apply_rank1_reflection
-
-J_RULES = ("2beta", "beta")
 
 
 @dataclass(frozen=True)
@@ -41,24 +38,21 @@ class SearchParams:
     iterations: int
 
 
-def compute_params(m_est: float, n_est: float, j_rule: str = "2beta") -> SearchParams:
+def compute_params(m_est: float, n_est: float) -> SearchParams:
     """Derive beta = arcsin(sqrt(M~/N~)), the iteration count J, and phi.
 
     M~ = N~ needs no amplification: J = 0 is returned and phi is unused
     (set to 0.0).
     """
-    if j_rule not in J_RULES:
-        raise ValueError(f"j_rule must be one of {J_RULES}, got {j_rule!r}")
     if not 0 < m_est <= n_est:
         raise ValueError(f"need 0 < M~ <= N~, got M~={m_est}, N~={n_est}")
     ratio = m_est / n_est
     beta = math.asin(math.sqrt(ratio))
     if ratio == 1.0:
         return SearchParams(m_est, n_est, beta, 0.0, 0)
-    denom = 2.0 * beta if j_rule == "2beta" else beta
     # +1e-12 absorbs float spill just below exact-integer boundaries, where the
     # rule deliberately returns one more iteration than the minimum
-    iterations = math.floor((math.pi / 2 - beta) / denom + 1e-12) + 1
+    iterations = math.floor((math.pi / 2 - beta) / (2.0 * beta) + 1e-12) + 1
     arg = math.sin(math.pi / (4 * iterations + 2)) / math.sin(beta)
     if arg > 1.0:
         if arg > 1.0 + 1e-12:
@@ -82,7 +76,6 @@ def grover_long_states(
     marked: MarkedSet,
     params: SearchParams,
     mode: str = "rank1",
-    prep: Circuit | None = None,
 ) -> Iterator[StateVector]:
     """Yield the state after each of the J iterations (J = 0 yields nothing)."""
     if mode not in ("rank1", "gates"):
@@ -99,8 +92,7 @@ def grover_long_states(
             yield state
         return
 
-    if prep is None:
-        prep = build_preparation(uniform_support(initial).tolist(), initial.n)
+    prep = build_preparation(uniform_support(initial).tolist(), initial.n)
     oracle = build_multi_oracle(marked, params.phi)
     i0 = build_I0(initial.n, params.phi)
     unprep = invert_circuit(prep)
@@ -116,11 +108,10 @@ def run_grover_long(
     marked: MarkedSet,
     params: SearchParams,
     mode: str = "rank1",
-    prep: Circuit | None = None,
 ) -> StateVector:
     """Apply G exactly J times; J = 0 returns the initial state unchanged."""
     state = initial.copy()
-    for state in grover_long_states(initial, marked, params, mode, prep):
+    for state in grover_long_states(initial, marked, params, mode):
         pass
     return state
 
@@ -243,22 +234,3 @@ def success_probability(final: StateVector, marked: MarkedSet) -> float:
     probs = final.probabilities()
     return float(sum(probs[v] for v in marked.V))
 
-
-def iteration_branches(M: float, N: float, j_rule: str = "2beta") -> tuple[int, int]:
-    """The two candidate iteration counts (floor-based, as compute_params, and ceil-based).
-
-    Under the default rule the floor branch is never smaller; both are kept so
-    the max can be audited.
-    """
-    params = compute_params(M, N, j_rule)
-    ceil_branch = math.ceil((math.pi - 6 * params.beta) / (4 * params.beta))
-    return params.iterations, ceil_branch
-
-
-def iteration_count_model(M: float, N: float, j_rule: str = "2beta") -> int:
-    """Iteration-count cost model; approaches (pi/4) sqrt(N/M) as M/N -> 0."""
-    if not 0 < M <= N:
-        raise ValueError(f"need 0 < M <= N, got M={M}, N={N}")
-    if M == N:
-        return 0
-    return max(iteration_branches(M, N, j_rule))

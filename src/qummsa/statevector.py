@@ -150,7 +150,7 @@ def sample_indices(probs: np.ndarray, size: int, rng) -> np.ndarray:
     The first index where cdf >= u is returned, so zero-probability indices
     are never drawn.  A total further than NORM_TOL from 1 raises CircuitError.
     """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    gen = np.random.default_rng(rng)
     cdf = np.cumsum(probs)
     if abs(cdf[-1] - 1.0) > NORM_TOL:
         raise CircuitError(f"probabilities sum to {cdf[-1]!r}, not 1 within {NORM_TOL}")

@@ -10,7 +10,6 @@ from qummsa import analysis
 
 from qummsa.analysis import (
     ComplexityParams,
-    MisestimationPoint,
     SampleSpec,
     amplitude_recursion,
     dha_complexity,
@@ -75,11 +74,11 @@ def test_failure_matches_simulation_on_partial_databases():
 
 
 def test_misestimation_point_validation():
-    with pytest.raises(ValueError):
-        MisestimationPoint(0.0, 0.5)
-    with pytest.raises(ValueError):
-        MisestimationPoint(0.5, 1.2)
-    assert grover_long_failure(MisestimationPoint(0.5, 0.5)) < 1e-12
+    with pytest.raises(ValueError, match=r"ratio_true must lie in \(0, 1\], got 0.0"):
+        grover_long_failure(0.0, 0.5)
+    with pytest.raises(ValueError, match=r"ratio_est must lie in \(0, 1\], got 1.2"):
+        grover_long_failure(0.5, 1.2)
+    assert grover_long_failure(0.5, 0.5) < 1e-12
 
 
 def test_contour_grid_diagonal_and_corner():
@@ -140,12 +139,12 @@ def test_contour_grid_temporaries_stay_small():
 
 @pytest.mark.parametrize("bad", [0.0, -0.25, 1.0 + 1e-12, math.nan])
 def test_array_path_refuses_ratios_outside_unit_interval(bad):
-    # the same rule as MisestimationPoint: no ratio outside (0, 1] is clipped
+    # the same rule as grover_long_failure: no ratio outside (0, 1] is clipped
     spec = SampleSpec(z=1.96, error=0.05)
     with pytest.raises(ValueError, match=r"ratio_true must lie in \(0, 1\]"):
         sampled_failure_curve(spec, ratios=[0.5, bad], draws=10, rng=np.random.default_rng(0))
     with pytest.raises(ValueError, match=r"ratio_est must lie in \(0, 1\]"):
-        analysis._tuned(np.array([0.5, bad]), "2beta")
+        analysis._tuned(np.array([0.5, bad]))
 
 
 # --- sample sizing --------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_failure_model_two_branch_form_small_t():
 
 def test_run_qesa_all_marked_succeeds_immediately():
     psi = make_superposition(2, range(4))
-    trace = run_qesa(psi, MarkedSet(2, frozenset(range(4))), QesaConfig(rng_seed=0))
+    trace = run_qesa(psi, MarkedSet(2, frozenset(range(4))), QesaConfig(), rng=0)
     assert trace.succeeded and trace.iterations[0].t == 1
     assert trace.iterations[0].gamma == 0  # the first draw range is [0, 1)
 
@@ -138,7 +138,7 @@ def test_run_qesa_empirical_matches_model():
 
 def test_dha_single_item():
     db = Database((("only", 5),), 3)
-    res = run_dha_minimum(db, QesaConfig(rng_seed=0))
+    res = run_dha_minimum(db, QesaConfig(), rng=0)
     assert res.minimum == 5
     assert res.grover_iterations == 0
 
@@ -195,7 +195,7 @@ def test_dha_cost_scales_like_sqrt_n():
 def test_run_qesa_refuses_non_uniform_start():
     skewed = StateVector(2, np.array([0.8, 0.6, 0.0, 0.0], dtype=complex))
     with pytest.raises(CircuitError, match="uniform"):
-        run_qesa(skewed, MarkedSet(2, frozenset({1})), QesaConfig(rng_seed=0))
+        run_qesa(skewed, MarkedSet(2, frozenset({1})), QesaConfig(), rng=0)
 
 
 def test_run_qesa_seeded_traces_pinned():

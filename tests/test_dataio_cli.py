@@ -250,6 +250,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["failure-map", "--resolution", "5"], 1),
         (["baseline-dha", "titanic", "--lam", "2"], 1),
         (["build-oracle", "--n", "3", "--threshold-le", "9", "--phi", "1"], 2),
+        (["failure-curves", "--E", "abc"], 1),
+        (["failure-curves", "--E", "0"], 1),
+        (["failure-curves", "--E", "2"], 1),
+        (["failure-curves", "--E", ","], 1),
+        (["failure-curves", "--sigma2", "-1"], 1),
+        (["failure-curves", "--sigma2", "nan"], 1),
+        (["sample-size", "--confidence", "0.95", "--error", "0.05", "--sigma2", "-1"], 1),
+        (["sample-size", "--confidence", "0.95", "--error", "0.05", "--z", "-1"], 1),
+        (["complexity", "--nmin", "0"], 1),
+        (["complexity", "--nmin", "1024", "--nmax", "16"], 1),
+        (["complexity", "--nmax", "-4"], 1),
+        (["build-oracle", "--n", "3", "--marked", "1", "--phi", "nan"], 1),
     ],
 )
 def test_cli_out_of_range_arguments(argv, code, capsys):
@@ -470,6 +482,22 @@ def test_sparse_find_commands_pinned(tmp_path, monkeypatch, capsys):
          "cccd6310b5fc69b7b943e83529ac3e069bd8f90df6dd1334a16c096c0629e8e7"),
         (["baseline-dha", *common, "--trials", "3", "--seed", "13"],
          "1cc4f188056d6e16f705f6280bf3f9931deebfa8bc88c73d6a6e26a6433dd7ab"),
+    ]
+    for argv, digest in pins:
+        assert _cli_digest(argv, capsys) == digest, argv
+
+
+def test_model_commands_pinned(capsys):
+    # the closed-form model commands; recorded before their unused options went
+    pins = [
+        (["failure-map", "--resolution", "20"],
+         "3fa4ae1d290d13535b562bfc98ffbcfc46658c6cc2cc2712eb6e570a43d4fff9"),
+        (["failure-curves", "--points", "8", "--draws", "20", "--seed", "3"],
+         "51e5ca832c4bc64347d23a9ffa0efbe1326380067cd54f0f9405f387d309b199"),
+        (["complexity", "--eps", "0.1", "--nmax", "2^20"],
+         "68a19842d014c0bad07a808a8563a7044a59af2d991e1f6b894ea212e837b785"),
+        (["sample-size", "--confidence", "0.9", "--error", "0.02", "--sigma2", "0.2"],
+         "e1b619c6cf6794f7373ce7941c15b9b5aed00f556889b222105b1156900d7051"),
     ]
     for argv, digest in pins:
         assert _cli_digest(argv, capsys) == digest, argv

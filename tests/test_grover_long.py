@@ -13,8 +13,6 @@ from qummsa.grover_long import (
     compute_params,
     final_amplitudes,
     grover_long_states,
-    iteration_branches,
-    iteration_count_model,
     run_grover_long,
     success_probability,
     support_probabilities,
@@ -48,8 +46,10 @@ def test_params_full_database():
 
 
 def test_params_conservative_rule_still_exact():
-    p = compute_params(2, 4, j_rule="beta")
-    assert p.iterations == 2
+    # J = 2 is one more than the minimum at M/N = 2/4; the phase matched to it
+    # still gives an exact search
+    beta = math.asin(math.sqrt(2 / 4))
+    p = SearchParams(2, 4, beta, 2 * math.asin(math.sin(math.pi / 10) / math.sin(beta)), 2)
     marked = MarkedSet(2, frozenset({2, 3}))
     final = run_grover_long(make_superposition(2, range(4)), marked, p)
     assert abs(success_probability(final, marked) - 1.0) < 1e-10
@@ -60,8 +60,6 @@ def test_params_validation():
         compute_params(0, 4)
     with pytest.raises(ValueError):
         compute_params(5, 4)
-    with pytest.raises(ValueError):
-        compute_params(2, 4, j_rule="banana")
 
 
 def test_worked_example_success_mass():
@@ -101,11 +99,11 @@ def test_success_probability_values():
     [(2, 4, 1), (4, 4, 0)],
 )
 def test_iteration_model_small(M, N, expected):
-    assert iteration_count_model(M, N) == expected
+    assert compute_params(M, N).iterations == expected
 
 
 def test_iteration_model_asymptote():
-    j = iteration_count_model(1, 10**6)
+    j = compute_params(1, 10**6).iterations
     assert abs(j - (np.pi / 4) * 1000) / ((np.pi / 4) * 1000) < 0.05
 
 
@@ -115,9 +113,8 @@ def test_iteration_model_floor_branch_dominates():
     for _ in range(200):
         N = int(rng.integers(2, 10**6))
         M = int(rng.integers(1, N))
-        fb, cb = iteration_branches(M, N)
-        assert fb >= cb
-        assert iteration_count_model(M, N) == fb
+        p = compute_params(M, N)
+        assert p.iterations >= math.ceil((math.pi - 6 * p.beta) / (4 * p.beta))
 
 
 def test_params_invariants_over_random_grid():
@@ -132,11 +129,16 @@ def test_params_invariants_over_random_grid():
 
 
 def test_iteration_model_matches_params():
+    # a matched phase needs J >= (pi/2 - beta)/(2 beta); J is the fewest such
+    # counts, or one more where that bound is an exact integer
     rng = np.random.default_rng(31)
     for _ in range(100):
         N = int(rng.integers(2, 4096))
-        M = int(rng.integers(1, N + 1))
-        assert iteration_count_model(M, N) == compute_params(M, N).iterations
+        M = int(rng.integers(1, N))
+        p = compute_params(M, N)
+        bound = (math.pi / 2 - p.beta) / (2 * p.beta)
+        assert bound - 1e-9 <= p.iterations <= bound + 1 + 1e-9
+        assert math.sin(math.pi / (4 * p.iterations + 2)) <= math.sin(p.beta) + 1e-12
 
 
 # --- exactness properties ------------------------------------------------------
