@@ -14,9 +14,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CircuitError
-from .grover_long import support_probabilities, uniform_support
+from .grover_long import measure, uniform_support
 from .oracles import MarkedSet
-from .statevector import StateVector, sample_indices
+from .statevector import StateVector
 
 GROWTH_FACTOR_MAX = 4.0 / 3.0
 # the minimum finder's time budget, DHA_SEARCH_COEFF sqrt(N) + DHA_PREP_COEFF log2(N)^2
@@ -78,7 +78,7 @@ def run_qesa(
     for t in range(1, cfg.max_t + 1):
         m = min(cfg.lam ** (t - 1), sqrt_n)
         gamma = int(gen.uniform(0.0, m))
-        idx = sample_indices(support_probabilities(is_marked, math.pi, gamma), 1, gen)[0]
+        idx = measure(is_marked, math.pi, gamma, gen)
         outcome = int(occupied[idx])
         success = bool(is_marked[idx])
         trace.iterations.append(QesaIteration(t, gamma, outcome, success))
@@ -161,8 +161,7 @@ def run_dha_minimum(db, cfg: QesaConfig, rng=None) -> DhaResult:
     while time_used < budget:
         m = min(cfg.lam ** (t - 1), sqrt_n)
         gamma = int(gen.uniform(0.0, m))
-        probs = support_probabilities(below, math.pi, gamma)
-        outcome = int(ordered[sample_indices(probs, 1, gen)[0]])
+        outcome = int(ordered[measure(below, math.pi, gamma, gen)])
         rounds += 1
         preparations += 1
         grover_total += gamma

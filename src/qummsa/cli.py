@@ -30,6 +30,9 @@ from .statevector import StateVector, make_basis_state, make_superposition
 # 2^20 rows (about 40 MB of text, from a 16 MB state) is the most it produces.
 # With --grover-long the circuit is lowered densely, so DENSE_MAX_QUBITS holds.
 SIMULATE_MAX_QUBITS = 20
+# `complexity` rows are powers of two N with sqrt(2N) in a float column, so
+# N must stay below 2^1023.
+COMPLEXITY_N_LIMIT = 2**1023
 
 
 class _Parser(argparse.ArgumentParser):
@@ -74,7 +77,7 @@ _ERRORS = _ranged(
     lambda v: v and all(0.0 < e < 1.0 for e in v),
     "comma-separated values in (0, 1)",
 )
-_SIZE = _ranged(_power, lambda v: v >= 1, "a positive integer or 2^k")
+_SIZE = _ranged(_power, lambda v: 1 <= v < COMPLEXITY_N_LIMIT, "an integer or 2^k in [1, 2^1023)")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -172,6 +175,8 @@ def _load(dataset: str, n: int | None) -> driver.Database:
 
 
 def _cmd_find(args, argv, mode: str) -> int:
+    if args.sample_size is not None and args.strategy != "sampled":
+        build_parser().error(f"{args.command}: --sample-size needs --strategy sampled")
     db = _load(args.dataset, args.n)
     if args.strategy == "uniform":
         strategy = driver.UniformEstimation()
@@ -297,7 +302,7 @@ def _cmd_complexity(args, argv) -> int:
     if args.nmax < max(args.nmin, 2):
         build_parser().error(f"complexity: --nmax must be >= 2 and >= --nmin, got {args.nmax}")
     rows = []
-    k = max(1, int(math.log2(args.nmin)))
+    k = max(1, (args.nmin - 1).bit_length())  # the smallest power of two >= nmin
     while 2**k <= args.nmax:
         N = 2**k
         params = analysis.ComplexityParams(N=N, c=args.c, eps=args.eps)
@@ -322,7 +327,11 @@ def _cmd_complexity(args, argv) -> int:
 def _cmd_sample_size(args) -> int:
     z = args.z if args.z is not None else analysis.z_for_confidence(args.confidence)
     spec = analysis.SampleSpec(z=z, error=args.error, sigma2=args.sigma2)
-    print(analysis.min_sample_size(spec))
+    try:
+        size = analysis.min_sample_size(spec)
+    except ArithmeticError:  # Z^2 sigma^2 / E^2 overflows, or E^2 underflows to 0
+        build_parser().error("sample-size: Z^2 sigma^2 / E^2 is out of float range")
+    print(size)
     return 0
 
 
@@ -363,12 +372,13 @@ def _cmd_build_oracle(args, argv) -> int:
 
 
 def _initial_state(spec: str, n: int) -> StateVector:
+    kind, _, arg = spec.partition(":")
     if spec == "uniform":
         return make_superposition(n, range(2**n))
-    if spec.startswith("basis:"):
-        return make_basis_state(n, int(spec.split(":", 1)[1]))
-    if spec.startswith("db:"):
-        db = load_database(spec.split(":", 1)[1])
+    if kind == "basis" and arg.strip().isdecimal() and int(arg) < 2**n:
+        return make_basis_state(n, int(arg))
+    if kind == "db":
+        db = load_database(arg)
         if db.n > n:
             raise DataError(f"dataset needs n={db.n} qubits but the circuit has n={n}")
         return make_superposition(n, db.values)
@@ -376,6 +386,8 @@ def _initial_state(spec: str, n: int) -> StateVector:
 
 
 def _cmd_simulate(args, argv) -> int:
+    if args.iterations is not None and not args.grover_long:
+        build_parser().error("simulate: --iterations needs --grover-long")
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circuit = parse_circuit(fh.read())
     limit = DENSE_MAX_QUBITS if args.grover_long else SIMULATE_MAX_QUBITS

@@ -50,24 +50,24 @@ def parse_database(text: str, n: int | None = None, source: str = "<string>") ->
     if header != ["label", "value"]:
         raise DataError(f"{source}: line 1: expected header 'label,value', got {rows[0]!r}")
     body = rows[1:]
-    records = _column_records(body) or _checked_records(body, source)
-    if not records:
+    labels, values = _column_records(body) or _checked_records(body, source)
+    if not values:
         raise DataError(f"{source}: no records")
 
-    max_value = max(map(itemgetter(1), records))
-    needed = max(1, max_value.bit_length(), math.ceil(math.log2(len(records))))
+    max_value = max(values)
+    needed = max(1, max_value.bit_length(), math.ceil(math.log2(len(values))))
     if n is None:
         n = needed
     elif n < needed:
         raise DataError(
-            f"{source}: n={n} too small: {len(records)} records with max value "
+            f"{source}: n={n} too small: {len(values)} records with max value "
             f"{max_value} need at least {needed} qubits"
         )
-    return Database(records, n)
+    return Database(labels, values, n)
 
 
-def _column_records(body: list[list[str]]) -> list[tuple[str, int]] | None:
-    """The records of a well-formed body, in one pass over each column; None otherwise."""
+def _column_records(body: list[list[str]]) -> tuple[list[str], list[int]] | None:
+    """The label and value columns of a well-formed body, one pass each; None otherwise."""
     if set(map(len, body)) != {2}:
         return None
     try:
@@ -76,12 +76,13 @@ def _column_records(body: list[list[str]]) -> list[tuple[str, int]] | None:
         return None
     if min(values) < 0 or len(set(values)) != len(values):
         return None
-    return list(zip(map(itemgetter(0), body), values))
+    return list(map(itemgetter(0), body)), values
 
 
-def _checked_records(body: list[list[str]], source: str) -> list[tuple[str, int]]:
+def _checked_records(body: list[list[str]], source: str) -> tuple[list[str], list[int]]:
     """Row by row: skip blank lines, and report the first bad line by its number."""
-    records: list[tuple[str, int]] = []
+    labels: list[str] = []
+    values: list[int] = []
     seen: dict[int, int] = {}
     for lineno, row in enumerate(body, start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
@@ -101,8 +102,9 @@ def _checked_records(body: list[list[str]], source: str) -> list[tuple[str, int]
                 f"(first seen on line {seen[value]}); data values must be distinct"
             )
         seen[value] = lineno
-        records.append((label, value))
-    return records
+        labels.append(label)
+        values.append(value)
+    return labels, values
 
 
 def titanic_database() -> Database:

@@ -11,13 +11,12 @@ probability of stopping early is (1/2)^c.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 
 import numpy as np
 
 from .errors import DataError
-from .grover_long import SearchParams, compute_params, support_probabilities
-from .statevector import StateVector, make_superposition, sample_indices
+from .grover_long import SearchParams, compute_params, measure
+from .statevector import StateVector, make_superposition
 # No longer called here; kept importable under this module because the
 # benchmark's tracer (perfbench/spans.py) wraps them by this path.
 from .grover_long import run_grover_long  # noqa: F401
@@ -28,18 +27,18 @@ from .statevector import sample_measurement  # noqa: F401
 class Database:
     """Labeled distinct integer values, encoded as basis states of n qubits."""
 
-    records: tuple[tuple[str, int], ...]
+    labels: tuple[str, ...]  # record order, parallel to values
+    values: tuple[int, ...]
     n: int
-    values: tuple[int, ...] = field(init=False, repr=False, compare=False)  # record order
     sorted_values: np.ndarray = field(init=False, repr=False, compare=False)  # ascending
 
     def __post_init__(self):
-        records = tuple(self.records)
-        if not _plain_records(records):
-            records = tuple((str(l), int(v)) for l, v in records)
-        if not records:
+        labels = tuple(map(str, self.labels))
+        values = tuple(map(int, self.values))
+        if len(labels) != len(values):
+            raise DataError(f"{len(labels)} labels for {len(values)} values")
+        if not values:
             raise DataError("database must be nonempty")
-        values = tuple(map(itemgetter(1), records))
         ordered = np.array(values)
         if ordered.dtype.kind == "f":  # numpy rounds 2^63 and up beside smaller values to float64
             ordered = np.array(values, dtype=object)
@@ -53,13 +52,13 @@ class Database:
                 f"values must lie in [0, {2**self.n - 1}] for n={self.n} qubits"
             )
         ordered.flags.writeable = False
-        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "sorted_values", ordered)
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return len(self.values)
 
     def initial_state(self) -> StateVector:
         return make_superposition(self.n, self.values)
@@ -67,16 +66,6 @@ class Database:
     def rank(self, value: int, mode: str = "min") -> int:
         """1-based rank of ``value`` from the relevant end (analysis only)."""
         return _count_on_side(self.sorted_values, value, mode)
-
-
-def _plain_records(records) -> bool:
-    """True when every record is already a ``(str, int)`` tuple, so none needs converting."""
-    return (
-        set(map(type, records)) <= {tuple}
-        and set(map(len, records)) <= {2}
-        and set(map(type, map(itemgetter(0), records))) <= {str}
-        and set(map(type, map(itemgetter(1), records))) <= {int}
-    )
 
 
 def _count_on_side(ordered: np.ndarray, d0: int, mode: str) -> int:
@@ -105,37 +94,27 @@ class SampledEstimation:
 EstimationStrategy = UniformEstimation | SampledEstimation
 
 
-def draw_sample(db: Database, strategy: EstimationStrategy, rng=None):
-    """Materialize the value sample a sampled strategy estimates from.
+def ascending_sample(db: Database, strategy: EstimationStrategy, rng=None) -> np.ndarray:
+    """The ascending value sample a strategy estimates from, in ``db.sorted_values``'s dtype.
 
-    Drawn once per run and reused for every threshold query; a census (and
-    the uniform strategy, which needs no sample) returns the full value set.
+    Drawn once per run and reused for every threshold query.  The uniform
+    strategy, which needs no sample, and a census get ``db.sorted_values``
+    itself.  Every threshold comes from the database, so it fits that dtype
+    and the count stays exact beyond 2^63.
     """
     if isinstance(strategy, UniformEstimation):
-        return db.values
-    if isinstance(strategy, SampledEstimation):
-        if strategy.sample_size is None or strategy.sample_size >= db.size:
-            return db.values
-        if strategy.sample_size < 1:
-            raise DataError("sample size must be >= 1")
-        if rng is None:
-            raise ValueError("sampled estimation needs an rng")
-        # draw indices, not values: numpy would round 2^63 and up beside smaller values
-        picks = rng.choice(db.size, size=strategy.sample_size, replace=True)
-        return tuple(db.values[i] for i in picks)
-    raise TypeError(f"unknown estimation strategy {strategy!r}")
-
-
-def ascending_sample(db: Database, strategy: EstimationStrategy, rng=None) -> np.ndarray:
-    """:func:`draw_sample` as an ascending array in ``db.sorted_values``'s dtype.
-
-    A census is ``db.sorted_values`` itself.  Every threshold comes from the
-    database, so it fits that dtype and the count stays exact beyond 2^63.
-    """
-    sample = draw_sample(db, strategy, rng)
-    if sample is db.values:
         return db.sorted_values
-    return np.sort(np.array(sample, dtype=db.sorted_values.dtype))
+    if not isinstance(strategy, SampledEstimation):
+        raise TypeError(f"unknown estimation strategy {strategy!r}")
+    if strategy.sample_size is None or strategy.sample_size >= db.size:
+        return db.sorted_values
+    if strategy.sample_size < 1:
+        raise DataError("sample size must be >= 1")
+    if rng is None:
+        raise ValueError("sampled estimation needs an rng")
+    # draw indices, not values: numpy would round 2^63 and up beside smaller values
+    picks = rng.choice(db.size, size=strategy.sample_size, replace=True)
+    return np.sort(np.array([db.values[i] for i in picks], dtype=db.sorted_values.dtype))
 
 
 def estimate_params(
@@ -143,14 +122,13 @@ def estimate_params(
     db: Database,
     strategy: EstimationStrategy,
     mode: str = "min",
-    rng: np.random.Generator | None = None,
-    sample=None,
+    *,
+    sample: np.ndarray,
 ) -> SearchParams:
     """Search parameters for the threshold at d0 under the given strategy.
 
-    ``sample`` short-circuits the draw for callers that hold one fixed sample
-    across a whole run; otherwise one is drawn here.  It must be ascending, as
-    :func:`ascending_sample` returns it: the count is one bisection, so an
+    ``sample`` is the run's :func:`ascending_sample`; the uniform strategy
+    ignores it.  It must be ascending: the count is one bisection, so an
     unsorted sample gives a wrong count without an error.
     """
     if mode not in ("min", "max"):
@@ -160,8 +138,6 @@ def estimate_params(
         m_est = d0 + 1 if mode == "min" else space - d0
         return compute_params(max(m_est, 1), space)
     if isinstance(strategy, SampledEstimation):
-        if sample is None:
-            sample = ascending_sample(db, strategy, rng)
         count = _count_on_side(sample, d0, mode)
         return compute_params(max(count, 1), len(sample))
     raise TypeError(f"unknown estimation strategy {strategy!r}")
@@ -229,16 +205,15 @@ def run_qummsa(
 
     streak = 0
     while streak < c:
-        params = estimate_params(d0, db, strategy, mode, gen, sample=sample)
+        params = estimate_params(d0, db, strategy, mode, sample=sample)
         is_marked = ordered <= d0 if mode == "min" else ordered >= d0
-        probs = support_probabilities(is_marked, params.phi, params.iterations)
         d1 = None
         attempts = 0
         for _ in range(retry_cap):
             attempts += 1
             result.preparations += 1
             result.grover_iterations += params.iterations
-            outcome = int(ordered[sample_indices(probs, 1, gen)[0]])
+            outcome = int(ordered[measure(is_marked, params.phi, params.iterations, gen)])
             if not better(d0, outcome):
                 d1 = outcome
                 break

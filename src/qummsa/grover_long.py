@@ -24,7 +24,7 @@ import numpy as np
 from .circuit import run_circuit, invert_circuit
 from .errors import CircuitError
 from .oracles import MarkedSet, build_I0, build_multi_oracle, build_preparation
-from .statevector import StateVector, apply_rank1_reflection
+from .statevector import StateVector, apply_rank1_reflection, sample_indices
 
 
 @dataclass(frozen=True)
@@ -227,6 +227,14 @@ def support_probabilities(is_marked: np.ndarray, phi: float, iterations: int) ->
     is_marked = np.asarray(is_marked, dtype=bool)
     a, b = final_amplitudes(np.count_nonzero(is_marked), is_marked.size, phi, iterations)
     return np.where(is_marked, abs(a) ** 2, abs(b) ** 2)
+
+
+def measure(is_marked: np.ndarray, phi: float, iterations: int, rng) -> int:
+    """Position among the occupied values of one measurement after a search from the uniform start.
+
+    The search loops' one measurement: an inverse-CDF draw from :func:`support_probabilities`.
+    """
+    return int(sample_indices(support_probabilities(is_marked, phi, iterations), 1, rng)[0])
 
 
 def success_probability(final: StateVector, marked: MarkedSet) -> float:

@@ -201,7 +201,7 @@ def test_c10_main_loop_expectation():
     trials = 1000
     details = []
     for n in range(4, 11):
-        db = Database(tuple((str(v), v) for v in range(2**n)), n)
+        db = Database(map(str, range(2**n)), range(2**n), n)
         streams = np.random.SeedSequence(9000 + n).spawn(trials)
         loops = [
             run_qummsa(db, c=2, rng=np.random.default_rng(s)).main_loops for s in streams

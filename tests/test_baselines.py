@@ -137,7 +137,7 @@ def test_run_qesa_empirical_matches_model():
 
 
 def test_dha_single_item():
-    db = Database((("only", 5),), 3)
+    db = Database(["only"], [5], 3)
     res = run_dha_minimum(db, QesaConfig(), rng=0)
     assert res.minimum == 5
     assert res.grover_iterations == 0
@@ -166,7 +166,7 @@ def test_dha_hit_frequency_on_random_databases(capsys):
     runs = 1000
     for i in range(runs):
         values = sorted(int(v) for v in rng.choice(64, size=16, replace=False))
-        db = Database(tuple((str(v), v) for v in values), 6)
+        db = Database(map(str, values), values, 6)
         res = run_dha_minimum(db, QesaConfig(), rng=np.random.default_rng(10_000 + i))
         hits += res.minimum == values[0]
     freq = hits / runs
@@ -180,7 +180,7 @@ def test_dha_cost_scales_like_sqrt_n():
     costs = []
     for n in range(4, 11):
         N = 2**n
-        db = Database(tuple((str(v), v) for v in range(N)), n)
+        db = Database(map(str, range(N)), range(N), n)
         streams = np.random.SeedSequence(100 + n).spawn(20)
         total = [
             run_dha_minimum(db, QesaConfig(), rng=np.random.default_rng(s)).grover_iterations
@@ -216,8 +216,8 @@ def test_run_qesa_seeded_traces_pinned():
 def test_dha_seeded_runs_pinned(titanic):
     # (minimum, rounds, preparations, grover_iterations), recorded with the
     # dense state-vector simulation
-    sparse = Database(tuple((f"v{i}", (389 * i + 71) % 1024) for i in range(40)), 10)
-    wide = Database(tuple((f"v{i}", (389 * i + 71) % 4096) for i in range(400)), 12)
+    sparse = Database([f"v{i}" for i in range(40)], [(389 * i + 71) % 1024 for i in range(40)], 10)
+    wide = Database([f"v{i}" for i in range(400)], [(389 * i + 71) % 4096 for i in range(400)], 12)
     cases = [
         (titanic, 1, (1, 27, 27, 38)),
         (titanic, 4, (1, 28, 28, 31)),

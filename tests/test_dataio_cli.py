@@ -29,7 +29,7 @@ def test_titanic_fixture_shape(titanic):
 
 
 def test_titanic_minimum_record(titanic):
-    by_value = {v: l for l, v in titanic.records}
+    by_value = dict(zip(titanic.values, titanic.labels))
     assert by_value[1] == "Panula, Master. Eino Viljami"
     assert by_value[47] == "Gee, Mr. Arthur H"
 
@@ -228,6 +228,19 @@ def test_cli_complexity(capsys):
     assert len(lines) == 2 + 5  # k = 8..12
 
 
+def test_cli_complexity_starts_at_nmin(capsys):
+    assert main(["complexity", "--nmin", "3", "--nmax", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(",")[1] for line in lines[2:]] == ["4", "8"]
+
+
+def test_cli_complexity_largest_size(capsys):
+    # the last row below the refused --nmax 2^1023 is N = 2^1022, every column finite
+    assert main(["complexity", "--nmin", "2^1022", "--nmax", str(2**1023 - 1)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and lines[2].startswith("1022,") and "inf" not in lines[2]
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
@@ -262,9 +275,20 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["complexity", "--nmin", "1024", "--nmax", "16"], 1),
         (["complexity", "--nmax", "-4"], 1),
         (["build-oracle", "--n", "3", "--marked", "1", "--phi", "nan"], 1),
+        (["simulate", "two.qc", "--initial", "basis:x"], 2),
+        (["simulate", "two.qc", "--initial", "basis:4"], 2),
+        (["complexity", "--nmax", "2^1024"], 1),
+        (["complexity", "--nmin", "2^1022", "--nmax", "2^1023"], 1),
+        (["sample-size", "--confidence", "0.9", "--error", "0.01", "--sigma2", "1e308"], 1),
+        (["sample-size", "--confidence", "0.9", "--error", "1e-200"], 1),
+        (["find-min", "titanic", "--sample-size", "5"], 1),
+        (["find-max", "titanic", "--strategy", "uniform", "--sample-size", "5"], 1),
+        (["simulate", "two.qc", "--iterations", "2"], 1),
     ],
 )
-def test_cli_out_of_range_arguments(argv, code, capsys):
+def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "two.qc").write_text("qubits: 2\nX 0 | controls:\n")
     try:
         got = main(argv)
     except SystemExit as exc:
@@ -386,7 +410,7 @@ def row_by_row_parse(text, n=None, source="<string>"):
             f"{source}: n={n} too small: {len(records)} records with max value "
             f"{max_value} need at least {needed} qubits"
         )
-    return Database(tuple(records), n)
+    return Database([label for label, _ in records], [value for _, value in records], n)
 
 
 _INTS = st.one_of(
@@ -440,7 +464,7 @@ def test_parse_database_matches_row_by_row(text, n):
         assert got == want
         return
     assert not isinstance(got, str), got
-    assert (got.records, got.n) == (want.records, want.n)
+    assert (got.labels, got.values, got.n) == (want.labels, want.values, want.n)
     assert got.sorted_values.tolist() == want.sorted_values.tolist() == sorted(got.values)
 
 
@@ -482,6 +506,24 @@ def test_sparse_find_commands_pinned(tmp_path, monkeypatch, capsys):
          "cccd6310b5fc69b7b943e83529ac3e069bd8f90df6dd1334a16c096c0629e8e7"),
         (["baseline-dha", *common, "--trials", "3", "--seed", "13"],
          "1cc4f188056d6e16f705f6280bf3f9931deebfa8bc88c73d6a6e26a6433dd7ab"),
+    ]
+    for argv, digest in pins:
+        assert _cli_digest(argv, capsys) == digest, argv
+
+
+def test_titanic_find_commands_pinned(capsys):
+    # the bundled dataset's labels are quoted and hold commas; recorded before
+    # Database took label and value columns
+    pins = [
+        (["find-min", "titanic", "--strategy", "sampled", "--trials", "20", "--seed", "21"],
+         "80be3fd1fac7d138fe927e1665ad5f0008bfcd2761d556dbde68b47d73c316db"),
+        (["find-min", "titanic", "--trials", "20", "--seed", "22"],
+         "4a94ba87718ba81c0b2eebdc4cd6778cec9df5d6194328e016ca086a29f60b30"),
+        (["find-max", "titanic", "--strategy", "sampled", "--sample-size", "9", "--trials", "20",
+          "--seed", "23"],
+         "a962f849b450789eb21d537d8a2f12cc7ee41b3d37657489b3c138676c5cee8b"),
+        (["baseline-dha", "titanic", "--trials", "20", "--seed", "24"],
+         "13902b10d10332236953e032f81d1a8d2be7f44094d4f272c63440df430f2b4a"),
     ]
     for argv, digest in pins:
         assert _cli_digest(argv, capsys) == digest, argv

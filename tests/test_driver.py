@@ -11,7 +11,6 @@ from qummsa.driver import (
     SampledEstimation,
     UniformEstimation,
     ascending_sample,
-    draw_sample,
     estimate_params,
     loop_failure_bound,
     run_qummsa,
@@ -22,22 +21,22 @@ from qummsa.statevector import NORM_TOL
 
 
 def full_database(n):
-    return Database(tuple((str(v), v) for v in range(2**n)), n)
+    return Database(map(str, range(2**n)), range(2**n), n)
 
 
 def test_database_validation():
     with pytest.raises(DataError):
-        Database((), 3)
+        Database((), (), 3)
     with pytest.raises(DataError):
-        Database((("a", 1), ("b", 1)), 3)
+        Database("ab", (1, 1), 3)
     with pytest.raises(DataError):
-        Database((("a", 9),), 3)
-    db = Database((("a", 1), ("b", 2)), 3)
+        Database("a", (9,), 3)
+    db = Database("ab", (1, 2), 3)
     assert db.size == 2 and db.values == (1, 2)
 
 
 def test_database_rank():
-    db = Database((("a", 3), ("b", 7), ("c", 1)), 3)
+    db = Database("abc", (3, 7, 1), 3)
     assert db.rank(3, "min") == 2
     assert db.rank(7, "min") == 3
     assert db.rank(3, "max") == 2
@@ -45,41 +44,42 @@ def test_database_rank():
 
 
 def test_estimate_uniform_min():
-    db = Database(tuple((str(v), v) for v in (1, 5, 47, 60)), 6)
-    p = estimate_params(47, db, UniformEstimation(), "min")
+    db = Database(map(str, (1, 5, 47, 60)), (1, 5, 47, 60), 6)
+    p = estimate_params(47, db, UniformEstimation(), "min", sample=db.sorted_values)
     assert (p.m_est, p.n_est) == (48, 64)
     assert abs(p.beta - math.asin(math.sqrt(0.75))) < 1e-12
 
 
 def test_estimate_uniform_max_matches_worked_example():
-    db = Database(tuple((str(v), v) for v in (0, 2, 3)), 2)
-    p = estimate_params(2, db, UniformEstimation(), "max")
+    db = Database(map(str, (0, 2, 3)), (0, 2, 3), 2)
+    p = estimate_params(2, db, UniformEstimation(), "max", sample=db.sorted_values)
     assert (p.m_est, p.n_est) == (2, 4)
     assert p.iterations == 1 and abs(p.phi - np.pi / 2) < 1e-9
 
 
 def test_estimate_census_is_exact():
-    db = Database(tuple((str(v), v) for v in (1, 5, 47, 60)), 6)
-    p = estimate_params(47, db, SampledEstimation(None), "min")
+    db = Database(map(str, (1, 5, 47, 60)), (1, 5, 47, 60), 6)
+    p = estimate_params(47, db, SampledEstimation(None), "min", sample=db.sorted_values)
     assert (p.m_est, p.n_est) == (3, 4)  # values <= 47 are {1, 5, 47}
 
 
 def test_estimate_sampled_draws_and_clamps():
-    rng = np.random.default_rng(0)
-    db = Database(tuple((str(v), v) for v in range(16)), 4)
-    p = estimate_params(3, db, SampledEstimation(5), "min", rng=rng)
+    db = Database(map(str, range(16)), range(16), 4)
+    sample = ascending_sample(db, SampledEstimation(5), np.random.default_rng(0))
+    p = estimate_params(3, db, SampledEstimation(5), "min", sample=sample)
     assert p.n_est == 5 and 1 <= p.m_est <= 5
     # clamp: a sample that misses every value <= d0 still yields M~ = 1
-    tiny = Database(tuple((str(v), v) for v in range(8, 16)), 4)
+    tiny = Database(map(str, range(8, 16)), range(8, 16), 4)
     for seed in range(10):
-        p = estimate_params(8, tiny, SampledEstimation(3), "min", rng=np.random.default_rng(seed))
+        sample = ascending_sample(tiny, SampledEstimation(3), np.random.default_rng(seed))
+        p = estimate_params(8, tiny, SampledEstimation(3), "min", sample=sample)
         assert p.m_est >= 1
 
 
 def test_sample_drawn_once_per_run():
     # repeated queries at the same threshold reuse the run's one sample, so
     # confirmation loops at the final value all carry the same estimate
-    db = Database(tuple((str(v), v) for v in range(0, 64, 2)), 6)
+    db = Database(map(str, range(0, 64, 2)), range(0, 64, 2), 6)
     for seed in range(8):
         res = run_qummsa(
             db, c=3, strategy=SampledEstimation(9), rng=np.random.default_rng(seed)
@@ -92,25 +92,25 @@ def test_sample_drawn_once_per_run():
         assert all(rec.n_est == 9 for rec in res.records)
 
 
-def test_draw_sample_deterministic():
-    db = Database(tuple((str(v), v) for v in range(16)), 4)
-    a = draw_sample(db, SampledEstimation(6), np.random.default_rng(3))
-    b = draw_sample(db, SampledEstimation(6), np.random.default_rng(3))
-    assert a == b and len(a) == 6
-    assert draw_sample(db, SampledEstimation(None)) == db.values
-    assert draw_sample(db, UniformEstimation()) == db.values
+def test_ascending_sample_deterministic():
+    db = Database(map(str, range(16)), range(16), 4)
+    a = ascending_sample(db, SampledEstimation(6), np.random.default_rng(3))
+    b = ascending_sample(db, SampledEstimation(6), np.random.default_rng(3))
+    assert a.tolist() == b.tolist() and len(a) == 6
+    assert ascending_sample(db, SampledEstimation(None)) is db.sorted_values
+    assert ascending_sample(db, UniformEstimation()) is db.sorted_values
 
 
 def test_estimate_validation():
     db = full_database(3)
     with pytest.raises(ValueError):
-        estimate_params(2, db, UniformEstimation(), "sideways")
+        estimate_params(2, db, UniformEstimation(), "sideways", sample=db.sorted_values)
     with pytest.raises(ValueError):
-        estimate_params(2, db, SampledEstimation(4), "min")  # rng required
+        ascending_sample(db, SampledEstimation(4))  # rng required
 
 
 def test_single_record_database():
-    db = Database((("only", 5),), 3)
+    db = Database(["only"], [5], 3)
     res = run_qummsa(db, c=3, rng=np.random.default_rng(0))
     assert res.minimum == 5
     assert res.success
@@ -226,7 +226,7 @@ def test_seeded_runs_pinned(titanic, source, mode, strategy, seed, expected):
     # state-vector simulation
     db = titanic
     if source == "sparse":
-        db = Database(tuple((f"v{i}", (389 * i + 71) % 1024) for i in range(40)), 10)
+        db = Database([f"v{i}" for i in range(40)], [(389 * i + 71) % 1024 for i in range(40)], 10)
     res = run_qummsa(db, c=3, strategy=strategy, mode=mode, rng=np.random.default_rng(seed))
     assert (res.minimum, res.main_loops, res.preparations) == expected
 
@@ -237,12 +237,12 @@ def test_uniform_estimation_large_iteration_counts():
     # at d0 = 0 is tuned for 1/2^40 while 1 of 572 values is marked, and it
     # exhausts the retry cap: success is False, as with the step-by-step
     # recursion, and (main_loops, preparations) are that recursion's too
-    db = Database(tuple((f"v{v}", v) for v in range(0, 4000, 7)), 40)
+    db = Database([f"v{v}" for v in range(0, 4000, 7)], range(0, 4000, 7), 40)
     res = run_qummsa(db, strategy=UniformEstimation(), rng=np.random.default_rng(1))
     assert (res.minimum, res.main_loops, res.preparations, res.success) == (0, 9, 87, False)
     assert max(rec.iterations for rec in res.records) > 100_000
     for rec in res.records:
-        params = estimate_params(rec.d0, db, UniformEstimation())
+        params = estimate_params(rec.d0, db, UniformEstimation(), sample=db.sorted_values)
         assert params.iterations == rec.iterations
         probs = support_probabilities(db.sorted_values <= rec.d0, params.phi, params.iterations)
         assert abs(probs.sum() - 1.0) < NORM_TOL
@@ -253,35 +253,35 @@ def test_duplicate_report_is_not_quadratic():
     # count per value
     values = list(range(200_000))
     values[-1] = 123_456
-    records = tuple((f"v{i}", v) for i, v in enumerate(values))
+    labels = [f"v{i}" for i in range(len(values))]
     start = time.perf_counter()
     message = r"duplicate data values \[123456\]: each value must be distinct"
     with pytest.raises(DataError, match=message):
-        Database(records, 18)
+        Database(labels, values, 18)
     assert time.perf_counter() - start < 2.0
 
 
 def test_database_keeps_64_bit_values_exact():
     # 2^63 and up beside a small value would make numpy infer float64
     top = 2**63 + 3
-    db = Database((("a", 7), ("b", 2**63 + 1), ("c", top)), 64)
+    db = Database("abc", (7, 2**63 + 1, top), 64)
     assert db.sorted_values.tolist() == [7, 2**63 + 1, top]
     res = run_qummsa(db, strategy=SampledEstimation(None), mode="max", rng=np.random.default_rng(1))
     assert res.minimum == top and res.success
     with pytest.raises(DataError, match=rf"duplicate data values \[{top}\]"):
-        Database((("a", 7), ("b", top), ("c", top)), 64)
+        Database("abc", (7, top, top), 64)
 
 
 def test_sample_keeps_64_bit_values_exact():
     top = 2**63 + 3
-    db = Database((("a", 7), ("b", 9), ("c", 2**63 + 1), ("d", top)), 64)
+    db = Database("abcd", (7, 9, 2**63 + 1, top), 64)
     strategy = SampledEstimation(3)
     drawn = set()
     for seed in range(40):
-        sample = draw_sample(db, strategy, np.random.default_rng(seed))
-        assert set(sample) <= set(db.values)  # no value rounded through float64
-        drawn.add(min(sample) < 2**63 <= max(sample))
         held = ascending_sample(db, strategy, np.random.default_rng(seed))
+        picks = np.random.default_rng(seed).choice(db.size, size=3, replace=True)
+        sample = [db.values[i] for i in picks]  # drawn by index: no value rounded through float64
+        drawn.add(min(sample) < 2**63 <= max(sample))
         assert held.dtype == db.sorted_values.dtype and held.tolist() == sorted(sample)
         for d0 in db.values:
             for mode, side in (("min", [v <= d0 for v in sample]), ("max", [v >= d0 for v in sample])):
@@ -289,17 +289,19 @@ def test_sample_keeps_64_bit_values_exact():
     assert drawn == {True, False}  # samples on one side of 2^63 and across it
 
 
-def test_database_converts_loose_records():
-    db = Database([["a", np.int64(5)], ("b", True), (3, 2)], 3)
-    assert db.records == (("a", 5), ("b", 1), ("3", 2))
+def test_database_converts_loose_columns():
+    db = Database(["a", "b", 3], [np.int64(5), True, 2], 3)
+    assert tuple(zip(db.labels, db.values)) == (("a", 5), ("b", 1), ("3", 2))
     assert all(type(v) is int for v in db.values)
+    with pytest.raises(DataError, match="2 labels for 3 values"):
+        Database("ab", (1, 2, 3), 3)
 
 
 @st.composite
 def databases_and_thresholds(draw):
     value = st.one_of(st.integers(0, 2**12 - 1), st.integers(2**62, 2**70))
     values = draw(st.lists(value, min_size=1, max_size=40, unique=True))
-    db = Database(tuple((f"v{i}", v) for i, v in enumerate(values)), max(values).bit_length() or 1)
+    db = Database([f"v{i}" for i in range(len(values))], values, max(values).bit_length() or 1)
     d0 = draw(st.one_of(st.sampled_from(values), st.integers(0, 2**71)))  # inside or outside
     return db, d0
 
@@ -314,14 +316,11 @@ def databases_and_thresholds(draw):
 def test_estimate_count_is_the_masked_sum(case, mode, sample_size, seed):
     db, d0 = case
     strategy = SampledEstimation(sample_size)
-    # object dtype: numpy would round 2^63 and up beside small values to float64
-    sample = np.asarray(draw_sample(db, strategy, np.random.default_rng(seed)), dtype=object)
-    count = int(np.sum(sample <= d0) if mode == "min" else np.sum(sample >= d0))
     held = ascending_sample(db, strategy, np.random.default_rng(seed))
-    for params in (
-        estimate_params(d0, db, strategy, mode, rng=np.random.default_rng(seed)),
-        estimate_params(d0, db, strategy, mode, sample=held),
-    ):
-        assert (params.m_est, params.n_est) == (max(count, 1), len(sample))
+    # object dtype: numpy would round 2^63 and up beside small values to float64
+    sample = np.asarray(held.tolist(), dtype=object)
+    count = int(np.sum(sample <= d0) if mode == "min" else np.sum(sample >= d0))
+    params = estimate_params(d0, db, strategy, mode, sample=held)
+    assert (params.m_est, params.n_est) == (max(count, 1), len(sample))
     side = [v <= d0 if mode == "min" else v >= d0 for v in db.values]
     assert db.rank(d0, mode) == sum(side)

@@ -244,7 +244,7 @@ def test_support_probabilities_match_driver_reference(titanic, mode):
     # the reference is built exactly as the dense driver built it
     ordered = titanic.sorted_values
     for d0 in (int(ordered[3]), int(ordered[17]), int(ordered[-4])):
-        params = estimate_params(d0, titanic, UniformEstimation(), mode)
+        params = estimate_params(d0, titanic, UniformEstimation(), mode, sample=ordered)
         marked = ThresholdPredicate(mode, d0, titanic.n).marked_set()
         dense = run_grover_long(titanic.initial_state(), marked, params)
         mask = ordered <= d0 if mode == "min" else ordered >= d0
