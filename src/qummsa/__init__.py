@@ -2,10 +2,10 @@
 
 Layers, bottom up:
 
-- :mod:`qummsa.statevector` / :mod:`qummsa.circuit`: dense simulator and
-  gate-level IR with a textual ``.qc`` format
+- :mod:`qummsa.statevector` / :mod:`qummsa.circuit`: dense register and
+  sampling; gate-level IR, gate application and the textual ``.qc`` format
 - :mod:`qummsa.oracles` / :mod:`qummsa.simplify`: phase-oracle construction
-  and the three equivalence-preserving rewrite passes
+  and the three rewrite passes, which share one phase-cube emitter
 - :mod:`qummsa.grover_long`: the zero-failure engine (two-amplitude and dense reference)
 - :mod:`qummsa.baselines`: exponential search and the classic minimum finder
 - :mod:`qummsa.driver`: the threshold-descent min/max algorithm

@@ -1,4 +1,4 @@
-"""Gate-level circuit IR: multi-controlled elementary gates over n qubits.
+"""Gate-level circuit IR: multi-controlled elementary gates over n qubits, and their application.
 
 Gate kinds:
     X               bit flip
@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CircuitError, ParseError
-from .statevector import StateVector, _apply_gate_inplace, _validate_gate_qubits
+from .statevector import StateVector
 
 GATE_KINDS = ("X", "H", "RY", "PHASE")
 _PARAMETRIC = ("RY", "PHASE")
@@ -104,6 +104,39 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     if op.kind == "PHASE":
         return np.array([[1, 0], [0, np.exp(1j * op.param)]], dtype=np.complex128)
     raise CircuitError(f"unknown gate kind {op.kind!r}")
+
+
+def _validate_gate_qubits(n: int, gate: GateOp) -> None:
+    """Range check; GateOp itself enforces the target/control rules."""
+    for q in (gate.target, *(c.qubit for c in gate.controls)):
+        if not 0 <= q < n:
+            raise CircuitError(f"qubit {q} out of range for {n}-qubit register")
+
+
+def _apply_gate_inplace(amps: np.ndarray, n: int, gate: GateOp) -> None:
+    """Apply a validated gate to a C-contiguous (2**n,) array in place.
+
+    On a (2,)*n view with qubit q on axis n-1-q, each control indexes its axis
+    at its value and the target axis is sliced at 0 and at 1: the gate mixes
+    those two views, so nothing is allocated per basis state.
+    """
+    view = amps.reshape((2,) * n)
+    sel = [slice(None)] * n
+    for q, v in gate.controls:
+        sel[n - 1 - q] = v
+    t = n - 1 - gate.target
+    sel[t] = slice(1, 2)
+    hi = tuple(sel)
+    if gate.kind == "PHASE":  # diagonal: scale the target=1 slice
+        view[hi] *= np.exp(1j * gate.param)
+        return
+    sel[t] = slice(0, 1)
+    lo = tuple(sel)
+    m = gate_matrix(gate)
+    a0 = view[lo].copy()
+    a1 = view[hi].copy()
+    view[lo] = m[0, 0] * a0 + m[0, 1] * a1
+    view[hi] = m[1, 0] * a0 + m[1, 1] * a1
 
 
 def gate_to_matrix(op: GateOp, n: int) -> np.ndarray:

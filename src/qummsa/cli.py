@@ -165,6 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the iteration count used with --grover-long")
     p.add_argument("--out", default=None)
 
+    for p in sub.choices.values():  # checks after parsing report under their command's usage
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -176,7 +178,7 @@ def _load(dataset: str, n: int | None) -> driver.Database:
 
 def _cmd_find(args, argv, mode: str) -> int:
     if args.sample_size is not None and args.strategy != "sampled":
-        build_parser().error(f"{args.command}: --sample-size needs --strategy sampled")
+        args.parser.error("--sample-size needs --strategy sampled")
     db = _load(args.dataset, args.n)
     if args.strategy == "uniform":
         strategy = driver.UniformEstimation()
@@ -300,7 +302,7 @@ def _cmd_failure_curves(args, argv) -> int:
 
 def _cmd_complexity(args, argv) -> int:
     if args.nmax < max(args.nmin, 2):
-        build_parser().error(f"complexity: --nmax must be >= 2 and >= --nmin, got {args.nmax}")
+        args.parser.error(f"--nmax must be >= 2 and >= --nmin, got {args.nmax}")
     rows = []
     k = max(1, (args.nmin - 1).bit_length())  # the smallest power of two >= nmin
     while 2**k <= args.nmax:
@@ -330,7 +332,7 @@ def _cmd_sample_size(args) -> int:
     try:
         size = analysis.min_sample_size(spec)
     except ArithmeticError:  # Z^2 sigma^2 / E^2 overflows, or E^2 underflows to 0
-        build_parser().error("sample-size: Z^2 sigma^2 / E^2 is out of float range")
+        args.parser.error("Z^2 sigma^2 / E^2 is out of float range")
     print(size)
     return 0
 
@@ -387,7 +389,7 @@ def _initial_state(spec: str, n: int) -> StateVector:
 
 def _cmd_simulate(args, argv) -> int:
     if args.iterations is not None and not args.grover_long:
-        build_parser().error("simulate: --iterations needs --grover-long")
+        args.parser.error("--iterations needs --grover-long")
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circuit = parse_circuit(fh.read())
     limit = DENSE_MAX_QUBITS if args.grover_long else SIMULATE_MAX_QUBITS

@@ -1,10 +1,10 @@
 """Construction of the search circuits: preparation W, phase shift I0, oracles O.
 
 Every oracle built here is a diagonal unitary whose entries are e^{i phi} on
-the marked basis indices and 1 elsewhere.  The target of each phase gate is
-q[0]; marked indices with bit 0 set get a bare controlled PHASE, even indices
-get the PHASE conjugated by controlled X gates (the form the simplify passes
-later reduce).
+the marked basis indices and 1 elsewhere.  Each marked index is a cube with
+every qubit fixed, turned into gates by :func:`simplify.emit_fragment`: a PHASE
+on q[0] controlled by the other bits, conjugated by controlled X gates when
+bit 0 is clear (the form the simplify passes later reduce).
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 from .circuit import Circuit, Control, GateOp, on_one, on_zero
 from .errors import CircuitError
+from .simplify import emit_fragment
+from .statevector import sorted_occupied
 
 # Largest marked set a threshold predicate enumerates.  The raw oracle carries
 # up to three gates per marked index, each with n-1 controls, so a threshold
@@ -91,43 +93,14 @@ def build_multi_oracle(marked: MarkedSet, phi: float) -> Circuit:
 
 
 def _oracle_ops(n: int, indices, phi: float) -> tuple[GateOp, ...]:
-    """Each index's gates in order, controlled on q[1..n-1] matching its bits."""
-    polarities = [(on_zero(j), on_one(j)) for j in range(1, n)]
-    ops: list[GateOp] = []
-    for v in indices:
-        ctrls = tuple(pair[(v >> j) & 1] for j, pair in enumerate(polarities, 1))
-        phase = GateOp("PHASE", 0, ctrls, phi)
-        if v & 1:
-            ops.append(phase)
-        else:
-            flip = GateOp("X", 0, ctrls)
-            ops.extend((flip, phase, flip))
-    return tuple(ops)
+    """Each index as a cube with every qubit fixed, emitted in order."""
+    full = 2**n - 1
+    return tuple(op for v in indices for op in emit_fragment((full, v, phi, "ctrl")))
 
 
 def build_threshold_oracle(pred: ThresholdPredicate, phi: float) -> Circuit:
-    """Oracle for a contiguous threshold range, dyadically decomposed."""
+    """Oracle for a contiguous threshold range: every index in it, marked one by one."""
     return build_multi_oracle(pred.marked_set(), phi)
-
-
-def dyadic_blocks(indices: list[int]) -> list[tuple[int, int]]:
-    """Split sorted indices into maximal aligned power-of-two runs.
-
-    Only complete runs count: a block [lo, lo + 2^k - 1] is emitted when lo is
-    2^k-aligned and all its members are present.  {0..47} -> [(0,31), (32,47)];
-    isolated indices come out as width-1 blocks.
-    """
-    present = set(indices)
-    blocks: list[tuple[int, int]] = []
-    i = 0
-    while i < len(indices):
-        lo = indices[i]
-        size = 1
-        while lo % (size * 2) == 0 and all(lo + d in present for d in range(size, size * 2)):
-            size *= 2
-        blocks.append((lo, lo + size - 1))
-        i += size
-    return blocks
 
 
 def build_preparation(occupied, n: int) -> Circuit:
@@ -137,11 +110,7 @@ def build_preparation(occupied, n: int) -> Circuit:
     (controlled) RY rotations splits the amplitude qubit by qubit from the
     most significant bit down; branches that are certain carry no control.
     """
-    occ = sorted(set(occupied))
-    if not occ:
-        raise CircuitError("occupied set must be nonempty")
-    if occ[0] < 0 or occ[-1] >= 2**n:
-        raise CircuitError(f"occupied indices must lie in [0, {2**n - 1}]")
+    occ = sorted_occupied(n, occupied)
     if len(occ) == 2**n:
         return Circuit(n, tuple(GateOp("H", q) for q in range(n)))
 

@@ -19,6 +19,7 @@ equivalence tolerance (global phase, 1e-10) is what the tests assert.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .circuit import Circuit, Control, GateOp
@@ -95,15 +96,22 @@ def _scan(ops: tuple[GateOp, ...]) -> list[tuple[str, object]]:
     return items
 
 
-def _emit(frag: _Frag, n: int) -> tuple[GateOp, ...]:
+_control = functools.cache(Control)  # one shared Control per (qubit, value): two per qubit ever used
+
+
+def emit_fragment(frag: _Frag) -> tuple[GateOp, ...]:
+    """The one cube-to-gates emitter, shared by the oracle builders and the passes.
+
+    The target is the lowest fixed qubit; the other fixed qubits control it in
+    ascending order.  A target fixed at 0 gets its PHASE conjugated by X gates
+    shaped by ``conj``.
+    """
     mask, value, phi, conj = frag
-    fixed = [q for q in range(n) if (mask >> q) & 1]
-    if not fixed:
+    if mask <= 0:
         raise AssertionError("cannot emit a fragment with no fixed qubit")
-    target = 0 if (mask & 1) else min(fixed)
-    controls = tuple(
-        Control(q, (value >> q) & 1) for q in fixed if q != target
-    )
+    target = (mask & -mask).bit_length() - 1
+    controls = tuple(_control(q, (value >> q) & 1)
+                     for q in range(target + 1, mask.bit_length()) if (mask >> q) & 1)
     phase = GateOp("PHASE", target, controls, phi)
     if (value >> target) & 1:
         return (phase,)
@@ -117,7 +125,7 @@ def _rebuild(items: list[tuple[str, object]], n: int) -> Circuit:
         if kind == "op":
             ops.append(payload)
         else:
-            ops.extend(_emit(payload, n))
+            ops.extend(emit_fragment(payload))
     return Circuit(n, tuple(ops))
 
 

@@ -1,4 +1,4 @@
-"""Dense complex state vectors with gate application and measurement sampling.
+"""Dense complex state vectors, the rank-1 reflection and measurement sampling.
 
 Qubit convention: q[0] is the least-significant bit of the basis index, so
 basis state ``|b_{n-1} ... b_1 b_0>`` has index ``sum(b_k * 2**k)``.
@@ -57,62 +57,25 @@ def make_basis_state(n: int, index: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def make_superposition(n: int, occupied: Iterable[int]) -> StateVector:
-    """Uniform superposition with amplitude 1/sqrt(N) on each occupied index.
-
-    N is the number of occupied indices; every other amplitude is exactly 0.
-    """
+def sorted_occupied(n: int, occupied: Iterable[int]) -> list[int]:
+    """The distinct occupied indices in ascending order; refuses an empty or out-of-range set."""
     occ = sorted(set(occupied))
     if not occ:
         raise CircuitError("occupied set must be nonempty")
     if occ[0] < 0 or occ[-1] >= 2**n:
         raise CircuitError(f"occupied indices must lie in [0, {2**n - 1}]")
+    return occ
+
+
+def make_superposition(n: int, occupied: Iterable[int]) -> StateVector:
+    """Uniform superposition with amplitude 1/sqrt(N) on each occupied index.
+
+    N is the number of occupied indices; every other amplitude is exactly 0.
+    """
+    occ = sorted_occupied(n, occupied)
     amps = np.zeros(2**n, dtype=np.complex128)
     amps[occ] = 1.0 / np.sqrt(len(occ))
     return StateVector(n, amps)
-
-
-def apply_gate(state: StateVector, gate) -> StateVector:
-    """Apply a (multi-)controlled elementary gate, returning a new state."""
-    _validate_gate_qubits(state.n, gate)
-    out = state.amps.copy()
-    _apply_gate_inplace(out, state.n, gate)
-    return StateVector(state.n, out)
-
-
-def _apply_gate_inplace(amps: np.ndarray, n: int, gate) -> None:
-    """Apply a validated gate to a C-contiguous (2**n,) array in place.
-
-    On a (2,)*n view with qubit q on axis n-1-q, each control indexes its axis
-    at its value and the target axis is sliced at 0 and at 1: the gate mixes
-    those two views, so nothing is allocated per basis state.
-    """
-    from .circuit import gate_matrix  # local import to avoid a cycle
-
-    view = amps.reshape((2,) * n)
-    sel = [slice(None)] * n
-    for q, v in gate.controls:
-        sel[n - 1 - q] = v
-    t = n - 1 - gate.target
-    sel[t] = slice(1, 2)
-    hi = tuple(sel)
-    if gate.kind == "PHASE":  # diagonal: scale the target=1 slice
-        view[hi] *= np.exp(1j * gate.param)
-        return
-    sel[t] = slice(0, 1)
-    lo = tuple(sel)
-    m = gate_matrix(gate)
-    a0 = view[lo].copy()
-    a1 = view[hi].copy()
-    view[lo] = m[0, 0] * a0 + m[0, 1] * a1
-    view[hi] = m[1, 0] * a0 + m[1, 1] * a1
-
-
-def _validate_gate_qubits(n: int, gate) -> None:
-    """Range check; GateOp itself enforces the target/control rules."""
-    for q in (gate.target, *(c.qubit for c in gate.controls)):
-        if not 0 <= q < n:
-            raise CircuitError(f"qubit {q} out of range for {n}-qubit register")
 
 
 def apply_rank1_reflection(state: StateVector, psi: StateVector, phi: float) -> StateVector:

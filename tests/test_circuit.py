@@ -21,7 +21,7 @@ from qummsa.circuit import (
 )
 from qummsa.errors import CircuitError, ParseError
 from qummsa.oracles import build_I0, build_preparation
-from qummsa.statevector import StateVector, apply_gate, make_basis_state, make_superposition
+from qummsa.statevector import StateVector, make_basis_state, make_superposition
 
 from conftest import assert_phase_equal
 
@@ -128,7 +128,7 @@ def test_apply_gate_matches_gate_matrix_property(data):
     op = data.draw(gate_ops(n), label="op")
     state = data.draw(random_states(n), label="state")
     np.testing.assert_allclose(
-        apply_gate(state, op).amps, gate_to_matrix(op, n) @ state.amps, rtol=0, atol=1e-12
+        run_circuit(Circuit(n, (op,)), state).amps, gate_to_matrix(op, n) @ state.amps, rtol=0, atol=1e-12
     )
 
 
@@ -252,7 +252,8 @@ def test_gateop_keeps_a_tuple_of_controls():
     assert all(type(v) is int for c in loose.controls for v in c)
     state = make_superposition(3, range(8))
     np.testing.assert_array_equal(
-        apply_gate(state, loose).amps, apply_gate(state, GateOp("X", 0, ctrls)).amps
+        run_circuit(Circuit(3, (loose,)), state).amps,
+        run_circuit(Circuit(3, (GateOp("X", 0, ctrls),)), state).amps,
     )
 
 

@@ -298,6 +298,19 @@ def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["find-min", "titanic", "--sample-size", "5"], ["complexity", "--nmin", "1024", "--nmax", "16"]],
+)
+def test_cli_checks_after_parsing_show_the_command_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert f"usage: qummsa {argv[0]} " in err
+    assert f"qummsa {argv[0]}: error: " in err
+
+
 def run_traced(argv):
     """Exit code and peak traced allocation (bytes) of one CLI call."""
     tracemalloc.start()

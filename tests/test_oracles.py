@@ -24,7 +24,6 @@ from qummsa.oracles import (
     build_preparation,
     build_single_oracle,
     build_threshold_oracle,
-    dyadic_blocks,
 )
 from qummsa.simplify import simplify_all
 from qummsa.statevector import make_basis_state, make_superposition
@@ -133,12 +132,11 @@ def test_phase_linearity():
 def concatenated_single_oracles(n, V, phi):
     """The raw oracle as it was first built: one Circuit per index, joined."""
     singles = []
-    for lo, hi in dyadic_blocks(sorted(V)):
-        for v in range(lo, hi + 1):
-            ctrls = tuple(Control(j, (v >> j) & 1) for j in range(1, n))
-            phase = GateOp("PHASE", 0, ctrls, phi)
-            flip = GateOp("X", 0, ctrls)
-            singles.append(Circuit(n, (phase,) if v & 1 else (flip, phase, flip)))
+    for v in sorted(V):
+        ctrls = tuple(Control(j, (v >> j) & 1) for j in range(1, n))
+        phase = GateOp("PHASE", 0, ctrls, phi)
+        flip = GateOp("X", 0, ctrls)
+        singles.append(Circuit(n, (phase,) if v & 1 else (flip, phase, flip)))
     return concat(*singles)
 
 
@@ -210,14 +208,6 @@ def test_threshold_marked_set_size_cap(monkeypatch):
         ThresholdPredicate("min", 8, 4).marked_set()
     with pytest.raises(CircuitError, match="9 indices"):
         ThresholdPredicate("max", 7, 4).marked_set()
-
-
-def test_dyadic_blocks():
-    assert dyadic_blocks(list(range(48))) == [(0, 31), (32, 47)]
-    assert dyadic_blocks([2, 3]) == [(2, 3)]
-    assert dyadic_blocks([1, 3]) == [(1, 1), (3, 3)]
-    assert dyadic_blocks([0, 5]) == [(0, 0), (5, 5)]
-    assert dyadic_blocks(list(range(47, 64))) == [(47, 47), (48, 63)]
 
 
 # --- preparation -------------------------------------------------------------

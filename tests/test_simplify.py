@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qummsa.circuit import Circuit, GateOp, circuit_to_matrix, on_one, on_zero
 from qummsa.oracles import MarkedSet, ThresholdPredicate, build_I0, build_multi_oracle, build_single_oracle, build_threshold_oracle
 from qummsa.simplify import (
+    emit_fragment,
     gate_cost,
     simplify_all,
     simplify_principle1,
@@ -21,6 +24,27 @@ def random_oracle(rng, n=None):
     k = int(rng.integers(1, 2**n + 1))
     V = frozenset(int(v) for v in rng.choice(2**n, size=k, replace=False))
     return build_multi_oracle(MarkedSet(n, V), float(rng.uniform(0.1, 3.0)))
+
+
+# --- the cube-to-gates emitter ------------------------------------------------
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_emit_fragment_phases_exactly_its_cube(data):
+    n = data.draw(st.integers(1, 6), label="n")
+    mask = data.draw(st.integers(1, 2**n - 1), label="mask")
+    value = data.draw(st.integers(0, 2**n - 1), label="value") & mask
+    phi = data.draw(st.floats(-2 * np.pi, 2 * np.pi), label="phi")
+    conj = data.draw(st.sampled_from(("ctrl", "bare")), label="conj")
+    ops = emit_fragment((mask, value, phi, conj))
+    fixed = [q for q in range(n) if (mask >> q) & 1]
+    assert all(op.target == fixed[0] for op in ops)
+    phase = next(op for op in ops if op.kind == "PHASE")
+    assert [c.qubit for c in phase.controls] == fixed[1:]
+    on_cube = (np.arange(2**n) & mask) == value
+    expected = np.diag(np.where(on_cube, np.exp(1j * phi), 1.0))
+    np.testing.assert_allclose(circuit_to_matrix(Circuit(n, ops)), expected, rtol=0, atol=1e-12)
 
 
 # --- principle 1 --------------------------------------------------------------

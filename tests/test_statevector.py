@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from qummsa.circuit import GateOp, gate_to_matrix, on_one, on_zero, random_circuit
+from qummsa.circuit import Circuit, GateOp, gate_to_matrix, on_one, on_zero, random_circuit, run_circuit
 from qummsa.errors import CircuitError
 from qummsa.statevector import (
     StateVector,
-    apply_gate,
     apply_rank1_reflection,
     canonical_global_phase,
     make_basis_state,
@@ -61,27 +60,27 @@ def test_superposition_empty_raises():
 
 
 def test_apply_x_flips_lowest_bit():
-    out = apply_gate(make_basis_state(2, 0), GateOp("X", 0))
+    out = run_circuit(Circuit(2, (GateOp("X", 0),)), make_basis_state(2, 0))
     np.testing.assert_allclose(out.amps, [0, 1, 0, 0], atol=0)
 
 
 def test_apply_phase_pi():
     plus = StateVector(1, np.array([1, 1]) / np.sqrt(2))
-    out = apply_gate(plus, GateOp("PHASE", 0, (), np.pi))
+    out = run_circuit(Circuit(1, (GateOp("PHASE", 0, (), np.pi),)), plus)
     np.testing.assert_allclose(out.amps, np.array([1, -1]) / np.sqrt(2), atol=1e-15)
 
 
 def test_apply_ry_half_pi():
-    out = apply_gate(make_basis_state(1, 0), GateOp("RY", 0, (), np.pi / 2))
+    out = run_circuit(Circuit(1, (GateOp("RY", 0, (), np.pi / 2),)), make_basis_state(1, 0))
     np.testing.assert_allclose(out.amps, [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15)
 
 
 def test_apply_gate_rejects_bad_qubits():
     state = make_basis_state(2, 0)
     with pytest.raises(CircuitError):
-        apply_gate(state, GateOp("X", 5))
+        run_circuit(Circuit(2, (GateOp("X", 5),)), state)
     with pytest.raises(CircuitError):
-        apply_gate(state, GateOp("X", 0, (on_one(0),)))
+        run_circuit(Circuit(2, (GateOp("X", 0, (on_one(0),)),)), state)
 
 
 def test_rank1_reflection_fixed_point():
@@ -165,7 +164,7 @@ def test_norm_preserved_over_long_random_circuit():
     circuit = random_circuit(4, 1000, rng)
     state = make_superposition(4, range(16))
     for op in circuit.ops:
-        state = apply_gate(state, op)
+        state = run_circuit(Circuit(4, (op,)), state)
     assert abs(state.norm() ** 2 - 1.0) < 1e-9
 
 
@@ -179,7 +178,7 @@ def test_gate_application_matches_dense_matrix(n):
         state /= np.linalg.norm(state)
         sv = StateVector(n, state)
         np.testing.assert_allclose(
-            apply_gate(sv, op).amps, gate_to_matrix(op, n) @ state, atol=1e-10
+            run_circuit(Circuit(n, (op,)), sv).amps, gate_to_matrix(op, n) @ state, atol=1e-10
         )
 
 
