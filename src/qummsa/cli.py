@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import analysis, baselines, driver, simplify
-from .circuit import DENSE_MAX_QUBITS, circuit_to_matrix, export_circuit, parse_circuit, run_circuit
+from .circuit import export_circuit, parse_circuit, run_circuit
 from .dataio import csv_stamp, format_csv, load_database, titanic_database
 from .errors import CircuitError, DataError, ParseError, QummsaError
 from .grover_long import SearchParams, compute_params, run_grover_long
@@ -28,7 +28,6 @@ from .statevector import StateVector, make_basis_state, make_superposition
 
 # Largest register `simulate` runs: it writes one CSV row per basis state, so
 # 2^20 rows (about 40 MB of text, from a 16 MB state) is the most it produces.
-# With --grover-long the circuit is lowered densely, so DENSE_MAX_QUBITS holds.
 SIMULATE_MAX_QUBITS = 20
 # `complexity` rows are powers of two N with sqrt(2N) in a float column, so
 # N must stay below 2^1023.
@@ -392,10 +391,10 @@ def _cmd_simulate(args, argv) -> int:
         args.parser.error("--iterations needs --grover-long")
     with open(args.circuit, "r", encoding="utf-8") as fh:
         circuit = parse_circuit(fh.read())
-    limit = DENSE_MAX_QUBITS if args.grover_long else SIMULATE_MAX_QUBITS
-    if circuit.n > limit:
-        mode = " with --grover-long" if args.grover_long else ""
-        raise DataError(f"simulate{mode} runs at most {limit} qubits; the circuit has {circuit.n}")
+    if circuit.n > SIMULATE_MAX_QUBITS:
+        raise DataError(
+            f"simulate runs at most {SIMULATE_MAX_QUBITS} qubits; the circuit has {circuit.n}"
+        )
     state = _initial_state(args.initial, circuit.n)
     if args.grover_long:
         final = _simulate_grover_long(circuit, state, args.iterations)
@@ -413,13 +412,14 @@ def _cmd_simulate(args, argv) -> int:
 def _simulate_grover_long(circuit, state, iterations):
     """Use the circuit as the oracle of a tuned search about ``state``.
 
-    Marked set and phase are recovered from the circuit's diagonal; the
-    iteration count defaults to the tuned value for |V| out of 2^n states.
+    The circuit must be made of phase fragments (see ``simplify``).  Marked
+    set and phase are recovered from its diagonal, which is the circuit
+    applied to the all-ones vector; the iteration count defaults to the tuned
+    value for |V| out of 2^n states.
     """
-    u = circuit_to_matrix(circuit)
-    diag = np.diagonal(u)
-    if np.max(np.abs(u - np.diag(diag))) > 1e-9:
+    if not simplify.is_phase_oracle(circuit):
         raise DataError("--grover-long needs a diagonal (phase oracle) circuit")
+    diag = run_circuit(circuit, StateVector(circuit.n, np.ones(2**circuit.n))).amps
     marked_idx = np.flatnonzero(np.abs(diag - 1.0) > 1e-9)
     if marked_idx.size == 0:
         raise DataError("--grover-long: the circuit marks no states")

@@ -2,24 +2,30 @@
 
 The passes recognize "phase fragments": spans of gates that imprint e^{i phi}
 on one cube of basis states (a pattern fixing some qubits, leaving the rest
-free).  Three rewrites, applied as a pipeline 1 -> 3 -> 2:
+free).  ``_scan`` is the one place a fragment is recognized.  Every pass scans
+the circuit once, sends each maximal run of consecutive fragments through its
+rewrite steps and emits the result once through :func:`emit_fragment`.  Three
+rewrites, applied as a pipeline 1 -> 3 -> 2:
 
   principle 1   merge same-parity single-state oracles that tile a block,
                 dropping the control qubits that became free
   principle 3   merge an even-marking/odd-marking pair (or any two fragments
                 whose cubes differ in exactly one fixed bit) into one gate on
                 a retargeted qubit
-  principle 2   strip the controls from X gates that conjugate a controlled
-                phase gate with the same control set
+  principle 2   emit the X gates that conjugate each phase gate without
+                controls (plain X)
 
-Every pass is total: where its pattern is absent the input passes through
-unchanged.  All rewrites preserve the circuit unitary exactly; the claimed
-equivalence tolerance (global phase, 1e-10) is what the tests assert.
+Every pass is total: gates that form no fragment pass through unchanged, and
+fragments come out in the emitter's form, the form the oracle builders use,
+so an oracle without the pattern passes through unchanged.  All rewrites
+preserve the circuit unitary exactly; the claimed equivalence tolerance
+(global phase, 1e-10) is what the tests assert.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .circuit import Circuit, Control, GateOp
@@ -119,28 +125,24 @@ def emit_fragment(frag: _Frag) -> tuple[GateOp, ...]:
     return (flip, phase, flip)
 
 
-def _rebuild(items: list[tuple[str, object]], n: int) -> Circuit:
+def _rewrite(circuit: Circuit, *steps) -> Circuit:
+    """Scan once, pass each maximal run of fragments through ``steps`` in order, emit once."""
     ops: list[GateOp] = []
-    for kind, payload in items:
-        if kind == "op":
-            ops.append(payload)
-        else:
-            ops.extend(emit_fragment(payload))
-    return Circuit(n, tuple(ops))
-
-
-def _runs(items):
-    """Yield (start, end) spans of maximal consecutive fragment items."""
-    i = 0
-    while i < len(items):
-        if items[i][0] != "frag":
-            i += 1
+    for is_frag, items in itertools.groupby(_scan(circuit.ops), key=lambda item: item[0] == "frag"):
+        payloads = [payload for _, payload in items]
+        if not is_frag:
+            ops.extend(payloads)
             continue
-        j = i
-        while j < len(items) and items[j][0] == "frag":
-            j += 1
-        yield i, j
-        i = j
+        for step in steps:
+            payloads = step(payloads, circuit.n)
+        for frag in payloads:
+            ops.extend(emit_fragment(frag))
+    return Circuit(circuit.n, tuple(ops))
+
+
+def is_phase_oracle(circuit: Circuit) -> bool:
+    """True when every op belongs to a phase fragment, so the circuit is diagonal."""
+    return all(kind == "frag" for kind, _ in _scan(circuit.ops))
 
 
 # --- principle 1: block merge ------------------------------------------------
@@ -168,113 +170,97 @@ def _partition_cubes(minterms: set[int], bits: tuple[int, ...]) -> list[tuple[in
     return out
 
 
+def _merge_blocks(frags: list[_Frag], n: int) -> list[_Frag]:
+    """Principle 1 on one run: re-cover each (phi, q0 parity) group by maximal cubes."""
+    ctrl_bits = tuple(range(1, n))
+    full_ctrl_mask = (2**n - 1) & ~1
+    # group fragments by (phi, parity of q0); q0-free fragments pass through
+    groups: dict[tuple[float, int], list[_Frag]] = {}
+    order: list[tuple[str, object]] = []  # first-appearance order keeps the pass stable
+    for f in frags:
+        mask, value, phi, _ = f
+        if mask & 1:
+            key = (phi, value & 1)
+            if key not in groups:
+                groups[key] = []
+                order.append(("group", key))
+            groups[key].append(f)
+        else:
+            order.append(("pass", f))
+    out: list[_Frag] = []
+    for tag, entry in order:
+        if tag == "pass":
+            out.append(entry)
+            continue
+        phi, q0bit = entry
+        minterms: set[int] = set()
+        count = 0
+        for mask, value, _, _ in groups[entry]:
+            free = [q for q in ctrl_bits if not (mask >> q) & 1]
+            count += 2 ** len(free)
+            for k in range(2 ** len(free)):
+                m = value & full_ctrl_mask
+                for pos, q in enumerate(free):
+                    if (k >> pos) & 1:
+                        m |= 1 << q
+                minterms.add(m)
+        if len(minterms) != count:
+            return frags  # overlapping marks: phases would stack, leave alone
+        conj = "bare" if q0bit else "ctrl"
+        for mask, value in _partition_cubes(minterms, ctrl_bits):
+            out.append((mask | 1, value | q0bit, phi, conj))
+    return out
+
+
 def simplify_principle1(circuit: Circuit) -> Circuit:
     """Merge same-parity fragments that tile blocks, dropping free controls."""
-    items = _scan(circuit.ops)
-    ctrl_bits = tuple(range(1, circuit.n))
-    full_ctrl_mask = (2**circuit.n - 1) & ~1
-    for start, end in _runs(items):
-        frags = [items[k][1] for k in range(start, end)]
-        # group fragments by (phi, parity of q0); q0-free fragments pass through
-        groups: dict[tuple[float, int], list[_Frag]] = {}
-        order: list[tuple[str, object]] = []  # first-appearance order keeps the pass stable
-        for f in frags:
-            mask, value, phi, _ = f
-            if mask & 1:
-                key = (phi, value & 1)
-                if key not in groups:
-                    groups[key] = []
-                    order.append(("group", key))
-                groups[key].append(f)
-            else:
-                order.append(("pass", f))
-        out: list[_Frag] = []
-        ok = True
-        for tag, entry in order:
-            if tag == "pass":
-                out.append(entry)
-                continue
-            phi, q0bit = entry
-            minterms: set[int] = set()
-            count = 0
-            for mask, value, _, _ in groups[entry]:
-                free = [q for q in ctrl_bits if not (mask >> q) & 1]
-                count += 2 ** len(free)
-                for k in range(2 ** len(free)):
-                    m = value & full_ctrl_mask
-                    for pos, q in enumerate(free):
-                        if (k >> pos) & 1:
-                            m |= 1 << q
-                    minterms.add(m)
-            if len(minterms) != count:
-                ok = False  # overlapping marks: phases would stack, leave alone
-                break
-            conj = "bare" if q0bit else "ctrl"
-            for mask, value in _partition_cubes(minterms, ctrl_bits):
-                out.append((mask | 1, value | q0bit, phi, conj))
-        if not ok:
-            continue
-        items[start:end] = [("frag", f) for f in out]
-    return _rebuild(items, circuit.n)
+    return _rewrite(circuit, _merge_blocks)
 
 
 # --- principle 3: even/odd pair fusion ----------------------------------------
 
 
+def _fuse_pairs(frags: list[_Frag], n: int) -> list[_Frag]:
+    """Principle 3 on one run: fuse pairs until no two cubes differ in one fixed bit."""
+    frags = list(frags)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(frags)):
+            for j in range(i + 1, len(frags)):
+                mi, vi, phii, _ = frags[i]
+                mj, vj, phij, _ = frags[j]
+                if phii != phij or mi != mj:
+                    continue
+                diff = vi ^ vj
+                if diff and (diff & (diff - 1)) == 0 and mi & ~diff:
+                    frags[i] = (mi & ~diff, vi & ~diff, phii, "bare")
+                    del frags[j]
+                    changed = True
+                    break
+            if changed:
+                break
+    return frags
+
+
 def simplify_principle3(circuit: Circuit) -> Circuit:
     """Fuse fragment pairs whose cubes differ in exactly one fixed bit."""
-    items = _scan(circuit.ops)
-    for start, end in _runs(items):
-        frags = [items[k][1] for k in range(start, end)]
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(frags)):
-                for j in range(i + 1, len(frags)):
-                    mi, vi, phii, _ = frags[i]
-                    mj, vj, phij, _ = frags[j]
-                    if phii != phij or mi != mj:
-                        continue
-                    diff = vi ^ vj
-                    if diff and (diff & (diff - 1)) == 0 and mi & ~diff:
-                        frags[i] = (mi & ~diff, vi & ~diff, phii, "bare")
-                        del frags[j]
-                        changed = True
-                        break
-                if changed:
-                    break
-        items[start:end] = [("frag", f) for f in frags]
-    return _rebuild(items, circuit.n)
+    return _rewrite(circuit, _fuse_pairs)
 
 
-# --- principle 2: strip conjugation controls ----------------------------------
+# --- principle 2: plain X conjugation -----------------------------------------
+
+
+def _bare_conjugation(frags: list[_Frag], n: int) -> list[_Frag]:
+    """Principle 2 on one run: every fragment's X gates lose their controls."""
+    return [(mask, value, phi, "bare") for mask, value, phi, _ in frags]
 
 
 def simplify_principle2(circuit: Circuit) -> Circuit:
     """Replace controlled-X conjugation around a controlled phase by plain X."""
-    ops = list(circuit.ops)
-    i = 0
-    while i + 2 < len(ops):
-        pre, mid, post = ops[i], ops[i + 1], ops[i + 2]
-        if (
-            pre.kind == "X"
-            and pre.controls
-            and mid.kind == "PHASE"
-            and mid.target == pre.target
-            and mid.controls == pre.controls
-            and post.kind == "X"
-            and post.target == pre.target
-            and post.controls == pre.controls
-        ):
-            bare = GateOp("X", pre.target)
-            ops[i] = bare
-            ops[i + 2] = bare
-            i += 3
-            continue
-        i += 1
-    return Circuit(circuit.n, tuple(ops))
+    return _rewrite(circuit, _bare_conjugation)
 
 
 def simplify_all(circuit: Circuit) -> Circuit:
-    """Full pipeline: merge blocks, fuse leftovers, strip conjugation."""
-    return simplify_principle2(simplify_principle3(simplify_principle1(circuit)))
+    """Full pipeline in one scan: merge blocks, fuse leftovers, strip conjugation."""
+    return _rewrite(circuit, _merge_blocks, _fuse_pairs, _bare_conjugation)

@@ -92,11 +92,6 @@ def apply_rank1_reflection(state: StateVector, psi: StateVector, phi: float) -> 
     return StateVector(state.n, out)
 
 
-def measure_distribution(state: StateVector) -> np.ndarray:
-    """Born-rule outcome probabilities, p_i = |amp_i|^2."""
-    return state.probabilities()
-
-
 def sample_measurement(state: StateVector, rng) -> int:
     """Sample one basis index (see :func:`sample_indices`); ``rng`` is a seed or Generator."""
     return int(sample_measurements(state, 1, rng)[0])

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from qummsa import cli
 from qummsa.analysis import failure_contour_grid
-from qummsa.circuit import DENSE_MAX_QUBITS
 from qummsa.cli import main
 from qummsa.dataio import format_csv, load_database, parse_database, titanic_database
 from qummsa.driver import Database
 from qummsa.errors import DataError
+from qummsa.grover_long import SearchParams, compute_params, run_grover_long
+from qummsa.oracles import MarkedSet
+from qummsa.statevector import make_superposition
 
 EQ8_CSV = "label,value\na,0\nb,2\nc,3\n"
 
@@ -334,7 +336,9 @@ def test_cli_build_oracle_refuses_huge_threshold(flags, capsys):
     assert peak < 2**20
 
 
-@pytest.mark.parametrize("flags,limit", [([], cli.SIMULATE_MAX_QUBITS), (["--grover-long"], DENSE_MAX_QUBITS)])
+@pytest.mark.parametrize(
+    "flags,limit", [([], cli.SIMULATE_MAX_QUBITS), (["--grover-long"], cli.SIMULATE_MAX_QUBITS)]
+)
 def test_cli_simulate_refuses_huge_register(tmp_path, flags, limit, capsys):
     qc = tmp_path / "wide.qc"
     qc.write_text(f"qubits: {limit + 1}\nX 0 | controls:\n")
@@ -353,6 +357,35 @@ def test_cli_simulate_runs_at_its_qubit_cap(tmp_path, monkeypatch, capsys):
     assert "1,001,1.0" in capsys.readouterr().out
     qc.write_text("qubits: 4\nX 0 | controls:\n")
     assert main(["simulate", str(qc)]) == 2
+
+
+def test_cli_simulate_grover_long_above_the_dense_cap(tmp_path, monkeypatch, capsys):
+    # 13 qubits: one more than circuit_to_matrix lowers
+    monkeypatch.chdir(tmp_path)
+    n, d0, phi = 13, 3000, 1.1
+    assert main(["build-oracle", "--n", str(n), "--threshold-le", str(d0), "--phi", str(phi),
+                 "--simplify", "--out", "o.qc"]) == 0
+    capsys.readouterr()
+    assert main(["simulate", "o.qc", "--grover-long"]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]  # after the stamp and the header
+    probs = np.array([float(row.split(",")[2]) for row in rows])
+    marked = MarkedSet(n, frozenset(range(d0 + 1)))
+    tuned = compute_params(marked.size, 2**n)
+    params = SearchParams(marked.size, 2**n, tuned.beta, phi, tuned.iterations)
+    expected = run_grover_long(make_superposition(n, range(2**n)), marked, params, mode="rank1")
+    np.testing.assert_allclose(probs, expected.probabilities(), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "gates", ["H 0 | controls:\n", "X 0 | controls:\nX 0 | controls:\n"], ids=["H", "XX"]
+)
+def test_cli_simulate_grover_long_refuses_non_phase_circuits(tmp_path, gates, capsys):
+    # H is not diagonal; X X is, but it is made of no phase fragment
+    qc = tmp_path / "c.qc"
+    qc.write_text("qubits: 2\n" + gates)
+    assert main(["simulate", str(qc), "--grover-long"]) == 2
+    err = capsys.readouterr().err
+    assert "needs a diagonal (phase oracle) circuit" in err and "Traceback" not in err
 
 
 def test_cli_build_oracle_threshold(tmp_path, capsys):
@@ -556,3 +589,40 @@ def test_model_commands_pinned(capsys):
     ]
     for argv, digest in pins:
         assert _cli_digest(argv, capsys) == digest, argv
+
+
+def test_oracle_commands_pinned(tmp_path, monkeypatch, capsys):
+    # build-oracle (raw and --simplify) for --marked, --threshold-le and
+    # --threshold-ge at n = 3..6, then simulate --grover-long on each oracle;
+    # recorded before --grover-long read its oracle from the phase cubes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "data.csv").write_text("label,value\na,0\nb,2\nc,3\nd,5\n")
+    rng = np.random.default_rng(20190909)
+    built, simulated = hashlib.sha256(), hashlib.sha256()
+
+    def record(h, argv):
+        assert main(argv) == 0, argv
+        out, err = capsys.readouterr()
+        h.update(f"{argv}\0{out}\0{err}\0".encode("utf-8"))
+        return out
+
+    for n in range(3, 7):
+        size = int(rng.integers(1, 2**n))
+        marked = ",".join(str(int(v)) for v in rng.choice(2**n, size=size, replace=False))
+        kinds = [
+            ["--marked", marked],
+            ["--threshold-le", str(int(rng.integers(0, 2**n - 1)))],
+            ["--threshold-ge", str(int(rng.integers(1, 2**n)))],
+        ]
+        phi = repr(float(rng.uniform(0.1, 3.1)))
+        for k, kind in enumerate(kinds):
+            for simplified in ([], ["--simplify"]):
+                name = f"o{n}_{k}_{len(simplified)}.qc"
+                argv = ["build-oracle", "--n", str(n), *kind, "--phi", phi, *simplified]
+                text = record(built, argv)
+                (tmp_path / name).write_text(text)
+                for flags in ([], ["--initial", "basis:0"], ["--initial", "db:data.csv"],
+                              ["--iterations", "2"]):
+                    record(simulated, ["simulate", name, "--grover-long", *flags])
+    assert built.hexdigest() == "da4e3e7663e0a3ea080726972969203ca09cf63bacdc246596f2c2f4c43afea0"
+    assert simulated.hexdigest() == "0c0c7440dab376861a73e0d6c755df9b88e0b822bc5980cc6e713e706262b601"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qummsa.circuit import Circuit, GateOp, circuit_to_matrix, on_one, on_zero
+from qummsa.circuit import Circuit, GateOp, circuit_to_matrix, concat, on_one, on_zero
 from qummsa.oracles import MarkedSet, ThresholdPredicate, build_I0, build_multi_oracle, build_single_oracle, build_threshold_oracle
 from qummsa.simplify import (
     emit_fragment,
@@ -24,6 +24,12 @@ def random_oracle(rng, n=None):
     k = int(rng.integers(1, 2**n + 1))
     V = frozenset(int(v) for v in rng.choice(2**n, size=k, replace=False))
     return build_multi_oracle(MarkedSet(n, V), float(rng.uniform(0.1, 3.0)))
+
+
+def split_by_h(oracle):
+    """o + H + o: two fragment runs with an opaque gate between them."""
+    h = Circuit(oracle.n, (GateOp("H", oracle.n - 1),))
+    return h, concat(oracle, h, oracle)
 
 
 # --- the cube-to-gates emitter ------------------------------------------------
@@ -189,18 +195,24 @@ def test_soundness_exhaustive_random_oracles():
     rng = np.random.default_rng(23)
     for _ in range(60):
         raw = random_oracle(rng)
-        u = circuit_to_matrix(raw)
-        for simplify_pass in PASSES:
-            assert_phase_equal(circuit_to_matrix(simplify_pass(raw)), u)
+        h, two_runs = split_by_h(raw)
+        for circuit in (raw, two_runs):
+            u = circuit_to_matrix(circuit)
+            for simplify_pass in PASSES:
+                assert_phase_equal(circuit_to_matrix(simplify_pass(circuit)), u)
+        for simplify_pass in PASSES:  # each run is rewritten as if it stood alone
+            once = simplify_pass(raw).ops
+            assert simplify_pass(two_runs).ops == once + h.ops + once, simplify_pass.__name__
 
 
 def test_passes_idempotent():
     rng = np.random.default_rng(24)
     for _ in range(40):
         raw = random_oracle(rng)
-        for simplify_pass in PASSES[:3]:
-            once = simplify_pass(raw)
-            assert simplify_pass(once).ops == once.ops, simplify_pass.__name__
+        for circuit in (raw, split_by_h(raw)[1]):
+            for simplify_pass in PASSES[:3]:
+                once = simplify_pass(circuit)
+                assert simplify_pass(once).ops == once.ops, simplify_pass.__name__
 
 
 def test_passes_never_increase_cost():

@@ -9,7 +9,6 @@ from qummsa.statevector import (
     canonical_global_phase,
     make_basis_state,
     make_superposition,
-    measure_distribution,
     sample_indices,
     sample_measurement,
     sample_measurements,
@@ -121,9 +120,9 @@ def test_rank1_reflection_dimension_mismatch():
 
 
 def test_measure_distribution():
-    np.testing.assert_allclose(measure_distribution(make_basis_state(2, 1)), [0, 1, 0, 0])
+    np.testing.assert_allclose(make_basis_state(2, 1).probabilities(), [0, 1, 0, 0])
     state = make_superposition(2, {0, 2, 3})
-    np.testing.assert_allclose(measure_distribution(state), [1 / 3, 0, 1 / 3, 1 / 3], atol=1e-15)
+    np.testing.assert_allclose(state.probabilities(), [1 / 3, 0, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_sample_deterministic_outcome():
@@ -148,7 +147,7 @@ def test_sample_convergence_to_distribution():
     state = make_superposition(3, {0, 1, 4, 6, 7})
     samples = sample_measurements(state, 1_000_000, np.random.default_rng(3))
     freqs = np.bincount(samples, minlength=8) / len(samples)
-    assert np.max(np.abs(freqs - measure_distribution(state))) < 5e-3
+    assert np.max(np.abs(freqs - state.probabilities())) < 5e-3
 
 
 def test_sample_refuses_unnormalised_state():
