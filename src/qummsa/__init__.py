@@ -13,7 +13,7 @@ Layers, bottom up:
 - :mod:`qummsa.dataio` / :mod:`qummsa.cli`: dataset ingestion and the CLI
 """
 
-from .circuit import Circuit, Control, GateOp, circuit_to_matrix, export_circuit, parse_circuit, run_circuit
+from .circuit import Circuit, GateOp, circuit_to_matrix, export_circuit, parse_circuit, run_circuit
 from .driver import Database, QummsaResult, SampledEstimation, UniformEstimation, run_qummsa
 from .grover_long import SearchParams, compute_params, run_grover_long, success_probability
 from .oracles import MarkedSet, ThresholdPredicate, build_I0, build_multi_oracle, build_preparation, build_single_oracle, build_threshold_oracle
@@ -22,7 +22,6 @@ from .statevector import StateVector, make_basis_state, make_superposition
 
 __all__ = [
     "Circuit",
-    "Control",
     "Database",
     "GateCostReport",
     "GateOp",

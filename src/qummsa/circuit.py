@@ -6,17 +6,18 @@ Gate kinds:
     RY(theta)       rotation by theta around Y
     PHASE(phi)      diag[1, e^{i phi}] on the target qubit
 
-Control polarity is first-class: each control fires on |1> (``+q``, black dot)
-or on |0> (``-q``, white dot).  Circuits are immutable after construction and
-safe to share across threads.
+A gate's controls are one cube ``(mask, value)``, the format the rewrite passes
+use too: a control qubit has its bit set in mask and fires on |1> (``+q``, black
+dot, bit set in value) or on |0> (``-q``, white dot, bit clear in value).
+Circuits are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,24 +30,14 @@ _PARAMETRIC = ("RY", "PHASE")
 DENSE_MAX_QUBITS = 12
 
 
-class Control(NamedTuple):
-    qubit: int
-    value: int  # 1 = fires on |1> (black dot), 0 = fires on |0> (white dot)
-
-
-def on_one(qubit: int) -> Control:
-    return Control(qubit, 1)
-
-
-def on_zero(qubit: int) -> Control:
-    return Control(qubit, 0)
-
-
 @dataclass(frozen=True)
 class GateOp:
+    """A gate on ``target`` that fires on the basis states b with ``(b & mask) == value``."""
+
     kind: str
     target: int
-    controls: tuple[Control, ...] = ()
+    mask: int = 0
+    value: int = 0
     param: float | None = None
 
     def __post_init__(self):
@@ -57,22 +48,23 @@ class GateOp:
             raise CircuitError(f"{self.kind} requires a finite angle parameter")
         if not needs_param and self.param is not None:
             raise CircuitError(f"{self.kind} takes no parameter")
-        # int-valued Controls are kept as given, so gates can share one tuple
-        ctrls = tuple(self.controls)
-        if not all(type(c) is Control and type(c.qubit) is type(c.value) is int for c in ctrls):
-            ctrls = tuple(Control(int(q), int(v)) for q, v in ctrls)
-        object.__setattr__(self, "controls", ctrls)
-        qubits = {c.qubit for c in ctrls}
-        if self.target in qubits:
-            raise CircuitError(f"target qubit {self.target} also appears as a control")
-        if len(qubits) != len(ctrls):
-            raise CircuitError("control qubits must be pairwise distinct")
-        if not {c.value for c in ctrls} <= {0, 1}:
-            raise CircuitError("control values must be 0 or 1")
+        try:  # numpy and bool ints become int, which has bit_count and exports as digits
+            target, mask, value = map(operator.index, (self.target, self.mask, self.value))
+        except TypeError:
+            raise CircuitError("target, mask and value must be integers") from None
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "mask", mask)
+        object.__setattr__(self, "value", value)
+        if min(target, mask, value) < 0:
+            raise CircuitError("target, mask and value must be non-negative")
+        if value & ~mask:
+            raise CircuitError("control values must lie inside the control mask")
+        if (mask >> target) & 1:
+            raise CircuitError(f"target qubit {target} also appears as a control")
 
     def inverse(self) -> "GateOp":
         if self.kind in _PARAMETRIC:
-            return GateOp(self.kind, self.target, self.controls, -self.param)
+            return GateOp(self.kind, self.target, self.mask, self.value, -self.param)
         return self  # X and H are self-inverse
 
 
@@ -86,7 +78,9 @@ class Circuit:
         if self.n < 1:
             raise CircuitError(f"qubit count must be >= 1, got {self.n}")
         for op in self.ops:
-            _validate_gate_qubits(self.n, op)
+            if op.target >= self.n or op.mask >> self.n:
+                q = max(op.target, op.mask.bit_length() - 1)
+                raise CircuitError(f"qubit {q} out of range for {self.n}-qubit register")
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -106,24 +100,18 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     raise CircuitError(f"unknown gate kind {op.kind!r}")
 
 
-def _validate_gate_qubits(n: int, gate: GateOp) -> None:
-    """Range check; GateOp itself enforces the target/control rules."""
-    for q in (gate.target, *(c.qubit for c in gate.controls)):
-        if not 0 <= q < n:
-            raise CircuitError(f"qubit {q} out of range for {n}-qubit register")
-
-
 def _apply_gate_inplace(amps: np.ndarray, n: int, gate: GateOp) -> None:
     """Apply a validated gate to a C-contiguous (2**n,) array in place.
 
     On a (2,)*n view with qubit q on axis n-1-q, each control indexes its axis
-    at its value and the target axis is sliced at 0 and at 1: the gate mixes
-    those two views, so nothing is allocated per basis state.
+    at its bit of the value and the target axis is sliced at 0 and at 1: the
+    gate mixes those two views, so nothing is allocated per basis state.
     """
     view = amps.reshape((2,) * n)
     sel = [slice(None)] * n
-    for q, v in gate.controls:
-        sel[n - 1 - q] = v
+    for q in range(n):
+        if (gate.mask >> q) & 1:
+            sel[n - 1 - q] = (gate.value >> q) & 1
     t = n - 1 - gate.target
     sel[t] = slice(1, 2)
     hi = tuple(sel)
@@ -145,12 +133,12 @@ def gate_to_matrix(op: GateOp, n: int) -> np.ndarray:
     Deliberately written as a per-basis-state enumeration, independent of the
     vectorized application path, so the two can check each other.
     """
-    _validate_gate_qubits(n, op)
+    Circuit(n, (op,))  # the range check
     dim = 2**n
     m = gate_matrix(op)
     u = np.zeros((dim, dim), dtype=np.complex128)
     for b in range(dim):
-        if all(((b >> c.qubit) & 1) == c.value for c in op.controls):
+        if (b & op.mask) == op.value:
             tb = (b >> op.target) & 1
             flipped = b ^ (1 << op.target)
             u[b, b] = m[tb, tb]
@@ -205,6 +193,7 @@ def concat(*circuits: Circuit) -> Circuit:
 #   X 0 | controls:
 #
 # One gate per line; '+' controls fire on |1>, '-' controls fire on |0>.
+# Export lists controls in ascending qubit order; parse takes any order.
 # Parameters round-trip losslessly via repr().
 
 _LINE_RE = re.compile(
@@ -212,12 +201,17 @@ _LINE_RE = re.compile(
 )
 _CTRL_RE = re.compile(r"^([+-])q(\d+)$")
 
+# Largest register a .qc header may declare, so a control mask parsed from
+# the text (a Python int of up to this many bits) stays at most 128 KiB.
+QC_MAX_QUBITS = 2**20
+
 
 def export_circuit(circuit: Circuit) -> str:
     lines = [f"qubits: {circuit.n}"]
     for op in circuit.ops:
         name = op.kind if op.param is None else f"{op.kind}({op.param!r})"
-        ctrls = " ".join(f"{'+' if c.value else '-'}q{c.qubit}" for c in op.controls)
+        ctrls = " ".join(f"{'+' if (op.value >> q) & 1 else '-'}q{q}"
+                         for q in range(op.mask.bit_length()) if (op.mask >> q) & 1)
         lines.append(f"{name} {op.target} | controls:" + (f" {ctrls}" if ctrls else ""))
     return "\n".join(lines)
 
@@ -236,6 +230,8 @@ def parse_circuit(text: str) -> Circuit:
             if not m:
                 raise ParseError("expected header 'qubits: <n>'", lineno)
             n = int(m.group(1))
+            if n > QC_MAX_QUBITS:
+                raise ParseError(f"a circuit has at most {QC_MAX_QUBITS} qubits, got {n}", lineno)
             header_seen = True
             continue
         m = _LINE_RE.match(line)
@@ -255,11 +251,21 @@ def parse_circuit(text: str) -> Circuit:
             cm = _CTRL_RE.match(tok)
             if not cm:
                 raise ParseError(f"bad control token {tok!r}", lineno)
-            controls.append(Control(int(cm.group(2)), 1 if cm.group(1) == "+" else 0))
+            controls.append((int(cm.group(2)), cm.group(1) == "+"))
+        target = int(m.group("target"))
+        for q in (target, *(q for q, _ in controls)):  # before any 1 << q is built
+            if q >= n:
+                raise ParseError(f"qubit {q} out of range for {n}-qubit register", lineno)
+        mask = value = 0
+        for q, plus in controls:
+            mask |= 1 << q
+            value |= plus << q
         try:
-            ops.append(GateOp(name, int(m.group("target")), tuple(controls), param))
+            ops.append(GateOp(name, target, mask, value, param))
         except CircuitError as exc:
             raise ParseError(str(exc), lineno) from None
+        if mask.bit_count() != len(controls):
+            raise ParseError("control qubits must be pairwise distinct", lineno)
     if not header_seen:
         raise ParseError("missing 'qubits: <n>' header")
     try:
@@ -278,7 +284,8 @@ def random_circuit(n: int, n_gates: int, rng) -> Circuit:
         others = [q for q in range(n) if q != target]
         gen.shuffle(others)
         n_ctrl = int(gen.integers(0, len(others) + 1))
-        controls = tuple(Control(q, int(gen.integers(2))) for q in others[:n_ctrl])
+        mask = sum(1 << q for q in others[:n_ctrl])
+        value = sum(int(gen.integers(2)) << q for q in others[:n_ctrl])
         param = float(gen.uniform(-2 * np.pi, 2 * np.pi)) if kind in _PARAMETRIC else None
-        ops.append(GateOp(kind, target, controls, param))
+        ops.append(GateOp(kind, target, mask, value, param))
     return Circuit(n, tuple(ops))

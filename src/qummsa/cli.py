@@ -57,7 +57,11 @@ def _ranged(kind, accept, expected: str):
 
 
 _positive_int = _ranged(int, lambda v: v >= 1, "a positive integer")
-_RESOLUTION = _ranged(int, lambda v: v >= 10, "an integer >= 10")
+# Model-command size caps: peak memory grows by about 200 B per failure-map
+# cell (resolution^2 of them) and 180 B per failure-curves draw.
+_RESOLUTION = _ranged(int, lambda v: 10 <= v <= 2048, "an integer in [10, 2048]")
+_POINTS = _ranged(int, lambda v: 1 <= v <= 10**5, "an integer in [1, 100000]")
+_DRAWS = _ranged(int, lambda v: 1 <= v <= 10**6, "an integer in [1, 1000000]")
 _UNIT_OPEN = _ranged(float, lambda v: 0.0 < v < 1.0, "a value in (0, 1)")
 _UNIT_EPS = _ranged(float, lambda v: 0.0 <= v < 1.0, "a value in [0, 1)")
 _GROWTH = _ranged(float, lambda v: 1.0 < v <= baselines.GROWTH_FACTOR_MAX, "a value in (1, 4/3]")
@@ -127,8 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated acceptable errors")
     p.add_argument("--confidence", type=_UNIT_OPEN, default=0.95)
     p.add_argument("--sigma2", type=_POSITIVE, default=0.25)
-    p.add_argument("--points", type=_positive_int, default=40)
-    p.add_argument("--draws", type=_positive_int, default=200)
+    p.add_argument("--points", type=_POINTS, default=40)
+    p.add_argument("--draws", type=_DRAWS, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, Control, GateOp, on_one, on_zero
+from .circuit import Circuit, GateOp
 from .errors import CircuitError
 from .simplify import emit_fragment
 from .statevector import sorted_occupied
@@ -116,22 +116,21 @@ def build_preparation(occupied, n: int) -> Circuit:
 
     ops: list[GateOp] = []
 
-    def split(qubit: int, controls: tuple[Control, ...], members: list[int]) -> None:
+    def split(qubit: int, mask: int, value: int, members: list[int]) -> None:
         zeros = [m for m in members if not (m >> qubit) & 1]
         ones = [m for m in members if (m >> qubit) & 1]
         if ones and zeros:
             theta = 2.0 * math.atan2(math.sqrt(len(ones)), math.sqrt(len(zeros)))
-            ops.append(GateOp("RY", qubit, controls, theta))
+            ops.append(GateOp("RY", qubit, mask, value, theta))
         elif ones:
-            ops.append(GateOp("RY", qubit, controls, math.pi))
+            ops.append(GateOp("RY", qubit, mask, value, math.pi))
         if qubit == 0:
             return
+        bit = 1 << qubit if ones and zeros else 0  # a certain branch adds no control
         if zeros:
-            sub = controls + ((on_zero(qubit),) if ones else ())
-            split(qubit - 1, sub, zeros)
+            split(qubit - 1, mask | bit, value, zeros)
         if ones:
-            sub = controls + ((on_one(qubit),) if zeros else ())
-            split(qubit - 1, sub, ones)
+            split(qubit - 1, mask | bit, value | bit, ones)
 
-    split(n - 1, (), occ)
+    split(n - 1, 0, 0, occ)
     return Circuit(n, tuple(ops))

@@ -24,15 +24,15 @@ preserve the circuit unitary exactly; the claimed equivalence tolerance
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 
-from .circuit import Circuit, Control, GateOp
+from .circuit import Circuit, GateOp
 
 # A fragment marks every basis state b with (b & mask) == value, phasing it by
-# e^{i phi}.  conj is how an even-parity fragment wraps its phase gate in X
-# gates: "ctrl" (X carries the same controls) or "bare" (plain X).
+# e^{i phi}: it is its phase gate's control cube with the target bit fixed too.
+# conj is how an even-parity fragment wraps its phase gate in X gates: "ctrl"
+# (X carries the same controls) or "bare" (plain X).
 _Frag = tuple[int, int, float, str]  # (mask, value, phi, conj)
 
 
@@ -52,22 +52,13 @@ class GateCostReport:
 
 
 def gate_cost(circuit: Circuit) -> GateCostReport:
-    multi = sum(1 for op in circuit.ops if len(op.controls) >= 2)
-    two_q = sum(2 ** len(op.controls) for op in circuit.ops if op.kind == "PHASE")
-    single = sum(1 for op in circuit.ops if not op.controls)
+    multi = sum(1 for op in circuit.ops if op.mask.bit_count() >= 2)
+    two_q = sum(2 ** op.mask.bit_count() for op in circuit.ops if op.kind == "PHASE")
+    single = sum(1 for op in circuit.ops if not op.mask)
     return GateCostReport(multi, two_q, single)
 
 
 # --- fragment scanning / emission -------------------------------------------
-
-
-def _cube_of(target: int, target_bit: int, controls: tuple[Control, ...]) -> tuple[int, int]:
-    mask = 1 << target
-    value = target_bit << target
-    for c in controls:
-        mask |= 1 << c.qubit
-        value |= c.value << c.qubit
-    return mask, value
 
 
 def _scan(ops: tuple[GateOp, ...]) -> list[tuple[str, object]]:
@@ -83,18 +74,17 @@ def _scan(ops: tuple[GateOp, ...]) -> list[tuple[str, object]]:
                 and mid.target == op.target
                 and post.kind == "X"
                 and post.target == op.target
-                and post.controls == op.controls
-                and (op.controls == mid.controls or not op.controls)
+                and (post.mask, post.value) == (op.mask, op.value)
+                and ((op.mask, op.value) == (mid.mask, mid.value) or not op.mask)
             )
             if triple:
-                conj = "ctrl" if op.controls else "bare"
-                mask, value = _cube_of(op.target, 0, mid.controls)
-                items.append(("frag", (mask, value, mid.param, conj)))
+                conj = "ctrl" if op.mask else "bare"
+                items.append(("frag", (mid.mask | 1 << op.target, mid.value, mid.param, conj)))
                 i += 3
                 continue
         if op.kind == "PHASE":
-            mask, value = _cube_of(op.target, 1, op.controls)
-            items.append(("frag", (mask, value, op.param, "bare")))
+            bit = 1 << op.target
+            items.append(("frag", (op.mask | bit, op.value | bit, op.param, "bare")))
             i += 1
             continue
         items.append(("op", op))
@@ -102,26 +92,23 @@ def _scan(ops: tuple[GateOp, ...]) -> list[tuple[str, object]]:
     return items
 
 
-_control = functools.cache(Control)  # one shared Control per (qubit, value): two per qubit ever used
-
-
 def emit_fragment(frag: _Frag) -> tuple[GateOp, ...]:
     """The one cube-to-gates emitter, shared by the oracle builders and the passes.
 
-    The target is the lowest fixed qubit; the other fixed qubits control it in
-    ascending order.  A target fixed at 0 gets its PHASE conjugated by X gates
+    The target is the lowest fixed qubit; the other fixed qubits are its
+    control cube.  A target fixed at 0 gets its PHASE conjugated by X gates
     shaped by ``conj``.
     """
     mask, value, phi, conj = frag
     if mask <= 0:
         raise AssertionError("cannot emit a fragment with no fixed qubit")
-    target = (mask & -mask).bit_length() - 1
-    controls = tuple(_control(q, (value >> q) & 1)
-                     for q in range(target + 1, mask.bit_length()) if (mask >> q) & 1)
-    phase = GateOp("PHASE", target, controls, phi)
-    if (value >> target) & 1:
+    bit = mask & -mask
+    target = bit.bit_length() - 1
+    ctrl_mask, ctrl_value = mask ^ bit, value & ~bit
+    phase = GateOp("PHASE", target, ctrl_mask, ctrl_value, phi)
+    if value & bit:
         return (phase,)
-    flip = GateOp("X", target, controls if conj == "ctrl" else ())
+    flip = GateOp("X", target, ctrl_mask, ctrl_value) if conj == "ctrl" else GateOp("X", target)
     return (flip, phase, flip)
 
 

@@ -5,16 +5,14 @@ from hypothesis import strategies as st
 
 from qummsa.circuit import (
     GATE_KINDS,
+    QC_MAX_QUBITS,
     Circuit,
-    Control,
     GateOp,
     circuit_to_matrix,
     concat,
     export_circuit,
     gate_to_matrix,
     invert_circuit,
-    on_one,
-    on_zero,
     parse_circuit,
     random_circuit,
     run_circuit,
@@ -31,7 +29,7 @@ def test_empty_circuit_is_identity():
 
 
 def test_single_phase_gate_matrix():
-    c = Circuit(1, (GateOp("PHASE", 0, (), 1.3),))
+    c = Circuit(1, (GateOp("PHASE", 0, param=1.3),))
     np.testing.assert_allclose(
         circuit_to_matrix(c), np.diag([1.0, np.exp(1.3j)]), atol=1e-15
     )
@@ -93,11 +91,11 @@ def test_controlled_gate_fires_only_on_matching_basis_states(n):
         op = random_circuit(n, 1, rng).ops[0]
         for b in range(2**n):
             out = run_circuit(Circuit(n, (op,)), make_basis_state(n, b))
-            fires = all(((b >> c.qubit) & 1) == c.value for c in op.controls)
+            fires = (b & op.mask) == op.value
             if not fires:
                 np.testing.assert_allclose(out.amps, make_basis_state(n, b).amps, atol=0)
             else:
-                bare = GateOp(op.kind, op.target, (), op.param)
+                bare = GateOp(op.kind, op.target, param=op.param)
                 expected = run_circuit(Circuit(n, (bare,)), make_basis_state(n, b))
                 np.testing.assert_allclose(out.amps, expected.amps, atol=1e-12)
 
@@ -109,9 +107,12 @@ def gate_ops(draw, n):
     target = draw(st.integers(0, n - 1))
     others = draw(st.permutations([q for q in range(n) if q != target]))
     n_ctrl = draw(st.integers(0, n - 1))
-    controls = tuple(Control(q, draw(st.integers(0, 1))) for q in others[:n_ctrl])
+    mask = value = 0
+    for q in others[:n_ctrl]:
+        mask |= 1 << q
+        value |= draw(st.integers(0, 1)) << q
     param = draw(st.floats(-2 * np.pi, 2 * np.pi)) if kind in ("RY", "PHASE") else None
-    return GateOp(kind, target, controls, param)
+    return GateOp(kind, target, mask, value, param)
 
 
 @st.composite
@@ -167,13 +168,14 @@ def test_export_bare_x():
 
 
 def test_export_controlled_phase_line():
-    c = Circuit(2, (GateOp("PHASE", 0, (on_zero(1),), np.pi),))
+    c = Circuit(2, (GateOp("PHASE", 0, 0b10, 0b00, np.pi),))
     assert export_circuit(c) == "qubits: 2\nPHASE(3.141592653589793) 0 | controls: -q1"
 
 
 def test_export_mixed_polarity_controls():
-    c = Circuit(4, (GateOp("RY", 2, (on_one(3), on_zero(1)), 0.25),))
-    assert export_circuit(c) == "qubits: 4\nRY(0.25) 2 | controls: +q3 -q1"
+    c = Circuit(4, (GateOp("RY", 2, 0b1010, 0b1000, 0.25),))
+    assert export_circuit(c) == "qubits: 4\nRY(0.25) 2 | controls: -q1 +q3"
+    assert parse_circuit("qubits: 4\nRY(0.25) 2 | controls: +q3 -q1") == c
 
 
 def test_parse_export_identity_on_i0():
@@ -208,6 +210,18 @@ def test_parse_duplicate_control():
         parse_circuit("qubits: 3\nX 0 | controls: +q1 -q1")
 
 
+def test_parse_qubit_out_of_range_names_its_line():
+    with pytest.raises(ParseError, match="line 2"):
+        parse_circuit("qubits: 2\nX 0 | controls: +q5")
+    with pytest.raises(ParseError, match="line 3: qubit 7 out of range"):
+        parse_circuit("qubits: 2\nX 0 | controls:\nH 7 | controls:")
+
+
+def test_parse_refuses_a_header_above_the_cap():
+    with pytest.raises(ParseError, match="line 1"):
+        parse_circuit(f"qubits: {QC_MAX_QUBITS + 1}\nX 0 | controls:")
+
+
 def test_parse_missing_header():
     with pytest.raises(ParseError):
         parse_circuit("X 0 | controls:")
@@ -228,33 +242,35 @@ def test_parse_skips_comments_and_blanks():
 
 def test_gateop_validation():
     with pytest.raises(CircuitError):
-        GateOp("X", 0, (), 1.0)  # X takes no parameter
+        GateOp("X", 0, param=1.0)  # X takes no parameter
     with pytest.raises(CircuitError):
         GateOp("RY", 0)  # RY needs one
-    with pytest.raises(CircuitError):
-        GateOp("PHASE", 1, (Control(1, 0),), 1.0)  # target among controls
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError, match="target qubit 1 also appears as a control"):
+        GateOp("PHASE", 1, 0b10, 0, 1.0)  # target among controls
+    with pytest.raises(CircuitError, match="qubit 3 out of range"):
         Circuit(1, (GateOp("X", 3),))  # qubit out of range
+    with pytest.raises(CircuitError, match="qubit 3 out of range"):
+        Circuit(2, (GateOp("X", 0, 0b1000, 0),))  # control out of range
     with pytest.raises(CircuitError):
-        GateOp("X", 0, ((1, 2),))  # control value neither 0 nor 1
+        GateOp("X", 0, 0b10, 0b100)  # control value outside the mask
     with pytest.raises(CircuitError):
-        GateOp("X", 0, (Control(1, -1),))
-
-
-def test_gateop_keeps_a_tuple_of_controls():
-    ctrls = (on_one(1), on_zero(2))
-    assert GateOp("X", 0, ctrls).controls is ctrls
-    assert GateOp("X", 0, [(1, 1), (2, 0)]).controls == ctrls
-    # a bool or numpy polarity is normalised to int: as an index, True would
-    # act as a mask rather than select the |1> slice
-    loose = GateOp("X", 0, (Control(1, True), Control(np.int64(2), np.int64(0))))
-    assert loose.controls == ctrls
-    assert all(type(v) is int for c in loose.controls for v in c)
+        GateOp("X", 0, -2, 0)  # negative mask
+    with pytest.raises(CircuitError):
+        GateOp("X", -1)  # negative target
+    with pytest.raises(CircuitError):
+        GateOp("X", 0, 2.0, 0)  # float mask
+    # a bool or numpy target, mask and value become int and apply like it
     state = make_superposition(3, range(8))
-    np.testing.assert_array_equal(
-        run_circuit(Circuit(3, (loose,)), state).amps,
-        run_circuit(Circuit(3, (GateOp("X", 0, ctrls),)), state).amps,
-    )
+    for loose, exact in (
+        (GateOp("X", np.int64(0), np.int64(0b110), np.int64(0b010)), GateOp("X", 0, 0b110, 0b010)),
+        (GateOp("X", 1, True, True), GateOp("X", 1, 1, 1)),
+    ):
+        assert loose == exact
+        assert all(type(v) is int for v in (loose.target, loose.mask, loose.value))
+        np.testing.assert_array_equal(
+            run_circuit(Circuit(3, (loose,)), state).amps,
+            run_circuit(Circuit(3, (exact,)), state).amps,
+        )
 
 
 def test_gate_to_matrix_is_unitary():

@@ -286,6 +286,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["find-min", "titanic", "--sample-size", "5"], 1),
         (["find-max", "titanic", "--strategy", "uniform", "--sample-size", "5"], 1),
         (["simulate", "two.qc", "--iterations", "2"], 1),
+        (["failure-map", "--resolution", "2049"], 1),
+        (["failure-curves", "--draws", "1000001"], 1),
+        (["failure-curves", "--points", "100001"], 1),
     ],
 )
 def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
@@ -346,6 +349,17 @@ def test_cli_simulate_refuses_huge_register(tmp_path, flags, limit, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert f"at most {limit} qubits" in err and "Traceback" not in err
+    assert peak < 2**20
+
+
+def test_cli_simulate_refuses_a_huge_qc_header_before_any_mask(tmp_path, capsys):
+    # a mask is a Python int: this control alone would be a 125 GB shift
+    qc = tmp_path / "huge.qc"
+    qc.write_text("qubits: 1000000000000\nX 0 | controls: +q999999999999\n")
+    code, peak = run_traced(["simulate", str(qc)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "line 1" in err and "Traceback" not in err
     assert peak < 2**20
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qummsa import oracles
 from qummsa.circuit import (
     Circuit,
-    Control,
     GateOp,
     circuit_to_matrix,
     concat,
@@ -133,9 +132,9 @@ def concatenated_single_oracles(n, V, phi):
     """The raw oracle as it was first built: one Circuit per index, joined."""
     singles = []
     for v in sorted(V):
-        ctrls = tuple(Control(j, (v >> j) & 1) for j in range(1, n))
-        phase = GateOp("PHASE", 0, ctrls, phi)
-        flip = GateOp("X", 0, ctrls)
+        mask = 2**n - 2  # every qubit but q0 controls it
+        phase = GateOp("PHASE", 0, mask, v & mask, phi)
+        flip = GateOp("X", 0, mask, v & mask)
         singles.append(Circuit(n, (phase,) if v & 1 else (flip, phase, flip)))
     return concat(*singles)
 
@@ -217,8 +216,8 @@ def test_preparation_three_of_four_structure():
     circuit = build_preparation([0, 2, 3], 2)
     # one rotation splitting the high qubit, one controlled rotation below
     assert [op.kind for op in circuit.ops] == ["RY", "RY"]
-    assert circuit.ops[0].controls == ()
-    assert circuit.ops[1].controls != ()
+    assert circuit.ops[0].mask == 0
+    assert circuit.ops[1].mask != 0
     out = run_circuit(circuit, make_basis_state(2, 0))
     s3 = 1.0 / np.sqrt(3.0)
     np.testing.assert_allclose(out.amps, [s3, 0, s3, s3], atol=1e-12)
@@ -226,7 +225,7 @@ def test_preparation_three_of_four_structure():
 
 def test_preparation_full_occupancy_is_hadamards():
     circuit = build_preparation(range(8), 3)
-    assert all(op.kind == "H" and not op.controls for op in circuit.ops)
+    assert all(op.kind == "H" and not op.mask for op in circuit.ops)
     assert len(circuit.ops) == 3
     out = run_circuit(circuit, make_basis_state(3, 0))
     np.testing.assert_allclose(out.amps, np.full(8, 1 / np.sqrt(8)), atol=1e-12)

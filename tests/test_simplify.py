@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qummsa.circuit import Circuit, GateOp, circuit_to_matrix, concat, on_one, on_zero
+from qummsa.circuit import Circuit, GateOp, circuit_to_matrix, concat, parse_circuit
 from qummsa.oracles import MarkedSet, ThresholdPredicate, build_I0, build_multi_oracle, build_single_oracle, build_threshold_oracle
 from qummsa.simplify import (
     emit_fragment,
@@ -47,7 +47,7 @@ def test_emit_fragment_phases_exactly_its_cube(data):
     fixed = [q for q in range(n) if (mask >> q) & 1]
     assert all(op.target == fixed[0] for op in ops)
     phase = next(op for op in ops if op.kind == "PHASE")
-    assert [c.qubit for c in phase.controls] == fixed[1:]
+    assert phase.mask == mask & ~(1 << fixed[0])
     on_cube = (np.arange(2**n) & mask) == value
     expected = np.diag(np.where(on_cube, np.exp(1j * phi), 1.0))
     np.testing.assert_allclose(circuit_to_matrix(Circuit(n, ops)), expected, rtol=0, atol=1e-12)
@@ -62,7 +62,7 @@ def test_p1_merges_two_odd_states():
     assert len(out.ops) == 1
     op = out.ops[0]
     assert op.kind == "PHASE" and op.target == 0
-    assert op.controls == (on_zero(2),)  # the shared fixed bit; the free one dropped
+    assert (op.mask, op.value) == (0b100, 0)  # the shared fixed bit; the free one dropped
     assert_phase_equal(circuit_to_matrix(out), circuit_to_matrix(raw))
 
 
@@ -70,9 +70,9 @@ def test_p1_all_states_becomes_two_bare_phases():
     raw = build_multi_oracle(MarkedSet(3, frozenset(range(8))), 0.9)
     out = simplify_principle1(raw)
     phases = [op for op in out.ops if op.kind == "PHASE"]
-    assert len(phases) == 2 and all(not op.controls for op in phases)
+    assert len(phases) == 2 and all(not op.mask for op in phases)
     xs = [op for op in out.ops if op.kind == "X"]
-    assert all(not op.controls for op in xs)
+    assert all(not op.mask for op in xs)
     assert_phase_equal(circuit_to_matrix(out), circuit_to_matrix(raw))
 
 
@@ -93,7 +93,7 @@ def test_p2_strips_conjugation_controls_from_i0():
     raw = build_I0(3, 0.5)
     out = simplify_principle2(raw)
     xs = [op for op in out.ops if op.kind == "X"]
-    assert len(xs) == 2 and all(not op.controls for op in xs)
+    assert len(xs) == 2 and all(not op.mask for op in xs)
     np.testing.assert_allclose(circuit_to_matrix(out), circuit_to_matrix(raw), atol=1e-12)
 
 
@@ -103,6 +103,18 @@ def test_p2_single_even_state_keeps_one_multi_controlled_gate():
     out = simplify_principle2(raw)
     assert gate_cost(out).n_multi_controlled == 1
     np.testing.assert_allclose(circuit_to_matrix(out), circuit_to_matrix(raw), atol=1e-12)
+
+
+def test_p2_matches_a_triple_whatever_order_its_controls_are_listed_in():
+    raw = parse_circuit(
+        "qubits: 3\n"
+        "X 0 | controls: +q2 -q1\n"
+        "PHASE(0.5) 0 | controls: -q1 +q2\n"
+        "X 0 | controls: -q1 +q2\n"
+    )
+    out = simplify_principle2(raw)
+    assert [(op.kind, op.mask) for op in out.ops] == [("X", 0), ("PHASE", 0b110), ("X", 0)]
+    assert_phase_equal(circuit_to_matrix(out), circuit_to_matrix(raw))
 
 
 def test_p2_no_pattern_unchanged():
@@ -122,7 +134,7 @@ def test_p3_fuses_even_odd_pair():
     out = simplify_principle3(raw)
     phases = [op for op in out.ops if op.kind == "PHASE"]
     assert len(phases) == 1
-    assert len(phases[0].controls) == 1  # one control dropped with the merge
+    assert phases[0].mask.bit_count() == 1  # one control dropped with the merge
     assert_phase_equal(circuit_to_matrix(out), circuit_to_matrix(raw))
 
 
@@ -154,7 +166,7 @@ def test_cost_unsimplified_block(n, m):
 
 
 def test_cost_single_qubit_only_circuit():
-    c = Circuit(3, (GateOp("X", 0), GateOp("H", 1), GateOp("RY", 2, (), 0.3)))
+    c = Circuit(3, (GateOp("X", 0), GateOp("H", 1), GateOp("RY", 2, param=0.3)))
     report = gate_cost(c)
     assert report.n_two_qubit_equiv == 0
     assert report.n_single == 3

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qummsa.circuit import Circuit, GateOp, gate_to_matrix, on_one, on_zero, random_circuit, run_circuit
+from qummsa.circuit import Circuit, GateOp, gate_to_matrix, random_circuit, run_circuit
 from qummsa.errors import CircuitError
 from qummsa.statevector import (
     StateVector,
@@ -65,12 +65,12 @@ def test_apply_x_flips_lowest_bit():
 
 def test_apply_phase_pi():
     plus = StateVector(1, np.array([1, 1]) / np.sqrt(2))
-    out = run_circuit(Circuit(1, (GateOp("PHASE", 0, (), np.pi),)), plus)
+    out = run_circuit(Circuit(1, (GateOp("PHASE", 0, param=np.pi),)), plus)
     np.testing.assert_allclose(out.amps, np.array([1, -1]) / np.sqrt(2), atol=1e-15)
 
 
 def test_apply_ry_half_pi():
-    out = run_circuit(Circuit(1, (GateOp("RY", 0, (), np.pi / 2),)), make_basis_state(1, 0))
+    out = run_circuit(Circuit(1, (GateOp("RY", 0, param=np.pi / 2),)), make_basis_state(1, 0))
     np.testing.assert_allclose(out.amps, [np.cos(np.pi / 4), np.sin(np.pi / 4)], atol=1e-15)
 
 
@@ -79,7 +79,7 @@ def test_apply_gate_rejects_bad_qubits():
     with pytest.raises(CircuitError):
         run_circuit(Circuit(2, (GateOp("X", 5),)), state)
     with pytest.raises(CircuitError):
-        run_circuit(Circuit(2, (GateOp("X", 0, (on_one(0),)),)), state)
+        run_circuit(Circuit(2, (GateOp("X", 0, 0b1, 0b1),)), state)
 
 
 def test_rank1_reflection_fixed_point():
