@@ -9,11 +9,14 @@ Gate kinds:
 A gate's controls are one cube ``(mask, value)``, the format the rewrite passes
 use too: a control qubit has its bit set in mask and fires on |1> (``+q``, black
 dot, bit set in value) or on |0> (``-q``, white dot, bit clear in value).
+``run_circuit`` applies each maximal run of phase fragments (``_scan``) as one
+diagonal and every other gate through the stride kernel.
 Circuits are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -100,18 +103,23 @@ def gate_matrix(op: GateOp) -> np.ndarray:
     raise CircuitError(f"unknown gate kind {op.kind!r}")
 
 
+def _cube_index(n: int, mask: int, value: int) -> list:
+    """Basic index of the cube ``(b & mask) == value`` on a (2,)*n view, qubit q on axis n-1-q."""
+    sel: list = [slice(None)] * n
+    for q in range(n):
+        if (mask >> q) & 1:
+            sel[n - 1 - q] = (value >> q) & 1
+    return sel
+
+
 def _apply_gate_inplace(amps: np.ndarray, n: int, gate: GateOp) -> None:
     """Apply a validated gate to a C-contiguous (2**n,) array in place.
 
-    On a (2,)*n view with qubit q on axis n-1-q, each control indexes its axis
-    at its bit of the value and the target axis is sliced at 0 and at 1: the
+    On the control cube's view the target axis is sliced at 0 and at 1: the
     gate mixes those two views, so nothing is allocated per basis state.
     """
     view = amps.reshape((2,) * n)
-    sel = [slice(None)] * n
-    for q in range(n):
-        if (gate.mask >> q) & 1:
-            sel[n - 1 - q] = (gate.value >> q) & 1
+    sel = _cube_index(n, gate.mask, gate.value)
     t = n - 1 - gate.target
     sel[t] = slice(1, 2)
     hi = tuple(sel)
@@ -160,30 +168,78 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
     return u
 
 
+# --- phase fragments --------------------------------------------------------
+#
+# A fragment marks every basis state b with (b & mask) == value, phasing it by
+# e^{i phi}: it is its phase gate's control cube with the target bit fixed too.
+# conj is how an even-parity fragment wraps its phase gate in X gates: "ctrl"
+# (X carries the same controls) or "bare" (plain X).
+_Frag = tuple[int, int, float, str]  # (mask, value, phi, conj)
+
+
+def _scan(ops: tuple[GateOp, ...]) -> list[tuple[bool, list]]:
+    """Lex the op list into maximal runs ``(is_frag, payloads)`` of _Frags or of other GateOps.
+
+    The one place an X-PHASE-X triple (or a lone PHASE) is recognized as a
+    phase fragment; the rewrite passes and :func:`run_circuit` both read it.
+    """
+    items: list[tuple[bool, object]] = []
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        if op.kind == "X" and i + 2 < len(ops):
+            mid, post = ops[i + 1], ops[i + 2]
+            if (mid.kind == "PHASE" and post.kind == "X" and mid.target == post.target == op.target
+                    and (post.mask, post.value) == (op.mask, op.value)
+                    and ((op.mask, op.value) == (mid.mask, mid.value) or not op.mask)):
+                conj = "ctrl" if op.mask else "bare"
+                items.append((True, (mid.mask | 1 << op.target, mid.value, mid.param, conj)))
+                i += 3
+                continue
+        if op.kind == "PHASE":
+            bit = 1 << op.target
+            items.append((True, (op.mask | bit, op.value | bit, op.param, "bare")))
+        else:
+            items.append((False, op))
+        i += 1
+    runs = itertools.groupby(items, key=lambda item: item[0])
+    return [(is_frag, [payload for _, payload in run]) for is_frag, run in runs]
+
+
+def _apply_phase_run(amps: np.ndarray, n: int, frags: list[_Frag]) -> None:
+    """Multiply each fragment's cube by e^{i phi} in place, in fragment order.
+
+    Consecutive single-state cubes are one ``np.multiply.at`` scatter (repeated
+    indices apply in sequence), any other cube one multiply on its view.  X
+    conjugation only moves amplitudes, so this is bit-identical to gate by gate.
+    """
+    view = amps.reshape((2,) * n)
+    full = (1 << n) - 1
+    for single, group in itertools.groupby(frags, key=lambda frag: frag[0] == full):
+        if single:
+            _, values, phis, _ = zip(*group)
+            np.multiply.at(amps, list(values), np.exp(1j * np.array(phis)))
+            continue
+        for mask, value, phi, _ in group:
+            view[tuple(_cube_index(n, mask, value))] *= np.exp(1j * phi)
+
+
 def run_circuit(circuit: Circuit, state: StateVector) -> StateVector:
-    """Apply the circuit gate by gate; Circuit already validated every op."""
+    """Apply each run of phase fragments as one diagonal, every other gate by the stride kernel."""
     if circuit.n != state.n:
-        raise CircuitError(
-            f"dimension mismatch: circuit has n={circuit.n}, state has n={state.n}"
-        )
+        raise CircuitError(f"dimension mismatch: circuit has n={circuit.n}, state has n={state.n}")
     amps = state.amps.copy()
-    for op in circuit.ops:
-        _apply_gate_inplace(amps, circuit.n, op)
+    for is_frag, payloads in _scan(circuit.ops):
+        if is_frag:
+            _apply_phase_run(amps, circuit.n, payloads)
+            continue
+        for op in payloads:
+            _apply_gate_inplace(amps, circuit.n, op)
     return StateVector(circuit.n, amps)
 
 
 def invert_circuit(circuit: Circuit) -> Circuit:
     return Circuit(circuit.n, tuple(op.inverse() for op in reversed(circuit.ops)))
-
-
-def concat(*circuits: Circuit) -> Circuit:
-    n = circuits[0].n
-    if any(c.n != n for c in circuits):
-        raise CircuitError("cannot concatenate circuits with different qubit counts")
-    ops: list[GateOp] = []
-    for c in circuits:
-        ops.extend(c.ops)
-    return Circuit(n, tuple(ops))
 
 
 # --- textual format (.qc) ---------------------------------------------------
@@ -206,6 +262,14 @@ _CTRL_RE = re.compile(r"^([+-])q(\d+)$")
 QC_MAX_QUBITS = 2**20
 
 
+def _qubit_number(digits: str, lineno: int) -> int:
+    """int() of a digit string, refused first if it is longer than any qubit count."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(QC_MAX_QUBITS)):
+        raise ParseError(f"{len(digits)}-digit number is out of range", lineno)
+    return int(digits)
+
+
 def export_circuit(circuit: Circuit) -> str:
     lines = [f"qubits: {circuit.n}"]
     for op in circuit.ops:
@@ -217,11 +281,10 @@ def export_circuit(circuit: Circuit) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
-    lines = text.splitlines()
     header_seen = False
     n = 0
     ops: list[GateOp] = []
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -229,7 +292,7 @@ def parse_circuit(text: str) -> Circuit:
             m = re.match(r"^qubits:\s*(\d+)$", line)
             if not m:
                 raise ParseError("expected header 'qubits: <n>'", lineno)
-            n = int(m.group(1))
+            n = _qubit_number(m.group(1), lineno)
             if n > QC_MAX_QUBITS:
                 raise ParseError(f"a circuit has at most {QC_MAX_QUBITS} qubits, got {n}", lineno)
             header_seen = True
@@ -251,8 +314,8 @@ def parse_circuit(text: str) -> Circuit:
             cm = _CTRL_RE.match(tok)
             if not cm:
                 raise ParseError(f"bad control token {tok!r}", lineno)
-            controls.append((int(cm.group(2)), cm.group(1) == "+"))
-        target = int(m.group("target"))
+            controls.append((_qubit_number(cm.group(2), lineno), cm.group(1) == "+"))
+        target = _qubit_number(m.group("target"), lineno)
         for q in (target, *(q for q, _ in controls)):  # before any 1 << q is built
             if q >= n:
                 raise ParseError(f"qubit {q} out of range for {n}-qubit register", lineno)
@@ -272,20 +335,3 @@ def parse_circuit(text: str) -> Circuit:
         return Circuit(n, tuple(ops))
     except CircuitError as exc:
         raise ParseError(str(exc)) from None
-
-
-def random_circuit(n: int, n_gates: int, rng) -> Circuit:
-    """Arbitrary valid circuit; used by round-trip and norm-preservation tests."""
-    gen = np.random.default_rng(rng)
-    ops = []
-    for _ in range(n_gates):
-        kind = GATE_KINDS[gen.integers(len(GATE_KINDS))]
-        target = int(gen.integers(n))
-        others = [q for q in range(n) if q != target]
-        gen.shuffle(others)
-        n_ctrl = int(gen.integers(0, len(others) + 1))
-        mask = sum(1 << q for q in others[:n_ctrl])
-        value = sum(int(gen.integers(2)) << q for q in others[:n_ctrl])
-        param = float(gen.uniform(-2 * np.pi, 2 * np.pi)) if kind in _PARAMETRIC else None
-        ops.append(GateOp(kind, target, mask, value, param))
-    return Circuit(n, tuple(ops))

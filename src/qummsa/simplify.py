@@ -1,11 +1,11 @@
 """Semantics-preserving rewrite passes for diagonal phase-oracle circuits.
 
-The passes recognize "phase fragments": spans of gates that imprint e^{i phi}
-on one cube of basis states (a pattern fixing some qubits, leaving the rest
-free).  ``_scan`` is the one place a fragment is recognized.  Every pass scans
-the circuit once, sends each maximal run of consecutive fragments through its
-rewrite steps and emits the result once through :func:`emit_fragment`.  Three
-rewrites, applied as a pipeline 1 -> 3 -> 2:
+The passes rewrite "phase fragments": spans of gates that imprint e^{i phi} on
+one cube of basis states (a pattern fixing some qubits, leaving the rest free),
+as ``circuit._scan`` recognizes them.  Every pass scans the circuit once, sends
+each maximal run of consecutive fragments through its rewrite steps and emits
+the result once through :func:`emit_fragment`.  Three rewrites, applied as a
+pipeline 1 -> 3 -> 2:
 
   principle 1   merge same-parity single-state oracles that tile a block,
                 dropping the control qubits that became free
@@ -24,16 +24,9 @@ preserve the circuit unitary exactly; the claimed equivalence tolerance
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateOp
-
-# A fragment marks every basis state b with (b & mask) == value, phasing it by
-# e^{i phi}: it is its phase gate's control cube with the target bit fixed too.
-# conj is how an even-parity fragment wraps its phase gate in X gates: "ctrl"
-# (X carries the same controls) or "bare" (plain X).
-_Frag = tuple[int, int, float, str]  # (mask, value, phi, conj)
+from .circuit import Circuit, GateOp, _Frag, _scan
 
 
 @dataclass(frozen=True)
@@ -58,38 +51,7 @@ def gate_cost(circuit: Circuit) -> GateCostReport:
     return GateCostReport(multi, two_q, single)
 
 
-# --- fragment scanning / emission -------------------------------------------
-
-
-def _scan(ops: tuple[GateOp, ...]) -> list[tuple[str, object]]:
-    """Lex the op list into ("frag", _Frag) and opaque ("op", GateOp) items."""
-    items: list[tuple[str, object]] = []
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        if op.kind == "X" and i + 2 < len(ops):
-            mid, post = ops[i + 1], ops[i + 2]
-            triple = (
-                mid.kind == "PHASE"
-                and mid.target == op.target
-                and post.kind == "X"
-                and post.target == op.target
-                and (post.mask, post.value) == (op.mask, op.value)
-                and ((op.mask, op.value) == (mid.mask, mid.value) or not op.mask)
-            )
-            if triple:
-                conj = "ctrl" if op.mask else "bare"
-                items.append(("frag", (mid.mask | 1 << op.target, mid.value, mid.param, conj)))
-                i += 3
-                continue
-        if op.kind == "PHASE":
-            bit = 1 << op.target
-            items.append(("frag", (op.mask | bit, op.value | bit, op.param, "bare")))
-            i += 1
-            continue
-        items.append(("op", op))
-        i += 1
-    return items
+# --- fragment emission ------------------------------------------------------
 
 
 def emit_fragment(frag: _Frag) -> tuple[GateOp, ...]:
@@ -115,8 +77,7 @@ def emit_fragment(frag: _Frag) -> tuple[GateOp, ...]:
 def _rewrite(circuit: Circuit, *steps) -> Circuit:
     """Scan once, pass each maximal run of fragments through ``steps`` in order, emit once."""
     ops: list[GateOp] = []
-    for is_frag, items in itertools.groupby(_scan(circuit.ops), key=lambda item: item[0] == "frag"):
-        payloads = [payload for _, payload in items]
+    for is_frag, payloads in _scan(circuit.ops):
         if not is_frag:
             ops.extend(payloads)
             continue
@@ -129,7 +90,7 @@ def _rewrite(circuit: Circuit, *steps) -> Circuit:
 
 def is_phase_oracle(circuit: Circuit) -> bool:
     """True when every op belongs to a phase fragment, so the circuit is diagonal."""
-    return all(kind == "frag" for kind, _ in _scan(circuit.ops))
+    return all(is_frag for is_frag, _ in _scan(circuit.ops))
 
 
 # --- principle 1: block merge ------------------------------------------------

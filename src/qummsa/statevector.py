@@ -114,19 +114,3 @@ def sample_indices(probs: np.ndarray, size: int, rng) -> np.ndarray:
         raise CircuitError(f"probabilities sum to {cdf[-1]!r}, not 1 within {NORM_TOL}")
     u = gen.random(size) * cdf[-1]
     return np.minimum(cdf.searchsorted(u, side="left"), len(cdf) - 1)
-
-
-def canonical_global_phase(state: StateVector, tol: float = 1e-12) -> StateVector:
-    """Rotate the global phase so the first nonzero amplitude is real-positive."""
-    for a in state.amps:
-        if abs(a) > tol:
-            return StateVector(state.n, state.amps * (abs(a) / a))
-    return state.copy()
-
-
-def states_equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
-    if a.n != b.n:
-        return False
-    ca = canonical_global_phase(a)
-    cb = canonical_global_phase(b)
-    return bool(np.max(np.abs(ca.amps - cb.amps)) < tol)

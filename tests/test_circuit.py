@@ -9,18 +9,18 @@ from qummsa.circuit import (
     Circuit,
     GateOp,
     circuit_to_matrix,
-    concat,
     export_circuit,
     gate_to_matrix,
     invert_circuit,
     parse_circuit,
-    random_circuit,
     run_circuit,
 )
 from qummsa.errors import CircuitError, ParseError
 from qummsa.oracles import build_I0, build_preparation
+from qummsa.simplify import emit_fragment
 from qummsa.statevector import StateVector, make_basis_state, make_superposition
 
+from helpers import concat, random_circuit, run_gate_by_gate
 from conftest import assert_phase_equal
 
 
@@ -146,6 +146,46 @@ def test_run_circuit_matches_circuit_matrix_property(data):
     )
 
 
+@st.composite
+def phase_run_circuits(draw, n):
+    """Runs of phase fragments between H/RY/X gates and lone PHASEs.
+
+    A run holds fully and partly fixed cubes in both X conjugation forms, and
+    may phase one cube (one basis state, when fully fixed) more than once.
+    """
+    full = (1 << n) - 1
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        part = draw(st.sampled_from(["run", "gate", "phase"]))
+        if part == "gate":
+            ops.append(draw(gate_ops(n).filter(lambda op: op.kind != "PHASE")))
+        elif part == "phase":
+            ops.append(draw(gate_ops(n).filter(lambda op: op.kind == "PHASE")))
+        else:
+            cubes = []
+            for _ in range(draw(st.integers(1, 10))):
+                if cubes and draw(st.booleans()):
+                    mask, value = draw(st.sampled_from(cubes))
+                else:
+                    mask = full if draw(st.booleans()) else draw(st.integers(1, full))
+                    value = draw(st.integers(0, full)) & mask
+                    cubes.append((mask, value))
+                phi = draw(st.floats(-2 * np.pi, 2 * np.pi))
+                ops.extend(emit_fragment((mask, value, phi, draw(st.sampled_from(["ctrl", "bare"])))))
+    return Circuit(n, tuple(ops))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_phase_runs_match_the_stride_kernel_bit_for_bit(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    circuit = data.draw(phase_run_circuits(n), label="circuit")
+    state = data.draw(random_states(n), label="state")
+    got = run_circuit(circuit, state).amps
+    want = run_gate_by_gate(circuit, state).amps
+    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+
+
 def test_invert_circuit():
     rng = np.random.default_rng(13)
     circuit = random_circuit(3, 15, rng)
@@ -220,6 +260,12 @@ def test_parse_qubit_out_of_range_names_its_line():
 def test_parse_refuses_a_header_above_the_cap():
     with pytest.raises(ParseError, match="line 1"):
         parse_circuit(f"qubits: {QC_MAX_QUBITS + 1}\nX 0 | controls:")
+
+
+def test_parse_reads_zero_padded_numbers_of_any_length():
+    pad = "0" * 5000
+    c = parse_circuit(f"qubits: {pad}2\nX {pad}0 | controls: +q{pad}1")
+    assert c == Circuit(2, (GateOp("X", 0, 0b10, 0b10),))
 
 
 def test_parse_missing_header():

@@ -363,6 +363,24 @@ def test_cli_simulate_refuses_a_huge_qc_header_before_any_mask(tmp_path, capsys)
     assert peak < 2**20
 
 
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("qubits: {big}\nX 0 | controls:\n", 1),
+        ("qubits: 3\nX 0 | controls:\nX {big} | controls:\n", 3),
+        ("qubits: 3\n\nH 1 | controls:\nX 0 | controls: +q1 -q{big}\n", 4),
+    ],
+    ids=["header", "target", "control"],
+)
+def test_cli_simulate_refuses_a_number_too_long_for_int(tmp_path, text, line, capsys):
+    # 5,000 digits: past Python's int-string limit, refused before int() sees them
+    qc = tmp_path / "long.qc"
+    qc.write_text(text.format(big="9" * 5000))
+    assert main(["simulate", str(qc)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: 5000-digit number is out of range" in err and "Traceback" not in err
+
+
 def test_cli_simulate_runs_at_its_qubit_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "SIMULATE_MAX_QUBITS", 3)
     qc = tmp_path / "flip.qc"
@@ -640,3 +658,35 @@ def test_oracle_commands_pinned(tmp_path, monkeypatch, capsys):
                     record(simulated, ["simulate", name, "--grover-long", *flags])
     assert built.hexdigest() == "da4e3e7663e0a3ea080726972969203ca09cf63bacdc246596f2c2f4c43afea0"
     assert simulated.hexdigest() == "0c0c7440dab376861a73e0d6c755df9b88e0b822bc5980cc6e713e706262b601"
+
+
+def test_larger_oracle_simulations_pinned(tmp_path, monkeypatch, capsys):
+    # simulate, plain and --grover-long, on a simplified n = 14 threshold oracle
+    # and on a raw n = 10 --marked oracle, and plain on each oracle between two
+    # layers of H; recorded before run_circuit applied phase runs as one diagonal
+    monkeypatch.chdir(tmp_path)
+    marked = ",".join(
+        str(int(v)) for v in np.random.default_rng(20191010).choice(2**10, size=300, replace=False)
+    )
+    oracles = [
+        ("t14.qc", ["--n", "14", "--threshold-le", "9000", "--phi", "2.5", "--simplify"],
+         ["bbf5a4f94deb0a807094dd31c2ae958956fcc5f6a74672974b479db50904ba12",
+          "e4f0013ae170f18d37fd91f848e545e93fa0b7007f6755dd74dedebfbd1d9073",
+          "30d02d7cd58d269584d29f2f9568b0368ce0c9f25f44efce770dfb74ddb58a87"]),
+        ("m10.qc", ["--n", "10", "--marked", marked, "--phi", "1.25"],
+         ["df45ff34288a0d84e04e17cbe7f4f2ac9f90891d0a3c4994ed80edfa36b4b8d8",
+          "4fdeae9adfd7b703536e7e2d02f0aeb2241d3b98d531ca2b232c325b881b339e",
+          "83a238e124a7f7dadbff950c2a24fa4692cd1f2c955c52e6a18f9fdb78df80ca"]),
+    ]
+    for name, args, digests in oracles:
+        assert main(["build-oracle", *args]) == 0
+        header, *gates = [
+            line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")
+        ]
+        (tmp_path / name).write_text("\n".join([header, *gates]) + "\n")
+        had = [f"H {q} | controls:" for q in range(int(header.split(":")[1]))]
+        (tmp_path / f"h{name}").write_text("\n".join([header, *had, *gates, *had]) + "\n")
+        runs = [["simulate", name], ["simulate", name, "--grover-long"],
+                ["simulate", f"h{name}", "--initial", "basis:3"]]
+        for argv, digest in zip(runs, digests):
+            assert _cli_digest(argv, capsys) == digest, argv

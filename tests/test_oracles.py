@@ -10,7 +10,6 @@ from qummsa.circuit import (
     Circuit,
     GateOp,
     circuit_to_matrix,
-    concat,
     export_circuit,
     run_circuit,
 )
@@ -26,6 +25,8 @@ from qummsa.oracles import (
 )
 from qummsa.simplify import simplify_all
 from qummsa.statevector import make_basis_state, make_superposition
+
+from helpers import concat
 
 
 def oracle_diag(circuit):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qummsa.circuit import Circuit, GateOp, circuit_to_matrix, concat, parse_circuit
+from qummsa.circuit import Circuit, GateOp, circuit_to_matrix, parse_circuit
 from qummsa.oracles import MarkedSet, ThresholdPredicate, build_I0, build_multi_oracle, build_single_oracle, build_threshold_oracle
 from qummsa.simplify import (
     emit_fragment,
@@ -14,6 +14,7 @@ from qummsa.simplify import (
     simplify_principle3,
 )
 
+from helpers import concat
 from conftest import assert_phase_equal
 
 PASSES = (simplify_principle1, simplify_principle2, simplify_principle3, simplify_all)

@@ -1,19 +1,19 @@
 import numpy as np
 import pytest
 
-from qummsa.circuit import Circuit, GateOp, gate_to_matrix, random_circuit, run_circuit
+from qummsa.circuit import Circuit, GateOp, gate_to_matrix, run_circuit
 from qummsa.errors import CircuitError
 from qummsa.statevector import (
     StateVector,
     apply_rank1_reflection,
-    canonical_global_phase,
     make_basis_state,
     make_superposition,
     sample_indices,
     sample_measurement,
     sample_measurements,
-    states_equal_up_to_global_phase,
 )
+
+from helpers import canonical_global_phase, random_circuit, states_equal_up_to_global_phase
 
 S3 = 1.0 / np.sqrt(3.0)
 
