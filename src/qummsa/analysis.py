@@ -2,11 +2,11 @@
 
 Failure rates come from :func:`qummsa.grover_long.final_amplitudes`, the
 two-amplitude engine the search loops also run on: good/bad per-state
-amplitudes evolve under one 2x2 complex step matrix per iteration, and J
-iterations cost O(log J) by repeated squaring of that matrix, evaluated over
-whole arrays of (M/N, M~/N~) at once.  The test suite checks it against the
-step-by-step :func:`~qummsa.grover_long.amplitude_recursion` and that against
-the dense state-vector reference.
+amplitudes turn by a fixed angle per iteration, so J iterations are one
+closed form, O(1) in J, evaluated over whole arrays of (M/N, M~/N~) at once.
+The test suite checks it against the step-by-step
+:func:`~qummsa.grover_long.amplitude_recursion` and that against the dense
+state-vector reference.
 """
 
 from __future__ import annotations

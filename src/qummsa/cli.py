@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import shlex
@@ -57,8 +58,8 @@ def _ranged(kind, accept, expected: str):
 
 
 _positive_int = _ranged(int, lambda v: v >= 1, "a positive integer")
-# Model-command size caps: peak memory grows by about 200 B per failure-map
-# cell (resolution^2 of them) and 180 B per failure-curves draw.
+# Model-command size caps: peak memory grows by about 8 B per failure-map cell
+# (resolution^2 of them; the text is streamed) and 180 B per failure-curves draw.
 _RESOLUTION = _ranged(int, lambda v: 10 <= v <= 2048, "an integer in [10, 2048]")
 _POINTS = _ranged(int, lambda v: 1 <= v <= 10**5, "an integer in [1, 100000]")
 _DRAWS = _ranged(int, lambda v: 1 <= v <= 10**6, "an integer in [1, 1000000]")
@@ -83,12 +84,14 @@ _ERRORS = _ranged(
 _SIZE = _ranged(_power, lambda v: 1 <= v < COMPLEXITY_N_LIMIT, "an integer or 2^k in [1, 2^1023)")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(text, out: str | None) -> None:
+    """Write ``text``, one str or an iterable of str chunks, to ``out`` or stdout."""
+    chunks = [text] if isinstance(text, str) else text
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _json_dump(obj) -> str:
@@ -268,14 +271,15 @@ def _cmd_dha(args, argv) -> int:
 
 def _cmd_failure_map(args, argv) -> int:
     true_axis, est_axis, grid = analysis.failure_contour_grid(args.resolution)
-    # written row by row: reprs of floats need no CSV quoting, and each axis
-    # value is rendered once rather than once per cell
+    # streamed a grid row at a time, never held whole; reprs of floats need no
+    # CSV quoting, and each axis value is rendered once rather than per cell
     est = [f",{re_!r}," for re_ in est_axis.tolist()]
-    lines = [csv_stamp(_invocation(argv)), "ratio_true,ratio_est,eps_gl\n"]
-    for rt, row in zip(true_axis.tolist(), grid.tolist()):
-        head = repr(rt)
-        lines.extend(f"{head}{mid}{eps!r}\n" for mid, eps in zip(est, row))
-    _emit("".join(lines), args.out)
+    rows = (
+        "".join(f"{head}{mid}{eps!r}\n" for mid, eps in zip(est, row.tolist()))
+        for head, row in zip(map(repr, true_axis.tolist()), grid)
+    )
+    header = [csv_stamp(_invocation(argv)), "ratio_true,ratio_est,eps_gl\n"]
+    _emit(itertools.chain(header, rows), args.out)
     return 0
 
 

@@ -137,16 +137,6 @@ def _step_matrix(M, N, ph):
     return (-ph - c * M * ph, -c * (N - M), -c * M * ph, -1.0 - c * (N - M))
 
 
-def _mul(g, h):
-    """Product of two 2x2 matrices given as (x00, x01, x10, x11)."""
-    return (
-        g[0] * h[0] + g[1] * h[2],
-        g[0] * h[1] + g[1] * h[3],
-        g[2] * h[0] + g[3] * h[2],
-        g[2] * h[1] + g[3] * h[3],
-    )
-
-
 def amplitude_recursion(
     M: float, N: float, phi: float, iterations: int
 ) -> list[tuple[complex, complex]]:
@@ -167,55 +157,60 @@ def amplitude_recursion(
     return out
 
 
-def final_amplitudes(M, N, phi, iterations):
-    """Per-state amplitudes (a_good, a_bad) after ``iterations`` steps, in O(log J).
+def _pick(cond, x, y):
+    """np.where for scalars (both branches are already evaluated)."""
+    return x if cond else y
 
-    Equals the last entry of :func:`amplitude_recursion`: the step matrix is
-    raised to the power J by repeated squaring.  If any argument is a numpy
-    array, all four broadcast and each element has its own J (the result is a
-    pair of complex arrays); otherwise the arguments are scalars and the
-    arithmetic stays in Python ``complex``, which is cheaper for one search.
+
+def final_amplitudes(M, N, phi, iterations):
+    """Per-state amplitudes (a_good, a_bad) after ``iterations`` steps, in O(1).
+
+    The last entry of :func:`amplitude_recursion`, in closed form.  The step
+    is -e^{i phi} times a rotation by theta, where sin(theta/2) = sqrt(r) |s|
+    with r = M/N, s = sin(phi/2) and c = cos(phi/2).  With x = J theta,
+    sigma = (-e^{i phi})^J / sqrt(N) and q = 2 s sin(x) / sin(theta):
+
+        a_J = sigma (cos x + q (s (1 - r) + i c)),   b_J = sigma (cos x - q r s).
+
+    Past a quarter turn the step is taken as e^{i phi} times a rotation by
+    theta - pi, so that x keeps its digits when theta is near pi.  At M = 0
+    or phi = 0, q is its limit 2 J s.  Nothing is renormalised: M |a|^2 +
+    (N - M) |b|^2 = cos^2 x + sin^2 x is 1 to rounding at any J.  The phase
+    of sigma is exact only up to the rounding of J phi, which no probability
+    depends on.
+
+    If any argument is a numpy array, all four broadcast and each element has
+    its own J (the result is a pair of complex arrays); otherwise they are
+    scalars and the arithmetic stays in Python floats, cheaper for one search.
     """
-    arrays = (
+    if (
         isinstance(M, np.ndarray)
         or isinstance(N, np.ndarray)
         or isinstance(phi, np.ndarray)
         or isinstance(iterations, np.ndarray)
-    )
-    if not arrays:
-        j = int(iterations)
-        if j < 0:
-            raise ValueError(f"iterations must be >= 0, got {j}")
-        g = _step_matrix(float(M), float(N), cmath.exp(1j * float(phi)))
-        a = b = complex(1.0 / math.sqrt(N))
-        while j:
-            if j & 1:
-                a, b = g[0] * a + g[1] * b, g[2] * a + g[3] * b
-            j >>= 1
-            if j:
-                g = _mul(g, g)
-        return a, b
-
-    M, N, phi, j = np.broadcast_arrays(
-        np.asarray(M, dtype=float),
-        np.asarray(N, dtype=float),
-        np.asarray(phi, dtype=float),
-        np.asarray(iterations, dtype=np.int64),
-    )
-    if np.any(j < 0):
-        raise ValueError(f"iterations must be >= 0, got {int(j.min())}")
-    g = _step_matrix(M, N, np.exp(1j * phi))
-    a = b = (1.0 / np.sqrt(N)).astype(complex)
-    while True:
-        odd = (j & 1).astype(bool)
-        a, b = (
-            np.where(odd, g[0] * a + g[1] * b, a),
-            np.where(odd, g[2] * a + g[3] * b, b),
+    ):
+        M, N, phi, j = np.broadcast_arrays(
+            *(np.asarray(v, dtype=float) for v in (M, N, phi)), np.asarray(iterations, np.int64)
         )
-        j = j >> 1
-        if not j.any():
-            return a, b
-        g = _mul(g, g)
+        sqrt, sin, cos, atan2, where = np.sqrt, np.sin, np.cos, np.arctan2, np.where
+        lowest = int(j.min(initial=0))
+    else:
+        M, N, phi, j = float(M), float(N), float(phi), int(iterations)
+        sqrt, sin, cos, atan2, where = math.sqrt, math.sin, math.cos, math.atan2, _pick
+        lowest = j
+    if lowest < 0:
+        raise ValueError(f"iterations must be >= 0, got {lowest}")
+    r, rb = M / N, (N - M) / N
+    s, c = sin(phi / 2), cos(phi / 2)
+    # sin and cos of theta/2; the cos as sqrt(1 - r + r c^2) keeps its digits near r = 1
+    v, w = sqrt(r) * abs(s), sqrt(rb + r * c * c)
+    flip = v > w
+    x = j * where(flip, -2.0 * atan2(w, v), 2.0 * atan2(v, w))
+    singular = v * w == 0
+    q = where(singular, 2.0 * s * j, s / where(singular, 1.0, v * w) * sin(x))
+    sigma = where(flip, 1, 1 - 2 * (j & 1)) * (cos(j * phi) + 1j * sin(j * phi)) / sqrt(N)
+    cos_x = cos(x)
+    return sigma * (cos_x + q * (s * rb + 1j * c)), sigma * (cos_x - q * r * s)
 
 
 def support_probabilities(is_marked: np.ndarray, phi: float, iterations: int) -> np.ndarray:

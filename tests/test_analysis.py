@@ -118,6 +118,19 @@ def test_contour_grid_matches_per_cell_failure(resolution):
     np.testing.assert_allclose(grid, per_cell_grid(true_axis, est_axis), rtol=0, atol=1e-13)
 
 
+def test_contour_grid_matches_the_step_by_step_recursion():
+    # every cell at every resolution 10..40 against 1 - r |a_J|^2 after J single steps
+    for resolution in range(10, 41):
+        true_axis, est_axis, grid = failure_contour_grid(resolution)
+        tuned = [compute_params(re_, 1.0) for re_ in est_axis.tolist()]
+        want = [
+            [1.0 - rt * abs(amplitude_recursion(rt, 1.0, p.phi, p.iterations)[-1][0]) ** 2
+             for p in tuned]
+            for rt in true_axis.tolist()
+        ]
+        np.testing.assert_allclose(grid, want, rtol=0, atol=1e-12, err_msg=f"{resolution}")
+
+
 def test_contour_grid_row_blocks(monkeypatch):
     # 100 cells per block at resolution 23: blocks of 4 rows, the last one of 3
     monkeypatch.setattr(analysis, "_GRID_BLOCK_CELLS", 100)

@@ -300,6 +300,39 @@ def test_final_amplitudes_array_matches_scalar(cells):
         np.testing.assert_allclose((a[k], b[k]), final_amplitudes(m, n, p, j), atol=1e-12)
 
 
+@settings(max_examples=200)
+@given(
+    mn=_counts,
+    est=_counts.filter(lambda mn: mn[0] > 0),
+    iterations=st.integers(0, 2**40),
+)
+def test_final_amplitudes_stay_unitary_at_large_iterations(mn, est, iterations):
+    # phi tuned for another ratio keeps the state turning; nothing renormalises it
+    M, N = mn
+    assume(M * est[1] != est[0] * N)
+    phi = compute_params(*est).phi
+    for J in (iterations, np.array([iterations])):
+        a, b = final_amplitudes(M, N, phi, J)
+        np.testing.assert_allclose(M * abs(a) ** 2 + (N - M) * abs(b) ** 2, 1.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "M,N,phi",
+    [(0, 8, 1.3), (0, 1, math.pi), (8, 8, math.pi), (1, 1, math.pi), (5, 5, math.pi),
+     (3, 8, 1e-12), (3, 8, 1e-100), (8, 8, 1e-12), (0, 8, 1e-12), (3, 8, 0.0)],
+)
+def test_final_amplitudes_finite_on_singular_cells(M, N, phi):
+    # M = 0 and phi = 0 take q's limit 2 J s; at M = N and phi = pi the turn is
+    # theta = pi; near phi = 0 it is nearly none
+    with np.errstate(all="raise"):
+        a, b = final_amplitudes(M, N, phi, np.arange(60))
+        big = final_amplitudes(M, N, phi, np.array([2**40]))
+    assert all(np.isfinite(x).all() for x in (a, b, *big))
+    trajectory = np.array(amplitude_recursion(M, N, phi, 59))
+    np.testing.assert_allclose(np.stack([a, b], axis=1), trajectory, atol=1e-12)
+    np.testing.assert_allclose(final_amplitudes(M, N, phi, 59), trajectory[-1], atol=1e-12)
+
+
 def test_final_amplitudes_broadcast_and_validation():
     a, b = final_amplitudes(np.array([[1.0], [2.0]]), 8, 1.3, np.array([0, 3, 5]))
     assert a.shape == b.shape == (2, 3)
