@@ -245,27 +245,6 @@ def qummsa_complexity(params: ComplexityParams) -> ComplexityReport:
     )
 
 
-def qummsa_complexity_structured(params: ComplexityParams) -> ComplexityReport:
-    """Same cost assembled from its parts (halving sweep + confirmations).
-
-    Differs from :func:`qummsa_complexity` by the constant
-    (pi/2)(2 + sqrt(2)) that the flat form absorbs into its sqrt(N) term.
-    The sweep starts from N/2 marked values and degenerates to exactly 0
-    search cost at N = 1.
-    """
-    m0 = params.N / 2.0
-    lg = math.log2(params.N)
-    sweep = grover_iterations_closed(params.N, m0) if m0 >= 1 else 0.0
-    confirmations = params.c * (math.pi / 2.0) * math.sqrt(params.N)
-    prep = (lg + params.c) * lg
-    return ComplexityReport(
-        total=(sweep + confirmations + prep) / (1.0 - params.eps),
-        search_term=sweep + confirmations,
-        prep_term=prep,
-        prep_count=lg + params.c,
-    )
-
-
 def dha_complexity(N: float, eps: float = 0.0) -> ComplexityReport:
     """Baseline minimum-finder cost, normalized by 1/(1 - eps) like the above.
 

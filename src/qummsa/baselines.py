@@ -70,17 +70,18 @@ def run_qesa(
     if marked.n != initial.n:
         raise CircuitError(f"dimension mismatch: marked.n={marked.n}, initial.n={initial.n}")
     gen = np.random.default_rng(rng)
-    occupied = uniform_support(initial)
+    occupied = uniform_support(initial).tolist()
     sqrt_n = math.sqrt(len(occupied))
-    is_marked = np.array([v in marked.V for v in occupied.tolist()])
+    flags = [False, *(v in marked.V for v in occupied), False]  # flags[i + 1] marks occupied[i]
+    bounds = tuple(i for i in range(len(occupied) + 1) if flags[i] != flags[i + 1])
 
     trace = QesaTrace()
     for t in range(1, cfg.max_t + 1):
         m = min(cfg.lam ** (t - 1), sqrt_n)
         gamma = int(gen.uniform(0.0, m))
-        idx = measure(is_marked, math.pi, gamma, gen)
-        outcome = int(occupied[idx])
-        success = bool(is_marked[idx])
+        idx = measure(bounds, len(occupied), math.pi, gamma, gen)
+        outcome = occupied[idx]
+        success = flags[idx + 1]
         trace.iterations.append(QesaIteration(t, gamma, outcome, success))
         trace.preparations += 1
         trace.oracle_calls += gamma
@@ -153,24 +154,21 @@ def run_dha_minimum(db, cfg: QesaConfig, rng=None) -> DhaResult:
 
     time_used = 0.0
     grover_total = 0
-    preparations = 0
-    rounds = 0
+    rounds = 0  # one preparation each
     updates = 0
     t = 1
-    below = ordered < d0  # marks values below d0; rebuilt when d0 falls
+    below = int(np.searchsorted(ordered, d0, side="left"))  # d0's position, the marked prefix's end
     while time_used < budget:
         m = min(cfg.lam ** (t - 1), sqrt_n)
         gamma = int(gen.uniform(0.0, m))
-        outcome = int(ordered[measure(below, math.pi, gamma, gen)])
+        idx = measure((0, below), N, math.pi, gamma, gen)
         rounds += 1
-        preparations += 1
         grover_total += gamma
         time_used += gamma + lg
-        if outcome < d0:
-            d0 = outcome
-            below = ordered < d0
+        if idx < below:  # a value below d0
+            below = idx
             updates += 1
             t = 1
         else:
             t += 1
-    return DhaResult(d0, grover_total, preparations, rounds, updates, time_used, budget)
+    return DhaResult(int(ordered[below]), grover_total, rounds, rounds, updates, time_used, budget)

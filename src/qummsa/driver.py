@@ -16,11 +16,10 @@ import numpy as np
 
 from .errors import DataError
 from .grover_long import SearchParams, compute_params, measure
-from .statevector import StateVector, make_superposition
 # No longer called here; kept importable under this module because the
 # benchmark's tracer (perfbench/spans.py) wraps them by this path.
 from .grover_long import run_grover_long  # noqa: F401
-from .statevector import sample_measurement  # noqa: F401
+from .statevector import make_superposition, sample_measurement  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -59,13 +58,6 @@ class Database:
     @property
     def size(self) -> int:
         return len(self.values)
-
-    def initial_state(self) -> StateVector:
-        return make_superposition(self.n, self.values)
-
-    def rank(self, value: int, mode: str = "min") -> int:
-        """1-based rank of ``value`` from the relevant end (analysis only)."""
-        return _count_on_side(self.sorted_values, value, mode)
 
 
 def _count_on_side(ordered: np.ndarray, d0: int, mode: str) -> int:
@@ -206,14 +198,15 @@ def run_qummsa(
     streak = 0
     while streak < c:
         params = estimate_params(d0, db, strategy, mode, sample=sample)
-        is_marked = ordered <= d0 if mode == "min" else ordered >= d0
+        marked = _count_on_side(ordered, d0, mode)
+        bounds = (0, marked) if mode == "min" else (db.size - marked, db.size)
         d1 = None
         attempts = 0
         for _ in range(retry_cap):
             attempts += 1
             result.preparations += 1
             result.grover_iterations += params.iterations
-            outcome = int(ordered[measure(is_marked, params.phi, params.iterations, gen)])
+            outcome = int(ordered[measure(bounds, db.size, params.phi, params.iterations, gen)])
             if not better(d0, outcome):
                 d1 = outcome
                 break
@@ -233,9 +226,3 @@ def run_qummsa(
     result.minimum = d0
     return result
 
-
-def loop_failure_bound(r0: int, c: int) -> float:
-    """(1/r0)^c: chance of c consecutive repeats at a threshold of rank r0."""
-    if r0 < 1 or c < 1:
-        raise ValueError(f"need r0 >= 1 and c >= 1, got r0={r0}, c={c}")
-    return (1.0 / r0) ** c

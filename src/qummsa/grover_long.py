@@ -24,7 +24,7 @@ import numpy as np
 from .circuit import run_circuit, invert_circuit
 from .errors import CircuitError
 from .oracles import MarkedSet, build_I0, build_multi_oracle, build_preparation
-from .statevector import StateVector, apply_rank1_reflection, sample_indices
+from .statevector import NORM_TOL, StateVector, apply_rank1_reflection
 
 
 @dataclass(frozen=True)
@@ -216,20 +216,55 @@ def final_amplitudes(M, N, phi, iterations):
 def support_probabilities(is_marked: np.ndarray, phi: float, iterations: int) -> np.ndarray:
     """Outcome probability of each occupied value after a search from the uniform start.
 
-    ``is_marked`` masks the occupied values in ascending order; marked values get
-    |a|^2 and the others |b|^2 from :func:`final_amplitudes`.
+    ``is_marked`` masks the ascending occupied values: the dense form of :func:`outcome_runs`.
     """
     is_marked = np.asarray(is_marked, dtype=bool)
     a, b = final_amplitudes(np.count_nonzero(is_marked), is_marked.size, phi, iterations)
     return np.where(is_marked, abs(a) ** 2, abs(b) ** 2)
 
 
-def measure(is_marked: np.ndarray, phi: float, iterations: int, rng) -> int:
-    """Position among the occupied values of one measurement after a search from the uniform start.
+def outcome_runs(bounds: tuple[int, ...], size: int, phi: float, iterations: int):
+    """Outcome probabilities over ``size`` occupied values as (length, p) runs, and their total.
 
-    The search loops' one measurement: an inverse-CDF draw from :func:`support_probabilities`.
+    Marked are the ascending positions [bounds[0], bounds[1]), [bounds[2],
+    bounds[3]), ...: (0, M) for a min prefix, (size - M, size) for a max
+    suffix.  A total off 1 by more than NORM_TOL raises CircuitError.
     """
-    return int(sample_indices(support_probabilities(is_marked, phi, iterations), 1, rng)[0])
+    marked = sum(bounds[1::2]) - sum(bounds[::2])
+    a, b = final_amplitudes(marked, size, phi, iterations)
+    pa, pb = abs(a) ** 2, abs(b) ** 2
+    total = marked * pa + (size - marked) * pb
+    if abs(total - 1.0) > NORM_TOL:
+        raise CircuitError(f"probabilities sum to {total!r}, not 1 within {NORM_TOL}")
+    edges = (0, *bounds, size)
+    return [(edges[i + 1] - edges[i], pa if i & 1 else pb) for i in range(len(edges) - 1)], total
+
+
+def run_position(u: float, runs) -> int:
+    """``statevector.sample_indices``' index rule over (length, p) runs, in O(len(runs)).
+
+    In the run that holds u: start + ceil((u - c)/p) - 1, c the probability
+    before it.  Zero-probability runs are skipped: u = 0 gives the first
+    position of positive probability, a u past the total the last one.
+    """
+    start, cum, last = 0, 0.0, None
+    for length, p in runs:
+        if length and p > 0:
+            top = cum + length * p
+            if u <= top:
+                return start + min(max(math.ceil((u - cum) / p), 1), length) - 1
+            cum, last = top, start + length - 1
+        start += length
+    return last
+
+
+def measure(bounds: tuple[int, ...], size: int, phi: float, iterations: int, rng) -> int:
+    """Position of one measurement: the Generator ``rng``'s next double among :func:`outcome_runs`.
+
+    The dense reference is ``sample_indices`` over :func:`support_probabilities`.
+    """
+    runs, total = outcome_runs(bounds, size, phi, iterations)
+    return run_position(rng.random() * total, runs)
 
 
 def success_probability(final: StateVector, marked: MarkedSet) -> float:

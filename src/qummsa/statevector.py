@@ -103,14 +103,15 @@ def sample_measurements(state: StateVector, size: int, rng) -> np.ndarray:
 
 
 def sample_indices(probs: np.ndarray, size: int, rng) -> np.ndarray:
-    """Inverse-CDF draws of ``size`` indices into a probability array.
+    """Inverse-CDF draws of ``size`` indices into a probability array: the dense reference.
 
-    The first index where cdf >= u is returned, so zero-probability indices
-    are never drawn.  A total further than NORM_TOL from 1 raises CircuitError.
+    The first index where cdf >= u > 0 is returned (u = 0 counts as the least
+    positive float), so zero-probability indices are never drawn.  A total
+    further than NORM_TOL from 1 raises CircuitError.
     """
     gen = np.random.default_rng(rng)
     cdf = np.cumsum(probs)
     if abs(cdf[-1] - 1.0) > NORM_TOL:
         raise CircuitError(f"probabilities sum to {cdf[-1]!r}, not 1 within {NORM_TOL}")
-    u = gen.random(size) * cdf[-1]
+    u = np.maximum(gen.random(size) * cdf[-1], np.finfo(float).smallest_subnormal)
     return np.minimum(cdf.searchsorted(u, side="left"), len(cdf) - 1)

@@ -1,8 +1,12 @@
-"""Circuit builders and state comparisons that only the tests use."""
+"""Circuit builders, state comparisons and model helpers that only the tests use."""
+
+import math
 
 import numpy as np
 
+from qummsa.analysis import ComplexityParams, ComplexityReport, grover_iterations_closed
 from qummsa.circuit import GATE_KINDS, Circuit, GateOp, _apply_gate_inplace
+from qummsa.driver import Database, _count_on_side
 from qummsa.errors import CircuitError
 from qummsa.statevector import StateVector
 
@@ -56,3 +60,45 @@ def states_equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float =
     ca = canonical_global_phase(a)
     cb = canonical_global_phase(b)
     return bool(np.max(np.abs(ca.amps - cb.amps)) < tol)
+
+
+def rank(db: Database, value: int, mode: str = "min") -> int:
+    """1-based rank of ``value`` in ``db`` from the relevant end."""
+    return _count_on_side(db.sorted_values, value, mode)
+
+
+def loop_failure_bound(r0: int, c: int) -> float:
+    """(1/r0)^c: chance of c consecutive repeats at a threshold of rank r0."""
+    if r0 < 1 or c < 1:
+        raise ValueError(f"need r0 >= 1 and c >= 1, got r0={r0}, c={c}")
+    return (1.0 / r0) ** c
+
+
+def qummsa_complexity_structured(params: ComplexityParams) -> ComplexityReport:
+    """The cost of :func:`qummsa.analysis.qummsa_complexity`, assembled from its parts.
+
+    A halving sweep plus c confirmations.  Differs from the flat form by the
+    constant (pi/2)(2 + sqrt(2)) that it absorbs into its sqrt(N) term.  The
+    sweep starts from N/2 marked values and degenerates to exactly 0 search
+    cost at N = 1.
+    """
+    m0 = params.N / 2.0
+    lg = math.log2(params.N)
+    sweep = grover_iterations_closed(params.N, m0) if m0 >= 1 else 0.0
+    confirmations = params.c * (math.pi / 2.0) * math.sqrt(params.N)
+    prep = (lg + params.c) * lg
+    return ComplexityReport(
+        total=(sweep + confirmations + prep) / (1.0 - params.eps),
+        search_term=sweep + confirmations,
+        prep_term=prep,
+        prep_count=lg + params.c,
+    )
+
+
+def zero_generator() -> np.random.Generator:
+    """A Generator whose next two doubles are exactly 0.0 (MT19937 tempers a zero word to zero)."""
+    bits = np.random.MT19937(0)
+    key = bits.state["state"]["key"].copy()
+    key[:4] = 0
+    bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
+    return np.random.Generator(bits)

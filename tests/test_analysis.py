@@ -20,13 +20,14 @@ from qummsa.analysis import (
     min_sample_size,
     qesa_expected_gamma,
     qummsa_complexity,
-    qummsa_complexity_structured,
     sampled_failure_curve,
     z_for_confidence,
 )
 from qummsa.grover_long import compute_params, run_grover_long, success_probability
 from qummsa.oracles import MarkedSet
 from qummsa.statevector import make_superposition
+
+from helpers import qummsa_complexity_structured
 
 
 def simulate_failure(n, occupied, marked_list, m_est, n_est):

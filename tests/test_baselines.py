@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,3 +230,19 @@ def test_dha_seeded_runs_pinned(titanic):
     for db, seed, expected in cases:
         res = run_dha_minimum(db, QesaConfig(), rng=np.random.default_rng(seed))
         assert (res.minimum, res.rounds, res.preparations, res.grover_iterations) == expected
+
+
+def test_dha_rounds_allocate_no_length_n_array():
+    # 2^18 values: one float64 array of their length is 2 MiB; a round draws
+    # from the marked prefix's bounds and allocates none
+    values = range(0, 2**20, 4)
+    db = Database(map(str, values), values, 20)
+    gen = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        res = run_dha_minimum(db, QesaConfig(), rng=gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.rounds > 100
+    assert peak < 2**18

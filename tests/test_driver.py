@@ -12,12 +12,13 @@ from qummsa.driver import (
     UniformEstimation,
     ascending_sample,
     estimate_params,
-    loop_failure_bound,
     run_qummsa,
 )
 from qummsa.errors import DataError
 from qummsa.grover_long import support_probabilities
 from qummsa.statevector import NORM_TOL
+
+from helpers import loop_failure_bound, rank
 
 
 def full_database(n):
@@ -37,10 +38,10 @@ def test_database_validation():
 
 def test_database_rank():
     db = Database("abc", (3, 7, 1), 3)
-    assert db.rank(3, "min") == 2
-    assert db.rank(7, "min") == 3
-    assert db.rank(3, "max") == 2
-    assert db.rank(1, "min") == 1
+    assert rank(db, 3, "min") == 2
+    assert rank(db, 7, "min") == 3
+    assert rank(db, 3, "max") == 2
+    assert rank(db, 1, "min") == 1
 
 
 def test_estimate_uniform_min():
@@ -323,4 +324,4 @@ def test_estimate_count_is_the_masked_sum(case, mode, sample_size, seed):
     params = estimate_params(d0, db, strategy, mode, sample=held)
     assert (params.m_est, params.n_est) == (max(count, 1), len(sample))
     side = [v <= d0 if mode == "min" else v >= d0 for v in db.values]
-    assert db.rank(d0, mode) == sum(side)
+    assert rank(db, d0, mode) == sum(side)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,18 +8,23 @@ from hypothesis import strategies as st
 
 from qummsa.analysis import amplitude_recursion
 from qummsa.driver import UniformEstimation, estimate_params
+from qummsa import grover_long
 from qummsa.errors import CircuitError
 from qummsa.grover_long import (
     SearchParams,
     compute_params,
     final_amplitudes,
     grover_long_states,
+    measure,
+    outcome_runs,
     run_grover_long,
     success_probability,
     support_probabilities,
 )
 from qummsa.oracles import MarkedSet, ThresholdPredicate
-from qummsa.statevector import make_basis_state, make_superposition
+from qummsa.statevector import NORM_TOL, make_basis_state, make_superposition, sample_indices
+
+from helpers import zero_generator
 
 
 def test_params_two_of_four():
@@ -246,7 +252,7 @@ def test_support_probabilities_match_driver_reference(titanic, mode):
     for d0 in (int(ordered[3]), int(ordered[17]), int(ordered[-4])):
         params = estimate_params(d0, titanic, UniformEstimation(), mode, sample=ordered)
         marked = ThresholdPredicate(mode, d0, titanic.n).marked_set()
-        dense = run_grover_long(titanic.initial_state(), marked, params)
+        dense = run_grover_long(make_superposition(titanic.n, titanic.values), marked, params)
         mask = ordered <= d0 if mode == "min" else ordered >= d0
         np.testing.assert_allclose(
             support_probabilities(mask, params.phi, params.iterations),
@@ -340,3 +346,108 @@ def test_final_amplitudes_broadcast_and_validation():
     for iterations in (-1, np.array([2, -1])):
         with pytest.raises(ValueError, match="iterations must be >= 0"):
             final_amplitudes(1, 4, 1.0, iterations)
+
+
+def _bounds_of(mask) -> tuple[int, ...]:
+    """The positions where a mask switches, walked one value at a time."""
+    bounds, previous = [], False
+    for i, flag in enumerate(mask.tolist()):
+        if flag != previous:
+            bounds.append(i)
+            previous = flag
+    return tuple(bounds + [len(mask)] if previous else bounds)
+
+
+@st.composite
+def _marked_masks(draw):
+    # a min prefix, a max suffix or an arbitrary set, M = 0 and M = N included
+    n = draw(st.integers(1, 5000), label="N")
+    kind = draw(st.sampled_from(["prefix", "suffix", "arbitrary"]), label="kind")
+    if kind == "arbitrary":
+        density = draw(st.sampled_from([0.0, 0.001, 0.01, 0.3, 0.9, 1.0]), label="density")
+        seed = draw(st.integers(0, 2**32), label="mask seed")
+        return np.random.default_rng(seed).random(n) < density
+    m = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)), label="M")
+    return np.arange(n) < m if kind == "prefix" else np.arange(n) >= n - m
+
+
+@st.composite
+def _phases(draw, n):
+    # the baselines' phi = pi at a random gamma, or the driver's tuned (phi, J)
+    if draw(st.booleans(), label="grover"):
+        return math.pi, draw(st.integers(0, math.isqrt(n) + 2), label="gamma")
+    params = compute_params(draw(st.integers(1, n), label="M~"), n)
+    return params.phi, params.iterations
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=_marked_masks(), data=st.data(), seed=st.integers(0, 2**64 - 1))
+def test_measure_matches_dense_reference_draw(mask, data, seed):
+    phi, iterations = data.draw(_phases(mask.size))
+    probs = support_probabilities(mask, phi, iterations)
+    dense = int(sample_indices(probs, 1, np.random.default_rng(seed))[0])
+    drawn = measure(_bounds_of(mask), mask.size, phi, iterations, np.random.default_rng(seed))
+    if drawn != dense:
+        # the closed-form steps and the cumsum may split only a u within
+        # rounding of the step edge between the two positions
+        u = np.random.default_rng(seed).random() * np.cumsum(probs)[-1]
+        assert abs(np.cumsum(probs)[min(drawn, dense)] - u) < 1e-12, (drawn, dense)
+
+
+@settings(max_examples=200, deadline=None)
+@given(mask=_marked_masks(), data=st.data())
+def test_outcome_runs_match_support_probabilities(mask, data):
+    phi, iterations = data.draw(_phases(mask.size))
+    runs, total = outcome_runs(_bounds_of(mask), mask.size, phi, iterations)
+    lengths, probs = zip(*runs)
+    np.testing.assert_allclose(
+        np.repeat(probs, lengths), support_probabilities(mask, phi, iterations), rtol=0, atol=1e-12
+    )
+    assert abs(total - 1.0) <= NORM_TOL
+
+
+def test_measure_and_dense_reference_agree_at_zero_draw():
+    # u = 0 through a generator whose next double is 0.0; zero-probability
+    # runs at u = 0 are covered in test_statevector
+    for bounds, size in (((0, 3), 10), ((7, 10), 10), ((0, 0), 5), ((2, 4, 6, 9), 12)):
+        mask = np.zeros(size, dtype=bool)
+        for start, end in zip(bounds[::2], bounds[1::2]):
+            mask[start:end] = True
+        params = compute_params(max(int(mask.sum()), 1), size)
+        dense = sample_indices(support_probabilities(mask, params.phi, params.iterations), 1, zero_generator())
+        assert measure(bounds, size, params.phi, params.iterations, zero_generator()) == dense[0]
+
+
+@pytest.mark.parametrize("scale", [1 - 1e-8, 1 + 1e-8, 1 + 1e-11])
+def test_measure_refuses_a_total_off_one(monkeypatch, scale):
+    # final_amplitudes off by the factor scale: outside NORM_TOL the draw is
+    # refused, inside it the probabilities are drawn from as they are
+    exact = final_amplitudes
+    monkeypatch.setattr(
+        grover_long, "final_amplitudes", lambda *args: tuple(scale * x for x in exact(*args))
+    )
+    params = compute_params(3, 40)
+    if abs(scale**2 - 1.0) > NORM_TOL:
+        with pytest.raises(CircuitError, match="probabilities sum to"):
+            measure((0, 3), 40, params.phi, params.iterations, np.random.default_rng(1))
+        return
+    runs, total = outcome_runs((0, 3), 40, params.phi, params.iterations)
+    a, b = exact(3, 40, params.phi, params.iterations)
+    pa, pb = abs(scale * a) ** 2, abs(scale * b) ** 2
+    assert runs == [(0, pb), (3, pa), (37, pb)]
+    assert total != 1.0
+    assert 0 <= measure((0, 3), 40, params.phi, params.iterations, np.random.default_rng(1)) < 3
+
+
+def test_measure_costs_nothing_of_size_n():
+    # three marked values among 2^40: no array of the size is built
+    params = compute_params(3, 2**40)
+    gen = np.random.default_rng(1)
+    tracemalloc.start()
+    try:
+        drawn = measure((0, 3), 2**40, params.phi, params.iterations, gen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 <= drawn < 3  # an exact search finds a marked value
+    assert peak < 2**20

@@ -3,6 +3,7 @@ import pytest
 
 from qummsa.circuit import Circuit, GateOp, gate_to_matrix, run_circuit
 from qummsa.errors import CircuitError
+from qummsa.grover_long import run_position
 from qummsa.statevector import (
     StateVector,
     apply_rank1_reflection,
@@ -13,7 +14,12 @@ from qummsa.statevector import (
     sample_measurements,
 )
 
-from helpers import canonical_global_phase, random_circuit, states_equal_up_to_global_phase
+from helpers import (
+    canonical_global_phase,
+    random_circuit,
+    states_equal_up_to_global_phase,
+    zero_generator,
+)
 
 S3 = 1.0 / np.sqrt(3.0)
 
@@ -156,6 +162,38 @@ def test_sample_refuses_unnormalised_state():
         sample_measurements(state, 10, np.random.default_rng(0))
     with pytest.raises(CircuitError):
         sample_indices(np.full(3, 0.5), 1, np.random.default_rng(0))
+
+
+def test_zero_draw_skips_zero_probability_positions():
+    # u = 0 would stop on a leading zero in a plain "first cdf >= u" search
+    probs = np.array([0.0, 0.0, 0.0, 0.25, 0.0, 0.75])
+    assert sample_indices(probs, 2, zero_generator()).tolist() == [3, 3]
+    runs = [(3, 0.0), (0, 0.5), (1, 0.25), (1, 0.0), (1, 0.75)]
+    assert run_position(0.0, runs) == 3
+    assert run_position(0.0, [(2, 0.5)]) == 0
+
+
+def test_run_position_is_the_dense_inverse_cdf():
+    # dyadic probabilities: every step edge is exact, so edges compare too
+    runs = [(2, 0.0), (3, 0.125), (0, 0.25), (4, 0.0), (2, 0.3125)]
+    probs = np.repeat([p for _, p in runs], [n for n, _ in runs])
+    cdf = np.cumsum(probs)
+    draws = np.random.default_rng(5).random(2000).tolist() + cdf[cdf > 0].tolist()
+    for u in draws:
+        assert run_position(u, runs) == int(cdf.searchsorted(u, side="left"))
+    assert run_position(0.125, runs) == 2
+    assert run_position(1.0 + 1e-15, runs) == 10  # past the total: the last positive position
+
+
+def test_sample_indices_moves_no_positive_draw():
+    # the u = 0 rule changes nothing for u > 0
+    probs = np.random.default_rng(9).dirichlet(np.ones(50)) * (np.arange(50) % 3 > 0)
+    probs /= probs.sum()
+    cdf = np.cumsum(probs)
+    for seed in range(50):
+        u = np.random.default_rng(seed).random(20) * cdf[-1]
+        want = np.minimum(cdf.searchsorted(u, side="left"), len(cdf) - 1)
+        assert sample_indices(probs, 20, np.random.default_rng(seed)).tolist() == want.tolist()
 
 
 def test_norm_preserved_over_long_random_circuit():
