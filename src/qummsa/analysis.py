@@ -17,7 +17,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .baselines import DHA_PREP_COEFF, DHA_SEARCH_COEFF, GROWTH_FACTOR_MAX, qesa_failure_model
+from .baselines import (
+    DHA_PREP_COEFF, DHA_SEARCH_COEFF, GROWTH_FACTOR_MAX, draw_range, qesa_failure_model,
+)
 from .grover_long import compute_params, final_amplitudes
 # re-exported: the tests' step-by-step reference, also wrapped by perfbench/spans.py
 from .grover_long import amplitude_recursion  # noqa: F401
@@ -165,7 +167,7 @@ def sampled_failure_curve(spec: SampleSpec, ratios, draws: int = 200, rng=None) 
         j_budget = compute_params(r, 1.0).iterations
         t, cum = 1, 0.0
         while True:
-            cum += qesa_expected_gamma(min(GROWTH_FACTOR_MAX ** (t - 1), math.sqrt(CURVE_MODEL_N)))
+            cum += qesa_expected_gamma(draw_range(t, GROWTH_FACTOR_MAX, CURVE_MODEL_N))
             if cum >= j_budget or t > 10_000:
                 break
             t += 1

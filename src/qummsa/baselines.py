@@ -38,6 +38,11 @@ class QesaConfig:
             raise ValueError(f"max_t must be >= 1, got {self.max_t}")
 
 
+def draw_range(t: int, lam: float, size: float) -> float:
+    """Round t's iteration draw range min(lam^(t-1), sqrt(size)) (Boyer-Brassard-Hoyer-Tapp)."""
+    return min(lam ** (t - 1), math.sqrt(size))
+
+
 class QesaIteration(NamedTuple):
     t: int
     gamma: int
@@ -71,14 +76,12 @@ def run_qesa(
         raise CircuitError(f"dimension mismatch: marked.n={marked.n}, initial.n={initial.n}")
     gen = np.random.default_rng(rng)
     occupied = uniform_support(initial).tolist()
-    sqrt_n = math.sqrt(len(occupied))
     flags = [False, *(v in marked.V for v in occupied), False]  # flags[i + 1] marks occupied[i]
     bounds = tuple(i for i in range(len(occupied) + 1) if flags[i] != flags[i + 1])
 
     trace = QesaTrace()
     for t in range(1, cfg.max_t + 1):
-        m = min(cfg.lam ** (t - 1), sqrt_n)
-        gamma = int(gen.uniform(0.0, m))
+        gamma = int(gen.uniform(0.0, draw_range(t, cfg.lam, len(occupied))))
         idx = measure(bounds, len(occupied), math.pi, gamma, gen)
         outcome = occupied[idx]
         success = flags[idx + 1]
@@ -105,10 +108,9 @@ def qesa_failure_model(M: float, N: float, t: int, lam: float = GROWTH_FACTOR_MA
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     beta = math.asin(math.sqrt(M / N))
-    sqrt_n = math.sqrt(N)
     eps = 1.0
     for s in range(1, t + 1):
-        m = min(lam ** (s - 1), sqrt_n)
+        m = draw_range(s, lam, N)
         f = math.floor(m)
         factor = (1.0 / m) * (1.0 - M / N)
         for v in range(1, f):
@@ -149,8 +151,7 @@ def run_dha_minimum(db, cfg: QesaConfig, rng=None) -> DhaResult:
 
     ordered = db.sorted_values
     lg = math.log2(N)
-    sqrt_n = math.sqrt(N)
-    budget = DHA_SEARCH_COEFF * sqrt_n + DHA_PREP_COEFF * lg**2
+    budget = DHA_SEARCH_COEFF * math.sqrt(N) + DHA_PREP_COEFF * lg**2
 
     time_used = 0.0
     grover_total = 0
@@ -159,8 +160,7 @@ def run_dha_minimum(db, cfg: QesaConfig, rng=None) -> DhaResult:
     t = 1
     below = int(np.searchsorted(ordered, d0, side="left"))  # d0's position, the marked prefix's end
     while time_used < budget:
-        m = min(cfg.lam ** (t - 1), sqrt_n)
-        gamma = int(gen.uniform(0.0, m))
+        gamma = int(gen.uniform(0.0, draw_range(t, cfg.lam, N)))
         idx = measure((0, below), N, math.pi, gamma, gen)
         rounds += 1
         grover_total += gamma

@@ -9,6 +9,7 @@ byte-identical output.  Exit codes: 0 success, 1 usage error, 2 data error,
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import itertools
 import json
@@ -73,7 +74,13 @@ _FINITE = _ranged(float, math.isfinite, "a finite number")
 def _power(text: str) -> int:
     """Plain integer or '2^k'."""
     base, caret, exp = text.partition("^")
-    return int(base) ** int(exp) if caret else int(text)
+    if not caret:
+        return int(text)
+    base, exp = int(base), int(exp)
+    # |base|^exp >= 2^((bitlen - 1) exp): refuse a sure miss of [1, 2^1023) before paying for it
+    if exp > 0 and (abs(base).bit_length() - 1) * exp >= 1023:
+        raise ValueError(f"{text} is at least 2^1023")
+    return base**exp
 
 
 _ERRORS = _ranged(
@@ -171,8 +178,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override the iteration count used with --grover-long")
     p.add_argument("--out", default=None)
 
-    for p in sub.choices.values():  # checks after parsing report under their command's usage
-        p.set_defaults(parser=p)
+    handlers = {
+        "find-min": _cmd_find, "find-max": _cmd_find, "baseline-dha": _cmd_dha,
+        "failure-map": _cmd_failure_map, "failure-curves": _cmd_failure_curves,
+        "complexity": _cmd_complexity, "sample-size": _cmd_sample_size,
+        "build-oracle": _cmd_build_oracle, "simulate": _cmd_simulate,
+    }
+    for name, p in sub.choices.items():  # checks after parsing report under their command's usage
+        p.set_defaults(parser=p, run=handlers[name])
     return parser
 
 
@@ -182,91 +195,61 @@ def _load(dataset: str, n: int | None) -> driver.Database:
     return load_database(dataset, n=n)
 
 
-def _cmd_find(args, argv, mode: str) -> int:
+def _trials(args, argv, db, run, fields, means, target, **header) -> int:
+    """Write the trials JSON of ``run(rng)`` on one spawned seed stream per trial.
+
+    Each trial row holds the run's ``minimum`` as its result and the named
+    ``fields`` of the run; the aggregate counts the results, the share that
+    hit ``target`` and the mean of each field in ``means``.
+    """
+    streams = np.random.SeedSequence(args.seed).spawn(args.trials)
+    trials = []
+    for idx, ss in enumerate(streams):
+        res = run(np.random.default_rng(ss))
+        trials.append({"trial": idx, "result": res.minimum, **{f: getattr(res, f) for f in fields}})
+    counts = collections.Counter(t["result"] for t in trials)
+    payload = {
+        "invocation": _invocation(argv),
+        **header,
+        "seed": args.seed,
+        "database": {"source": args.dataset, "n": db.n, "size": db.size},
+        "trials": trials,
+        "aggregate": {
+            "value_counts": {str(k): v for k, v in sorted(counts.items())},
+            "target_value": target,
+            "target_frequency": counts[target] / args.trials,
+            **{f"mean_{f}": sum(t[f] for t in trials) / args.trials for f in means},
+        },
+    }
+    _emit(_json_dump(payload), args.out)
+    return 0
+
+
+def _cmd_find(args, argv) -> int:
     if args.sample_size is not None and args.strategy != "sampled":
         args.parser.error("--sample-size needs --strategy sampled")
+    mode = args.command.split("-")[1]
     db = _load(args.dataset, args.n)
     if args.strategy == "uniform":
         strategy = driver.UniformEstimation()
     else:
         strategy = driver.SampledEstimation(args.sample_size)
-    streams = np.random.SeedSequence(args.seed).spawn(args.trials)
-    trials = []
-    counts: dict[int, int] = {}
-    for idx, ss in enumerate(streams):
-        res = driver.run_qummsa(
-            db, c=args.c, strategy=strategy, mode=mode,
-            rng=np.random.default_rng(ss), retry_cap=args.retry_cap,
-        )
-        counts[res.minimum] = counts.get(res.minimum, 0) + 1
-        trials.append(
-            {
-                "trial": idx,
-                "result": res.minimum,
-                "main_loops": res.main_loops,
-                "descents": res.descents,
-                "grover_iterations": res.grover_iterations,
-                "preparations": res.preparations,
-                "success": res.success,
-            }
-        )
+
+    def run(rng):
+        return driver.run_qummsa(db, args.c, strategy, mode, rng, retry_cap=args.retry_cap)
+
+    fields = ("main_loops", "descents", "grover_iterations", "preparations", "success")
     target = int(db.sorted_values[0 if mode == "min" else -1])
-    found = counts.get(target, 0)
-    payload = {
-        "invocation": _invocation(argv),
-        "mode": mode,
-        "c": args.c,
-        "strategy": args.strategy,
-        "seed": args.seed,
-        "database": {"source": args.dataset, "n": db.n, "size": db.size},
-        "trials": trials,
-        "aggregate": {
-            "value_counts": {str(k): v for k, v in sorted(counts.items())},
-            "target_value": target,
-            "target_frequency": found / args.trials,
-            "mean_main_loops": sum(t["main_loops"] for t in trials) / args.trials,
-            "mean_grover_iterations": sum(t["grover_iterations"] for t in trials) / args.trials,
-        },
-    }
-    _emit(_json_dump(payload), args.out)
-    return 0
+    return _trials(args, argv, db, run, fields, ("main_loops", "grover_iterations"), target,
+                   mode=mode, c=args.c, strategy=args.strategy)
 
 
 def _cmd_dha(args, argv) -> int:
     db = _load(args.dataset, args.n)
     cfg = baselines.QesaConfig(lam=args.lam)
-    streams = np.random.SeedSequence(args.seed).spawn(args.trials)
-    trials = []
-    counts: dict[int, int] = {}
-    for idx, ss in enumerate(streams):
-        res = baselines.run_dha_minimum(db, cfg, rng=np.random.default_rng(ss))
-        counts[res.minimum] = counts.get(res.minimum, 0) + 1
-        trials.append(
-            {
-                "trial": idx,
-                "result": res.minimum,
-                "grover_iterations": res.grover_iterations,
-                "preparations": res.preparations,
-                "rounds": res.rounds,
-                "threshold_updates": res.threshold_updates,
-            }
-        )
-    target = int(db.sorted_values[0])
-    payload = {
-        "invocation": _invocation(argv),
-        "seed": args.seed,
-        "database": {"source": args.dataset, "n": db.n, "size": db.size},
-        "trials": trials,
-        "aggregate": {
-            "value_counts": {str(k): v for k, v in sorted(counts.items())},
-            "target_value": target,
-            "target_frequency": counts.get(target, 0) / args.trials,
-            "mean_grover_iterations": sum(t["grover_iterations"] for t in trials) / args.trials,
-            "mean_preparations": sum(t["preparations"] for t in trials) / args.trials,
-        },
-    }
-    _emit(_json_dump(payload), args.out)
-    return 0
+    fields = ("grover_iterations", "preparations", "rounds", "threshold_updates")
+    return _trials(args, argv, db, lambda rng: baselines.run_dha_minimum(db, cfg, rng=rng),
+                   fields, ("grover_iterations", "preparations"), int(db.sorted_values[0]))
 
 
 def _cmd_failure_map(args, argv) -> int:
@@ -333,7 +316,7 @@ def _cmd_complexity(args, argv) -> int:
     return 0
 
 
-def _cmd_sample_size(args) -> int:
+def _cmd_sample_size(args, argv) -> int:
     z = args.z if args.z is not None else analysis.z_for_confidence(args.confidence)
     spec = analysis.SampleSpec(z=z, error=args.error, sigma2=args.sigma2)
     try:
@@ -384,8 +367,10 @@ def _initial_state(spec: str, n: int) -> StateVector:
     kind, _, arg = spec.partition(":")
     if spec == "uniform":
         return make_superposition(n, range(2**n))
-    if kind == "basis" and arg.strip().isdecimal() and int(arg) < 2**n:
-        return make_basis_state(n, int(arg))
+    # more than n digits is at least 10^n > 2^n, and may be past int()'s digit limit
+    digits = arg.strip().lstrip("0") or "0"
+    if kind == "basis" and arg.strip().isdecimal() and len(digits) <= n and int(digits) < 2**n:
+        return make_basis_state(n, int(digits))
     if kind == "db":
         db = load_database(arg)
         if db.n > n:
@@ -448,35 +433,15 @@ def _invocation(argv) -> str:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = parser.parse_args(argv)
-        if args.command in ("find-min", "find-max"):
-            return _cmd_find(args, argv, args.command.split("-")[1])
-        if args.command == "baseline-dha":
-            return _cmd_dha(args, argv)
-        if args.command == "failure-map":
-            return _cmd_failure_map(args, argv)
-        if args.command == "failure-curves":
-            return _cmd_failure_curves(args, argv)
-        if args.command == "complexity":
-            return _cmd_complexity(args, argv)
-        if args.command == "sample-size":
-            return _cmd_sample_size(args)
-        if args.command == "build-oracle":
-            return _cmd_build_oracle(args, argv)
-        if args.command == "simulate":
-            return _cmd_simulate(args, argv)
-        parser.error(f"unknown command {args.command!r}")
-    except SystemExit:
-        raise
+        return args.run(args, argv)
     except (DataError, ParseError, FileNotFoundError) as exc:
         print(f"qummsa: error: {exc}", file=sys.stderr)
         return 2
     except QummsaError as exc:
         print(f"qummsa: internal error: {exc}", file=sys.stderr)
         return 3
-    return 0
 
 
 if __name__ == "__main__":

@@ -279,6 +279,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["build-oracle", "--n", "3", "--marked", "1", "--phi", "nan"], 1),
         (["simulate", "two.qc", "--initial", "basis:x"], 2),
         (["simulate", "two.qc", "--initial", "basis:4"], 2),
+        (["simulate", "two.qc", "--initial", "basis:" + "9" * 5000], 2),
+        (["simulate", "two.qc", "--initial", "basis:" + "0" * 5000 + "3"], 0),
         (["complexity", "--nmax", "2^1024"], 1),
         (["complexity", "--nmin", "2^1022", "--nmax", "2^1023"], 1),
         (["sample-size", "--confidence", "0.9", "--error", "0.01", "--sigma2", "1e308"], 1),
@@ -325,11 +327,23 @@ def run_traced(argv):
     """Exit code and peak traced allocation (bytes) of one CLI call."""
     tracemalloc.start()
     try:
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors leave through argparse
+            code = exc.code
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     return code, peak
+
+
+def test_cli_refuses_a_huge_power_before_computing_it(capsys):
+    # 3^10000000 has about 16 million bits; only its exponent is looked at
+    code, peak = run_traced(["complexity", "--nmax", "3^10000000"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "an integer or 2^k in [1, 2^1023)" in err and "Traceback" not in err
+    assert peak < 2**20
 
 
 def test_cli_failure_map_streams_its_rows(tmp_path, capsys):

@@ -21,8 +21,13 @@ from qummsa.grover_long import (
     success_probability,
     support_probabilities,
 )
-from qummsa.oracles import MarkedSet, ThresholdPredicate
-from qummsa.statevector import NORM_TOL, make_basis_state, make_superposition, sample_indices
+from qummsa.circuit import invert_circuit, run_circuit
+from qummsa.oracles import (
+    MarkedSet, ThresholdPredicate, build_I0, build_multi_oracle, build_preparation,
+)
+from qummsa.statevector import (
+    NORM_TOL, StateVector, make_basis_state, make_superposition, sample_indices,
+)
 
 from helpers import zero_generator
 
@@ -187,6 +192,27 @@ def test_mode_agreement(n, ):
         a = run_grover_long(psi, marked, params, mode="rank1")
         b = run_grover_long(psi, marked, params, mode="gates")
         np.testing.assert_allclose(a.amps, b.amps, atol=1e-9)
+
+
+def test_gates_mode_step_is_its_four_parts_bit_for_bit():
+    # one circuit per iteration gives exactly the amplitudes of oracle,
+    # unpreparation, I0 and preparation run one after another
+    rng = np.random.default_rng(45)
+    for n in [2, 3, 4, 5, 6, 7, 8] * 6:
+        N = int(rng.integers(2, 2**n + 1))
+        occ = sorted(int(v) for v in rng.choice(2**n, size=N, replace=False))
+        marked = MarkedSet(n, frozenset(int(v) for v in rng.choice(occ, size=rng.integers(1, N + 1))))
+        psi = make_superposition(n, occ)
+        params = compute_params(int(rng.integers(1, N + 1)), N)
+        prep = build_preparation(occ, n)
+        parts = (build_multi_oracle(marked, params.phi), invert_circuit(prep),
+                 build_I0(n, params.phi), prep)
+        state = psi
+        for got in grover_long_states(psi, marked, params, mode="gates"):
+            for part in parts:
+                state = run_circuit(part, state)
+            state = StateVector(n, -state.amps)
+            assert np.array_equal(got.amps, state.amps)
 
 
 def test_amplitude_recursion_agreement():
