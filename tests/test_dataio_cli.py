@@ -279,8 +279,6 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["build-oracle", "--n", "3", "--marked", "1", "--phi", "nan"], 1),
         (["simulate", "two.qc", "--initial", "basis:x"], 2),
         (["simulate", "two.qc", "--initial", "basis:4"], 2),
-        (["simulate", "two.qc", "--initial", "basis:" + "9" * 5000], 2),
-        (["simulate", "two.qc", "--initial", "basis:" + "0" * 5000 + "3"], 0),
         (["complexity", "--nmax", "2^1024"], 1),
         (["complexity", "--nmin", "2^1022", "--nmax", "2^1023"], 1),
         (["sample-size", "--confidence", "0.9", "--error", "0.01", "--sigma2", "1e308"], 1),
@@ -293,6 +291,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["failure-curves", "--points", "100001"], 1),
         # 71 qubits: the uniform estimate tunes J = 15,580,417,902 at d0 = 5
         *((["find-min", "wide4.csv", "--seed", str(seed)], 0) for seed in range(1, 6)),
+        (["simulate", "two.qc", "--initial", "basis:" + "9" * 5000], 2),
+        (["simulate", "two.qc", "--initial", "basis:" + "0" * 5000 + "3"], 0),
     ],
 )
 def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
