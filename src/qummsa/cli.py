@@ -1,9 +1,10 @@
 """Command-line surface: one subcommand per analysis or experiment.
 
-Outputs are CSV for curves/grids and JSON for structured results, always with
-the full invocation recorded, so identical argv (and seed) reproduce
-byte-identical output.  Exit codes: 0 success, 1 usage error, 2 data error,
-3 internal error.
+Outputs are CSV (streamed row by row through :func:`_csv`) for curves, grids
+and distributions and JSON for structured results, always with the full
+invocation recorded, so identical argv (and seed) reproduce byte-identical
+output.  Exit codes: 0 success, 1 usage error, 2 data error or a file that
+cannot be read or written, 3 internal error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import analysis, baselines, driver, simplify
 from .circuit import export_circuit, parse_circuit, run_circuit
-from .dataio import csv_stamp, format_csv, load_database, titanic_database
+from .dataio import load_database, read_text, titanic_database
 from .errors import CircuitError, DataError, ParseError, QummsaError
 from .grover_long import SearchParams, compute_params, run_grover_long
 from .oracles import MarkedSet, ThresholdPredicate, build_multi_oracle
@@ -29,7 +30,7 @@ from .statevector import StateVector, make_basis_state, make_superposition
 
 
 # Largest register `simulate` runs: it writes one CSV row per basis state, so
-# 2^20 rows (about 40 MB of text, from a 16 MB state) is the most it produces.
+# 2^20 rows (about 50 MB of text, from a 16 MB state) is the most it produces.
 SIMULATE_MAX_QUBITS = 20
 # `complexity` rows are powers of two N with sqrt(2N) in a float column, so
 # N must stay below 2^1023.
@@ -59,6 +60,7 @@ def _ranged(kind, accept, expected: str):
 
 
 _positive_int = _ranged(int, lambda v: v >= 1, "a positive integer")
+_SEED = _ranged(int, lambda v: v >= 0, "a non-negative integer")
 # Model-command size caps: peak memory grows by about 8 B per failure-map cell
 # (resolution^2 of them; the text is streamed) and 180 B per failure-curves draw.
 _RESOLUTION = _ranged(int, lambda v: 10 <= v <= 2048, "an integer in [10, 2048]")
@@ -101,6 +103,24 @@ def _emit(text, out: str | None) -> None:
         sys.stdout.writelines(chunks)
 
 
+def _csv(argv, header, rows):
+    """Yield a CSV: the stamp line ``# invocation: ...``, the header, then each row.
+
+    ``rows`` is consumed as it is produced.  A row is a tuple of fields or its
+    rendered text (whole lines).  Every field is an int, a bitstring or a
+    float, whose str is its repr, so nothing needs CSV quoting.  With no rows
+    the stamp line is all there is: no header.
+    """
+    yield f"# invocation: {_invocation(argv)}\n"
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return
+    yield ",".join(header) + "\n"
+    for row in itertools.chain([first], rows):
+        yield row if isinstance(row, str) else ",".join(map(str, row)) + "\n"
+
+
 def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -119,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strategy", choices=("uniform", "sampled"), default="uniform")
         p.add_argument("--sample-size", type=_positive_int, default=None,
                        help="sampled strategy: draw size (default: census)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_SEED, default=0)
         p.add_argument("--trials", type=_positive_int, default=1)
         p.add_argument("--retry-cap", type=_positive_int, default=32)
         p.add_argument("--out", default=None)
@@ -127,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline-dha", help="run the baseline minimum finder")
     p.add_argument("dataset")
     p.add_argument("--n", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--trials", type=_positive_int, default=1)
     p.add_argument("--lam", type=_GROWTH, default=4.0 / 3.0)
     p.add_argument("--out", default=None)
@@ -143,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma2", type=_POSITIVE, default=0.25)
     p.add_argument("--points", type=_POINTS, default=40)
     p.add_argument("--draws", type=_DRAWS, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("complexity", help="total-cost curves for both algorithms")
@@ -254,15 +274,13 @@ def _cmd_dha(args, argv) -> int:
 
 def _cmd_failure_map(args, argv) -> int:
     true_axis, est_axis, grid = analysis.failure_contour_grid(args.resolution)
-    # streamed a grid row at a time, never held whole; reprs of floats need no
-    # CSV quoting, and each axis value is rendered once rather than per cell
+    # one text row per grid row; each estimate-axis value is rendered once, not per cell
     est = [f",{re_!r}," for re_ in est_axis.tolist()]
     rows = (
         "".join(f"{head}{mid}{eps!r}\n" for mid, eps in zip(est, row.tolist()))
         for head, row in zip(map(repr, true_axis.tolist()), grid)
     )
-    header = [csv_stamp(_invocation(argv)), "ratio_true,ratio_est,eps_gl\n"]
-    _emit(itertools.chain(header, rows), args.out)
+    _emit(_csv(argv, ("ratio_true", "ratio_est", "eps_gl"), rows), args.out)
     return 0
 
 
@@ -271,48 +289,40 @@ def _cmd_failure_curves(args, argv) -> int:
     z = analysis.z_for_confidence(args.confidence)
     ratios = np.linspace(1.0 / args.points, 1.0, args.points)
     streams = np.random.SeedSequence(args.seed).spawn(len(errors))
-    curves = {}
+    curves = {}  # a repeated --E keeps its first column and its last stream's curve
     for err, ss in zip(errors, streams):
         spec = analysis.SampleSpec(z=z, error=err, sigma2=args.sigma2)
         curves[err] = analysis.sampled_failure_curve(
             spec, ratios=ratios, draws=args.draws, rng=np.random.default_rng(ss)
         )
-    rows = []
     base = curves[errors[0]]
-    for i, r in enumerate(ratios):
-        row = {"ratio": f"{float(r)!r}"}
-        for err in errors:
-            row[f"eps_gl_E{err}"] = f"{curves[err][i]['eps_grover_long']!r}"
-        row["qesa_t"] = base[i]["qesa_t"]
-        row["eps_qesa"] = f"{base[i]['eps_qesa']!r}"
-        rows.append(row)
-    _emit(format_csv(rows, _invocation(argv)), args.out)
+    header = ("ratio", *(f"eps_gl_E{err}" for err in curves), "qesa_t", "eps_qesa")
+    rows = (
+        (r, *(curve[i]["eps_grover_long"] for curve in curves.values()),
+         base[i]["qesa_t"], base[i]["eps_qesa"])
+        for i, r in enumerate(ratios.tolist())
+    )
+    _emit(_csv(argv, header, rows), args.out)
     return 0
 
 
 def _cmd_complexity(args, argv) -> int:
     if args.nmax < max(args.nmin, 2):
         args.parser.error(f"--nmax must be >= 2 and >= --nmin, got {args.nmax}")
-    rows = []
-    k = max(1, (args.nmin - 1).bit_length())  # the smallest power of two >= nmin
-    while 2**k <= args.nmax:
+    first = max(1, (args.nmin - 1).bit_length())  # the smallest power of two >= nmin
+
+    def row(k):
         N = 2**k
-        params = analysis.ComplexityParams(N=N, c=args.c, eps=args.eps)
-        q = analysis.qummsa_complexity(params)
+        q = analysis.qummsa_complexity(analysis.ComplexityParams(N=N, c=args.c, eps=args.eps))
         d = analysis.dha_complexity(N, args.eps)
-        rows.append(
-            {
-                "log2_N": k,
-                "N": N,
-                "qummsa_total": f"{q.total!r}",
-                "dha_total": f"{d.total!r}",
-                "ratio": f"{q.total / d.total!r}",
-                "grover_sum_closed": f"{analysis.grover_iterations_closed(N, N / 2)!r}",
-                "grover_sum_explicit": f"{analysis.grover_iterations_sum(N, N / 2)!r}",
-            }
-        )
-        k += 1
-    _emit(format_csv(rows, _invocation(argv)), args.out)
+        return (k, N, q.total, d.total, q.total / d.total,
+                analysis.grover_iterations_closed(N, N / 2),
+                analysis.grover_iterations_sum(N, N / 2))
+
+    header = ("log2_N", "N", "qummsa_total", "dha_total", "ratio",
+              "grover_sum_closed", "grover_sum_explicit")
+    rows = map(row, range(first, args.nmax.bit_length()))  # every k with 2^k <= nmax
+    _emit(_csv(argv, header, rows), args.out)
     return 0
 
 
@@ -382,8 +392,7 @@ def _initial_state(spec: str, n: int) -> StateVector:
 def _cmd_simulate(args, argv) -> int:
     if args.iterations is not None and not args.grover_long:
         args.parser.error("--iterations needs --grover-long")
-    with open(args.circuit, "r", encoding="utf-8") as fh:
-        circuit = parse_circuit(fh.read())
+    circuit = parse_circuit(read_text(args.circuit, ParseError))
     if circuit.n > SIMULATE_MAX_QUBITS:
         raise DataError(
             f"simulate runs at most {SIMULATE_MAX_QUBITS} qubits; the circuit has {circuit.n}"
@@ -393,12 +402,11 @@ def _cmd_simulate(args, argv) -> int:
         final = _simulate_grover_long(circuit, state, args.iterations)
     else:
         final = run_circuit(circuit, state)
-    probs = final.probabilities()
-    rows = [
-        {"index": i, "bitstring": format(i, f"0{circuit.n}b"), "probability": f"{float(p)!r}"}
-        for i, p in enumerate(probs)
-    ]
-    _emit(format_csv(rows, _invocation(argv)), args.out)
+    bits = f"0{circuit.n}b"
+    rows = (
+        f"{i},{format(i, bits)},{p!r}\n" for i, p in enumerate(final.probabilities().tolist())
+    )
+    _emit(_csv(argv, ("index", "bitstring", "probability"), rows), args.out)
     return 0
 
 
@@ -436,7 +444,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args, argv)
-    except (DataError, ParseError, FileNotFoundError) as exc:
+    except (DataError, ParseError, OSError) as exc:  # OSError: a file not read or written
         print(f"qummsa: error: {exc}", file=sys.stderr)
         return 2
     except QummsaError as exc:

@@ -1,9 +1,9 @@
-"""Dataset ingestion and delimited output helpers.
+"""Dataset ingestion.
 
 Datasets are CSV files with a ``label,value`` header, UTF-8 (a leading
-byte-order mark is allowed), one record per line.  Values must be distinct non-negative integers (duplicates are the one
-hypothesis the loader enforces hard, since equal values would break the
-threshold-descent rank argument).
+byte-order mark is allowed), one record per line.  Values must be distinct
+non-negative integers (duplicates are the one hypothesis the loader enforces
+hard, since equal values would break the threshold-descent rank argument).
 """
 
 from __future__ import annotations
@@ -30,9 +30,17 @@ def load_database(path_or_file, n: int | None = None) -> Database:
         name = getattr(path_or_file, "name", "<stream>")
     else:
         name = str(path_or_file)
-        with open(path_or_file, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
+        text = read_text(path_or_file, DataError)
     return parse_database(text, n=n, source=name)
+
+
+def read_text(path, error: type[Exception]) -> str:
+    """The file at ``path`` as UTF-8 text; bytes that are not UTF-8 raise ``error`` naming it."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 def parse_database(text: str, n: int | None = None, source: str = "<string>") -> Database:
@@ -111,20 +119,3 @@ def titanic_database() -> Database:
     """The bundled 36-passenger age excerpt (values 1..63, n = 6)."""
     text = resources.files("qummsa.data").joinpath("titanic_ages.csv").read_text("utf-8")
     return parse_database(text, source="titanic_ages.csv")
-
-
-def csv_stamp(invocation: str) -> str:
-    """The reproducibility stamp comment line that opens every CSV output."""
-    return f"# invocation: {invocation}\n"
-
-
-def format_csv(rows: list[dict], invocation: str) -> str:
-    """Render rows as CSV with a reproducibility stamp comment on top."""
-    out = io.StringIO()
-    out.write(csv_stamp(invocation))
-    if rows:
-        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()), lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
-    return out.getvalue()

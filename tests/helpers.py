@@ -1,5 +1,7 @@
-"""Circuit builders, state comparisons and model helpers that only the tests use."""
+"""Circuit builders, state comparisons, model helpers and a CSV reference that only the tests use."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -102,3 +104,15 @@ def zero_generator() -> np.random.Generator:
     key[:4] = 0
     bits.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": 0}}
     return np.random.Generator(bits)
+
+
+def format_csv(rows: list[dict], invocation: str) -> str:
+    """Reference CSV rendering: the stamp line, then ``csv.DictWriter`` over ``rows``."""
+    out = io.StringIO()
+    out.write(f"# invocation: {invocation}\n")
+    if rows:
+        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()), lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(row)
+    return out.getvalue()

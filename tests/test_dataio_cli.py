@@ -10,15 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import format_csv, random_circuit
 from qummsa import cli
 from qummsa.analysis import failure_contour_grid
+from qummsa.circuit import export_circuit, run_circuit
 from qummsa.cli import main
-from qummsa.dataio import format_csv, load_database, parse_database, titanic_database
+from qummsa.dataio import load_database, parse_database, titanic_database
 from qummsa.driver import Database
 from qummsa.errors import DataError
 from qummsa.grover_long import SearchParams, compute_params, run_grover_long
 from qummsa.oracles import MarkedSet
-from qummsa.statevector import make_superposition
+from qummsa.statevector import make_basis_state, make_superposition
 
 EQ8_CSV = "label,value\na,0\nb,2\nc,3\n"
 
@@ -100,11 +102,10 @@ def test_load_database_from_stream():
 
 
 def test_format_csv_stamp():
-    text = format_csv([{"a": 1, "b": 2}], "qummsa demo --x 1")
-    lines = text.splitlines()
-    assert lines[0] == "# invocation: qummsa demo --x 1"
-    assert lines[1] == "a,b"
-    assert lines[2] == "1,2"
+    # the CLI's one CSV writer: stamp, header, then rows given as fields or as text
+    lines = list(cli._csv(["demo", "--x", "1"], ("a", "b"), iter([(1, "01"), "2,10\n", (3, 0.1)])))
+    assert lines == ["# invocation: qummsa demo --x 1\n", "a,b\n", "1,01\n", "2,10\n", "3,0.1\n"]
+    assert list(cli._csv(["demo"], ("a", "b"), iter([]))) == ["# invocation: qummsa demo\n"]
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -216,6 +217,34 @@ def test_cli_failure_map_matches_repr_rendering(capsys):
     assert out == expected
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_cli_simulate_matches_dictwriter_rendering(seed, tmp_path, monkeypatch, capsys):
+    # the rows the command streams are the DictWriter rendering of the
+    # distribution, with every probability as its repr
+    monkeypatch.chdir(tmp_path)
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 7))
+    circuit = random_circuit(n, int(rng.integers(0, 12)), rng)
+    (tmp_path / "c.qc").write_text(export_circuit(circuit) + "\n")
+    values = rng.choice(2**n, size=int(rng.integers(1, 2**n + 1)), replace=False).tolist()
+    (tmp_path / "d.csv").write_text("label,value\n" + "".join(f"v{v},{v}\n" for v in values))
+    k = int(rng.integers(2**n))
+    starts = [
+        ("uniform", make_superposition(n, range(2**n))),
+        (f"basis:{k}", make_basis_state(n, k)),
+        ("db:d.csv", make_superposition(n, values)),
+    ]
+    for initial, state in starts:
+        argv = ["simulate", "c.qc", "--initial", initial]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        rows = [
+            {"index": i, "bitstring": format(i, f"0{n}b"), "probability": f"{float(p)!r}"}
+            for i, p in enumerate(run_circuit(circuit, state).probabilities())
+        ]
+        assert out == format_csv(rows, "qummsa " + " ".join(argv)), initial
+
+
 def test_cli_failure_curves(capsys):
     assert main(["failure-curves", "--E", "0.05,0.15", "--points", "8", "--draws", "40"]) == 0
     out = capsys.readouterr().out
@@ -234,6 +263,12 @@ def test_cli_complexity_starts_at_nmin(capsys):
     assert main(["complexity", "--nmin", "3", "--nmax", "8"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(",")[1] for line in lines[2:]] == ["4", "8"]
+
+
+def test_cli_complexity_without_rows_prints_the_stamp_only(capsys):
+    # no power of two lies in [5, 7]: the stamp line, and no header
+    assert main(["complexity", "--nmin", "5", "--nmax", "7"]) == 0
+    assert capsys.readouterr().out == "# invocation: qummsa complexity --nmin 5 --nmax 7\n"
 
 
 def test_cli_complexity_largest_size(capsys):
@@ -293,6 +328,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         *((["find-min", "wide4.csv", "--seed", str(seed)], 0) for seed in range(1, 6)),
         (["simulate", "two.qc", "--initial", "basis:" + "9" * 5000], 2),
         (["simulate", "two.qc", "--initial", "basis:" + "0" * 5000 + "3"], 0),
+        (["find-min", "titanic", "--seed", "-1"], 1),
+        (["find-max", "titanic", "--seed", "-4"], 1),
+        (["baseline-dha", "titanic", "--seed", "-2"], 1),
+        (["failure-curves", "--seed", "-1"], 1),
+        (["find-min", "."], 2),
+        (["simulate", "."], 2),
+        (["complexity", "--out", "."], 2),
     ],
 )
 def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
@@ -357,6 +399,20 @@ def test_cli_failure_map_streams_its_rows(tmp_path, capsys):
         assert sum(1 for _ in fh) == 2 + 512**2
 
 
+def test_cli_simulate_streams_its_rows(tmp_path, monkeypatch, capsys):
+    # 2^16 rows, about 1.8 MB of CSV text: what is held at once is the state,
+    # its probabilities as floats and one row of text, not a dict per row
+    monkeypatch.chdir(tmp_path)
+    assert main(["build-oracle", "--n", "16", "--threshold-le", "9000", "--phi", "1",
+                 "--simplify", "--out", "o.qc"]) == 0
+    capsys.readouterr()
+    code, peak = run_traced(["simulate", "o.qc", "--out", "dist.csv"])
+    assert code == 0 and capsys.readouterr().out == ""
+    assert peak < 12 * 2**20
+    with (tmp_path / "dist.csv").open() as fh:
+        assert sum(1 for _ in fh) == 2 + 2**16
+
+
 @pytest.mark.parametrize(
     "flags", [["--threshold-ge", "0"], ["--threshold-le", str(2**40 - 1)]]
 )
@@ -409,6 +465,22 @@ def test_cli_simulate_refuses_a_number_too_long_for_int(tmp_path, text, line, ca
     assert main(["simulate", str(qc)]) == 2
     err = capsys.readouterr().err
     assert f"line {line}: 5000-digit number is out of range" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,name,text",
+    [
+        (["find-min"], "latin1.csv", "label,value\nJos\xe9,3\n"),
+        (["simulate"], "latin1.qc", "# \xe9\nqubits: 1\nX 0 | controls:\n"),
+    ],
+    ids=["dataset", "circuit"],
+)
+def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, argv, name, text, capsys):
+    path = tmp_path / name
+    path.write_bytes(text.encode("latin-1"))
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{path}: not UTF-8 text" in err and "Traceback" not in err
 
 
 def test_cli_simulate_runs_at_its_qubit_cap(tmp_path, monkeypatch, capsys):
