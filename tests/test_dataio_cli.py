@@ -103,9 +103,9 @@ def test_load_database_from_stream():
 
 def test_format_csv_stamp():
     # the CLI's one CSV writer: stamp, header, then rows given as fields or as text
-    lines = list(cli._csv(["demo", "--x", "1"], ("a", "b"), iter([(1, "01"), "2,10\n", (3, 0.1)])))
+    lines = list(cli._csv(["demo", "--x", "1"], ("a", "b"), [(1, "01"), "2,10\n", (3, 0.1)]))
     assert lines == ["# invocation: qummsa demo --x 1\n", "a,b\n", "1,01\n", "2,10\n", "3,0.1\n"]
-    assert list(cli._csv(["demo"], ("a", "b"), iter([]))) == ["# invocation: qummsa demo\n"]
+    assert list(cli._csv(["demo"], ("a", "b"), [])) == ["# invocation: qummsa demo\n"]
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -400,7 +400,7 @@ def test_cli_failure_map_streams_its_rows(tmp_path, capsys):
 
 
 def test_cli_simulate_streams_its_rows(tmp_path, monkeypatch, capsys):
-    # 2^16 rows, about 1.8 MB of CSV text: what is held at once is the state,
+    # 2^16 rows, about 2.7 MB of CSV text: what is held at once is the state,
     # its probabilities as floats and one row of text, not a dict per row
     monkeypatch.chdir(tmp_path)
     assert main(["build-oracle", "--n", "16", "--threshold-le", "9000", "--phi", "1",
@@ -468,17 +468,18 @@ def test_cli_simulate_refuses_a_number_too_long_for_int(tmp_path, text, line, ca
 
 
 @pytest.mark.parametrize(
-    "argv,name,text",
+    "command,name,text",
     [
-        (["find-min"], "latin1.csv", "label,value\nJos\xe9,3\n"),
-        (["simulate"], "latin1.qc", "# \xe9\nqubits: 1\nX 0 | controls:\n"),
+        ("find-min", "latin1.csv", "label,value\nJos\xe9,3\n"),
+        ("simulate", "latin1.qc", "# \xe9\nqubits: 1\nX 0 | controls:\n"),
     ],
     ids=["dataset", "circuit"],
 )
-def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, argv, name, text, capsys):
+def test_cli_refuses_a_file_that_is_not_utf8(tmp_path, command, name, text, capsys):
+    # Latin-1 bytes: the file exists but is not UTF-8 text
     path = tmp_path / name
     path.write_bytes(text.encode("latin-1"))
-    assert main([*argv, str(path)]) == 2
+    assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
     assert f"{path}: not UTF-8 text" in err and "Traceback" not in err
 
