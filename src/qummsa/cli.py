@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(dataset: str, n: int | None) -> driver.Database:
     if dataset == "titanic":
-        return titanic_database()
+        return titanic_database(n)
     return load_database(dataset, n=n)
 
 

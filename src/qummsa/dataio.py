@@ -12,7 +12,8 @@ import csv
 import io
 import math
 from importlib import resources
-from operator import itemgetter
+
+import numpy as np
 
 from .driver import Database
 from .errors import DataError
@@ -46,24 +47,25 @@ def read_text(path, error: type[Exception]) -> str:
 def parse_database(text: str, n: int | None = None, source: str = "<string>") -> Database:
     """Parse label/value CSV text; one leading UTF-8 byte-order mark is ignored.
 
-    A well-formed file is read by :func:`_column_records`; anything else goes
-    through :func:`_checked_records`, which names the first bad line.
+    A plain file is read by :func:`_column_pass` and checked by
+    :class:`Database`.  Any other file, or a plain one with a negative or
+    duplicate value or too small an n, is read by :func:`_row_pass`, which
+    names the first bad line.
     """
     if text.startswith("\ufeff"):
         text = text[1:]
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows:
-        raise DataError(f"{source}: empty file")
-    header = [h.strip().lower() for h in rows[0]]
-    if header != ["label", "value"]:
-        raise DataError(f"{source}: line 1: expected header 'label,value', got {rows[0]!r}")
-    body = rows[1:]
-    labels, values = _column_records(body) or _checked_records(body, source)
-    if not values:
-        raise DataError(f"{source}: no records")
-
+    columns = _column_pass(text)
+    if columns is not None:
+        labels, values = columns
+        needed = _qubits_needed(int(values.max()), len(values))
+        if n is None or n >= needed:
+            try:
+                return Database(labels, values, needed if n is None else n)
+            except DataError:  # a negative or duplicate value: the row path names its line
+                pass
+    labels, values = _row_pass(text, source)
     max_value = max(values)
-    needed = max(1, max_value.bit_length(), math.ceil(math.log2(len(values))))
+    needed = _qubits_needed(max_value, len(values))
     if n is None:
         n = needed
     elif n < needed:
@@ -74,25 +76,71 @@ def parse_database(text: str, n: int | None = None, source: str = "<string>") ->
     return Database(labels, values, n)
 
 
-def _column_records(body: list[list[str]]) -> tuple[list[str], list[int]] | None:
-    """The label and value columns of a well-formed body, one pass each; None otherwise."""
-    if set(map(len, body)) != {2}:
+def _qubits_needed(max_value: int, count: int) -> int:
+    return max(1, max_value.bit_length(), math.ceil(math.log2(count)))
+
+
+def _column_pass(text: str) -> tuple[list[str], np.ndarray] | None:
+    """The label column and the int64 value column of a plain file; None for any other.
+
+    A plain file has no ``"``, no lone ``\r``, a ``label,value`` header, one
+    comma on every line and no field longer than ``csv.field_size_limit()``,
+    so splitting on commas and newlines reads it as :mod:`csv` does.  numpy
+    casts each value text with ``int()``; one it refuses, such as 2^63 and up,
+    also makes this None.
+    """
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    if text.endswith("\n"):
+        text = text[:-1]
+    if not _one_comma_per_line(text):
+        return None
+    fields = text.replace("\n", ",").split(",")
+    if [h.strip().lower() for h in fields[:2]] != ["label", "value"]:
+        return None
+    if len(text) > csv.field_size_limit() and max(map(len, fields)) > csv.field_size_limit():
         return None
     try:
-        values = list(map(int, map(itemgetter(1), body)))
-    except ValueError:
+        values = np.array(fields[3::2], dtype=np.int64)
+    except (ValueError, OverflowError):
         return None
-    if min(values) < 0 or len(set(values)) != len(values):
-        return None
-    return list(map(itemgetter(0), body)), values
+    return fields[2::2], values
 
 
-def _checked_records(body: list[list[str]], source: str) -> tuple[list[str], list[int]]:
-    """Row by row: skip blank lines, and report the first bad line by its number."""
+def _one_comma_per_line(text: str) -> bool:
+    """Whether ``text`` has two lines or more, each with exactly one comma.
+
+    That holds when its separators, in order, alternate comma and newline.
+    No byte of a multi-byte UTF-8 character is a comma or a newline.
+    """
+    encoded = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
+    seps = encoded[(encoded == ord(",")) | (encoded == ord("\n"))]
+    return (
+        seps.size >= 3 and seps.size % 2 == 1
+        and (seps[0::2] == ord(",")).all() and (seps[1::2] == ord("\n")).all()
+    )
+
+
+def _row_pass(text: str, source: str) -> tuple[list[str], list[int]]:
+    """Row by row through :mod:`csv`: skip blank lines, and report the first bad line by its number."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise DataError(f"{source}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise DataError(f"{source}: empty file")
+    header = [h.strip().lower() for h in rows[0]]
+    if header != ["label", "value"]:
+        raise DataError(f"{source}: line 1: expected header 'label,value', got {rows[0]!r}")
     labels: list[str] = []
     values: list[int] = []
     seen: dict[int, int] = {}
-    for lineno, row in enumerate(body, start=2):
+    for lineno, row in enumerate(rows[1:], start=2):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:
@@ -112,10 +160,12 @@ def _checked_records(body: list[list[str]], source: str) -> tuple[list[str], lis
         seen[value] = lineno
         labels.append(label)
         values.append(value)
+    if not values:
+        raise DataError(f"{source}: no records")
     return labels, values
 
 
-def titanic_database() -> Database:
-    """The bundled 36-passenger age excerpt (values 1..63, n = 6)."""
+def titanic_database(n: int | None = None) -> Database:
+    """The bundled 36-passenger age excerpt (values 1..63, n = 6 unless given)."""
     text = resources.files("qummsa.data").joinpath("titanic_ages.csv").read_text("utf-8")
-    return parse_database(text, source="titanic_ages.csv")
+    return parse_database(text, n=n, source="titanic_ages.csv")

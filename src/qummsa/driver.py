@@ -27,21 +27,25 @@ class Database:
     """Labeled distinct integer values, encoded as basis states of n qubits."""
 
     labels: tuple[str, ...]  # record order, parallel to values
-    values: tuple[int, ...]
+    values: tuple[int, ...]  # also accepts a 1-D int64 array, stored as a tuple
     n: int
     sorted_values: np.ndarray = field(init=False, repr=False, compare=False)  # ascending
 
     def __post_init__(self):
         labels = tuple(map(str, self.labels))
-        values = tuple(map(int, self.values))
+        if isinstance(self.values, np.ndarray) and self.values.dtype == np.int64:
+            values = tuple(self.values.tolist())
+            ordered = np.sort(self.values)
+        else:
+            values = tuple(map(int, self.values))
+            ordered = np.array(values)
+            if ordered.dtype.kind == "f":  # numpy rounds 2^63 and up beside smaller values to float64
+                ordered = np.array(values, dtype=object)
+            ordered.sort()
         if len(labels) != len(values):
             raise DataError(f"{len(labels)} labels for {len(values)} values")
         if not values:
             raise DataError("database must be nonempty")
-        ordered = np.array(values)
-        if ordered.dtype.kind == "f":  # numpy rounds 2^63 and up beside smaller values to float64
-            ordered = np.array(values, dtype=object)
-        ordered.sort()
         repeats = ordered[1:] == ordered[:-1]
         if repeats.any():
             dupes = np.unique(ordered[1:][repeats]).tolist()

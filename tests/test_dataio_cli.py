@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -335,6 +336,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["find-min", "."], 2),
         (["simulate", "."], 2),
         (["complexity", "--out", "."], 2),
+        # a 200,000-character label is past csv.field_size_limit(), quoted or not
+        (["find-min", "long.csv"], 2),
+        (["find-min", "long-quoted.csv"], 2),
+        # --n reaches the bundled dataset as it does a CSV path
+        (["find-min", "titanic", "--n", "3"], 2),
+        (["find-min", "titanic", "--n", "40", "--seed", "1"], 0),
     ],
 )
 def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
@@ -343,6 +350,8 @@ def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
     (tmp_path / "wide4.csv").write_text(
         f"label,value\na,5\nb,{2**63 - 1}\nc,{2**63 + 1}\nd,{2**70}\n"
     )
+    (tmp_path / "long.csv").write_text("label,value\na,1\n" + "b" * 200_000 + ",2\n")
+    (tmp_path / "long-quoted.csv").write_text('label,value\na,1\n"' + "b" * 200_000 + '",2\n')
     try:
         got = main(argv)
     except SystemExit as exc:
@@ -551,6 +560,60 @@ def test_byte_order_mark_accepted(tmp_path, capsys):
         parse_database("\ufeff\ufeff" + EQ8_CSV)
 
 
+def test_overlong_field_names_its_line():
+    label = "b" * (csv.field_size_limit() + 1)
+    for text in (f"label,value\na,1\n{label},2\n", f'label,value\na,1\n"{label}",2\n'):
+        with pytest.raises(DataError, match=r"^t\.csv: line 3: field larger than field limit"):
+            parse_database(text, source="t.csv")
+    # at the limit the field is read, by the column pass as by csv
+    label = label[:-1]
+    assert parse_database(f"label,value\na,1\n{label},2\n").labels == ("a", label)
+
+
+def test_titanic_takes_n(capsys):
+    assert titanic_database(40).n == 40
+    assert titanic_database(40).values == titanic_database().values
+    assert main(["find-min", "titanic", "--n", "40", "--trials", "2", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["database"]["n"] == 40
+    assert main(["find-min", "titanic", "--n", "3"]) == 2
+    assert "n=3 too small" in capsys.readouterr().err
+
+
+def _plain_csv(path, count, n, seed):
+    values = np.random.default_rng(seed).choice(2**n, size=count, replace=False).tolist()
+    path.write_text("label,value\n" + "".join(f"v{i},{v}\n" for i, v in enumerate(values)))
+    return values
+
+
+def test_plain_file_takes_the_column_pass(tmp_path, monkeypatch):
+    dataset = tmp_path / "plain.csv"
+    _plain_csv(dataset, 4096, 18, seed=2018)
+    want = row_by_row_parse(dataset.read_text())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain file went through csv.reader")
+
+    monkeypatch.setattr(csv, "reader", refuse)
+    got = load_database(dataset)
+    assert (got.labels, got.values, got.n) == (want.labels, want.values, want.n)
+    assert got.sorted_values.tolist() == want.sorted_values.tolist()
+    assert all(type(v) is int for v in got.values)
+
+
+def test_large_plain_file_loads_in_bounded_memory(tmp_path):
+    # 2^18 rows in 2^30: the csv.reader ingest peaked at 80 MiB, the column pass at 46 MiB
+    dataset = tmp_path / "large.csv"
+    values = _plain_csv(dataset, 2**18, 30, seed=7)
+    tracemalloc.start()
+    try:
+        db = load_database(dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert db.values == tuple(values) and db.n == 30
+    assert peak < 64 * 2**20
+
+
 def row_by_row_parse(text, n=None, source="<string>"):
     """Reference: the row-by-row ingest, with no column pass and no byte-order-mark strip."""
     rows = list(csv.reader(io.StringIO(text)))
@@ -599,9 +662,17 @@ _INTS = st.one_of(
     st.integers(2**70 - 3, 2**70),
 )
 _SPACES = st.sampled_from(["", " ", "\t", " \t"])
-_LABELS = st.text(alphabet='ab ,"\t', max_size=4).map(
+_LABELS = st.text(alphabet='ab ,"\t\x00\x0b\u2028', max_size=4).map(
     lambda text: '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"') else text
 )
+_PLAIN_LABELS = st.text(alphabet="ab \t\x00\x0b\u2028", max_size=4)  # no quoting: the column pass's files
+
+
+# ways to write a value int() reads: plain, zero-padded, digit-grouped, Arabic-Indic digits
+_SPELLINGS = [
+    str, str, "00{}".format, "{:_}".format,
+    lambda v: str(v).translate(str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))),
+]
 
 
 @st.composite
@@ -609,16 +680,18 @@ def csv_texts(draw):
     """A header and rows: half the texts hold only well-formed rows of distinct values."""
     if draw(st.booleans()):
         values = draw(st.lists(_INTS.filter(lambda v: v >= 0), unique=True, min_size=1, max_size=20))
-        value_texts = [str(v) for v in values]
+        value_texts = [draw(st.sampled_from(_SPELLINGS))(v) for v in values]
     else:
         pool = draw(st.lists(_INTS, min_size=1, max_size=12))
-        bad = ["x", "1.5", "", "0x10", "+7", "1_0", "  ", "--3"]
+        bad = ["x", "1.5", "", "0x10", "+7", "1_0", "  ", "--3", "007", "\u0663", "\x1c7"]
         value_texts = draw(st.lists(st.sampled_from([str(v) for v in pool] + bad), max_size=20))
     headers = ["label,value"] * 6 + ["Label , VALUE", "\ufefflabel,value", "name,age"]
     lines = [draw(st.sampled_from(headers))]
+    labels = draw(st.sampled_from([_LABELS, _PLAIN_LABELS]))
+    kinds = draw(st.sampled_from([["row"] * 8 + ["one field", "three fields", "blank"], ["row"]]))
     for raw in value_texts:
-        kind = draw(st.sampled_from(["row"] * 8 + ["one field", "three fields", "blank"]))
-        label = draw(_LABELS)
+        kind = draw(st.sampled_from(kinds))
+        label = draw(labels)
         if kind == "row":
             lines.append(f"{label},{draw(_SPACES)}{raw}{draw(_SPACES)}")
         elif kind == "one field":
@@ -627,7 +700,17 @@ def csv_texts(draw):
             lines.append(f"{label},{raw},z")
         else:
             lines.append(draw(st.sampled_from(["", "   "])))
-    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + draw(st.sampled_from(["", "\n"]))
+    newline = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    if newline == "mixed":
+        ends = st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines) - 1, max_size=len(lines) - 1)
+        text = lines[0] + "".join(map(str.__add__, draw(ends), lines[1:]))
+    else:
+        text = newline.join(lines)
+    text += draw(st.sampled_from(["", "\n", "\r\n", "\r"]))
+    if draw(st.integers(0, 9)) == 0:  # a lone carriage return anywhere
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + "\r" + text[at:]
+    return text
 
 
 @settings(max_examples=400)
@@ -640,13 +723,35 @@ def test_parse_database_matches_row_by_row(text, n):
             return str(exc)
 
     got = outcome(parse_database, text)
-    want = outcome(row_by_row_parse, text[1:] if text.startswith("\ufeff") else text)
+    try:
+        want = outcome(row_by_row_parse, text[1:] if text.startswith("\ufeff") else text)
+    except csv.Error as exc:  # a lone carriage return: refused with the line it is on
+        assert isinstance(got, str) and got.startswith("t.csv: line ") and got.endswith(f": {exc}")
+        return
     if isinstance(want, str):
         assert got == want
         return
     assert not isinstance(got, str), got
     assert (got.labels, got.values, got.n) == (want.labels, want.values, want.n)
     assert got.sorted_values.tolist() == want.sorted_values.tolist() == sorted(got.values)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(_PLAIN_LABELS, _SPACES, st.integers(0, 2**63 - 1), st.sampled_from(_SPELLINGS), _SPACES),
+        min_size=1, max_size=20, unique_by=lambda row: row[2],
+    ),
+    st.lists(st.sampled_from(["\n", "\r\n"]), min_size=21, max_size=21),
+    st.sampled_from(["", "\n", "\r\n"]),
+)
+def test_plain_texts_skip_csv_and_match_row_by_row(rows, ends, last):
+    lines = [f"{label},{a}{spell(value)}{b}" for label, a, value, spell, b in rows]
+    text = "label,value" + "".join(map(str.__add__, ends, lines)) + last
+    want = row_by_row_parse(text)
+    with mock.patch.object(csv, "reader", side_effect=AssertionError("read by csv.reader")):
+        got = parse_database(text)
+    assert (got.labels, got.values, got.n) == (want.labels, want.values, want.n)
 
 
 def _cli_digest(argv, capsys) -> str:

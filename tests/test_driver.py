@@ -298,6 +298,20 @@ def test_database_converts_loose_columns():
         Database("ab", (1, 2, 3), 3)
 
 
+def test_database_takes_an_int64_column():
+    column = np.array([9, 2**62, 0, 5], dtype=np.int64)
+    db = Database("abcd", column, 63)
+    assert db == Database("abcd", column.tolist(), 63)
+    assert all(type(v) is int for v in db.values)
+    assert db.sorted_values.tolist() == [0, 5, 9, 2**62] and db.sorted_values.dtype == np.int64
+    column[0] = 1  # the database holds no view of its input
+    assert db.values[0] == 9 and db.sorted_values.tolist()[-1] == 2**62
+    with pytest.raises(DataError, match=r"duplicate data values \[5\]"):
+        Database("abc", np.array([5, 1, 5], dtype=np.int64), 3)
+    with pytest.raises(DataError, match=r"values must lie in \[0, 7\]"):
+        Database("ab", np.array([-1, 2], dtype=np.int64), 3)
+
+
 @st.composite
 def databases_and_thresholds(draw):
     value = st.one_of(st.integers(0, 2**12 - 1), st.integers(2**62, 2**70))
