@@ -287,11 +287,20 @@ def _cmd_failure_map(args, argv) -> int:
 def _cmd_failure_curves(args, argv) -> int:
     errors = args.E
     z = analysis.z_for_confidence(args.confidence)
+    specs = [analysis.SampleSpec(z=z, error=err, sigma2=args.sigma2) for err in errors]
+    for spec in specs:  # each curve draws binomials of h trials, at most 2^63 - 1
+        try:
+            fits = analysis.min_sample_size(spec) <= np.iinfo(np.int64).max
+        except ArithmeticError:  # Z^2 sigma^2 overflows, or E^2 underflows to 0
+            fits = False
+        if not fits:
+            args.parser.error(
+                f"--E {spec.error} with --sigma2 {args.sigma2}: Z^2 sigma^2 / E^2 exceeds 2^63 - 1"
+            )
     ratios = np.linspace(1.0 / args.points, 1.0, args.points)
     streams = np.random.SeedSequence(args.seed).spawn(len(errors))
     curves = {}  # a repeated --E keeps its first column and its last stream's curve
-    for err, ss in zip(errors, streams):
-        spec = analysis.SampleSpec(z=z, error=err, sigma2=args.sigma2)
+    for err, spec, ss in zip(errors, specs, streams):
         curves[err] = analysis.sampled_failure_curve(
             spec, ratios=ratios, draws=args.draws, rng=np.random.default_rng(ss)
         )

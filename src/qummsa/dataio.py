@@ -126,21 +126,27 @@ def _one_comma_per_line(text: str) -> bool:
 
 
 def _row_pass(text: str, source: str) -> tuple[list[str], list[int]]:
-    """Row by row through :mod:`csv`: skip blank lines, and report the first bad line by its number."""
+    """Row by row through :mod:`csv`: skip blank lines, and report the first bad line by its number.
+
+    A record is numbered by the physical line it ends on, as ``reader.line_num``
+    counts them, so a quoted field that spans lines does not shift later numbers.
+    """
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = list(reader)
+        rows = [(reader.line_num, row) for row in reader]
     except csv.Error as exc:
         raise DataError(f"{source}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise DataError(f"{source}: empty file")
-    header = [h.strip().lower() for h in rows[0]]
-    if header != ["label", "value"]:
-        raise DataError(f"{source}: line 1: expected header 'label,value', got {rows[0]!r}")
+    header_line, header_row = rows[0]
+    if [h.strip().lower() for h in header_row] != ["label", "value"]:
+        raise DataError(
+            f"{source}: line {header_line}: expected header 'label,value', got {header_row!r}"
+        )
     labels: list[str] = []
     values: list[int] = []
     seen: dict[int, int] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
+    for lineno, row in rows[1:]:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != 2:

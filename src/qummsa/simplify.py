@@ -11,7 +11,8 @@ pipeline 1 -> 3 -> 2:
                 dropping the control qubits that became free
   principle 3   merge an even-marking/odd-marking pair (or any two fragments
                 whose cubes differ in exactly one fixed bit) into one gate on
-                a retargeted qubit
+                a retargeted qubit, in one forward scan that resumes at each
+                fused cube instead of restarting from the first
   principle 2   emit the X gates that conjugate each phase gate without
                 controls (plain X)
 
@@ -24,6 +25,7 @@ preserve the circuit unitary exactly; the claimed equivalence tolerance
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .circuit import Circuit, GateOp, _Frag, _scan
@@ -122,36 +124,28 @@ def _merge_blocks(frags: list[_Frag], n: int) -> list[_Frag]:
     """Principle 1 on one run: re-cover each (phi, q0 parity) group by maximal cubes."""
     ctrl_bits = tuple(range(1, n))
     full_ctrl_mask = (2**n - 1) & ~1
-    # group fragments by (phi, parity of q0); q0-free fragments pass through
-    groups: dict[tuple[float, int], list[_Frag]] = {}
-    order: list[tuple[str, object]] = []  # first-appearance order keeps the pass stable
-    for f in frags:
-        mask, value, phi, _ = f
-        if mask & 1:
-            key = (phi, value & 1)
-            if key not in groups:
-                groups[key] = []
-                order.append(("group", key))
-            groups[key].append(f)
-        else:
-            order.append(("pass", f))
+    # groups in first-appearance order, which keeps the pass stable; a q0-free
+    # fragment is keyed by its own position and passes through
+    groups: dict[object, list[_Frag]] = {}
+    for pos, frag in enumerate(frags):
+        mask, value, phi, _ = frag
+        groups.setdefault((phi, value & 1) if mask & 1 else pos, []).append(frag)
     out: list[_Frag] = []
-    for tag, entry in order:
-        if tag == "pass":
-            out.append(entry)
+    for key, members in groups.items():
+        if isinstance(key, int):
+            out += members
             continue
-        phi, q0bit = entry
+        phi, q0bit = key
         minterms: set[int] = set()
         count = 0
-        for mask, value, _, _ in groups[entry]:
-            free = [q for q in ctrl_bits if not (mask >> q) & 1]
-            count += 2 ** len(free)
-            for k in range(2 ** len(free)):
-                m = value & full_ctrl_mask
-                for pos, q in enumerate(free):
-                    if (k >> pos) & 1:
-                        m |= 1 << q
-                minterms.add(m)
+        for mask, value, _, _ in members:
+            base, free = value & full_ctrl_mask, full_ctrl_mask & ~mask
+            count += 2 ** free.bit_count()
+            sub = free
+            minterms.add(base | sub)
+            while sub:  # every subset of the free control bits
+                sub = (sub - 1) & free
+                minterms.add(base | sub)
         if len(minterms) != count:
             return frags  # overlapping marks: phases would stack, leave alone
         conj = "bare" if q0bit else "ctrl"
@@ -169,25 +163,29 @@ def simplify_principle1(circuit: Circuit) -> Circuit:
 
 
 def _fuse_pairs(frags: list[_Frag], n: int) -> list[_Frag]:
-    """Principle 3 on one run: fuse pairs until no two cubes differ in one fixed bit."""
+    """Principle 3 on one run: fuse pairs until no two cubes differ in one fixed bit.
+
+    One forward scan over a position p.  Nothing before p has a partner unless
+    the cube at p has just come out of a fusion, so only then are earlier
+    positions searched.  The fused cube takes the lower position and the scan
+    resumes there, so it fuses the same pairs, in the same order, as a search
+    that restarts from the front after every fusion and takes the lowest pair.
+    """
     frags = list(frags)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(frags)):
-            for j in range(i + 1, len(frags)):
-                mi, vi, phii, _ = frags[i]
-                mj, vj, phij, _ = frags[j]
-                if phii != phij or mi != mj:
-                    continue
-                diff = vi ^ vj
-                if diff and (diff & (diff - 1)) == 0 and mi & ~diff:
-                    frags[i] = (mi & ~diff, vi & ~diff, phii, "bare")
-                    del frags[j]
-                    changed = True
-                    break
-            if changed:
+    p, fused = 0, False
+    while p < len(frags):
+        mask, value, phi, _ = frags[p]
+        for j in itertools.chain(range(p) if fused else (), range(p + 1, len(frags))):
+            mj, vj, phij, _ = frags[j]
+            diff = value ^ vj
+            if phij == phi and mj == mask and diff and (diff & (diff - 1)) == 0 and mask & ~diff:
+                lo, hi = min(p, j), max(p, j)
+                frags[lo] = (mask & ~diff, value & ~diff, frags[lo][2], "bare")
+                del frags[hi]
+                p, fused = lo, True
                 break
+        else:
+            p, fused = p + 1, False
     return frags
 
 

@@ -1,4 +1,4 @@
-"""Circuit builders, state comparisons, model helpers and a CSV reference that only the tests use."""
+"""Builders, state comparisons, model helpers and the CSV and rewrite-pass references only the tests use."""
 
 import csv
 import io
@@ -7,9 +7,10 @@ import math
 import numpy as np
 
 from qummsa.analysis import ComplexityParams, ComplexityReport, grover_iterations_closed
-from qummsa.circuit import GATE_KINDS, Circuit, GateOp, _apply_gate_inplace
+from qummsa.circuit import GATE_KINDS, Circuit, GateOp, _apply_gate_inplace, _Frag
 from qummsa.driver import Database, _count_on_side
 from qummsa.errors import CircuitError
+from qummsa.simplify import _partition_cubes
 from qummsa.statevector import StateVector
 
 
@@ -116,3 +117,72 @@ def format_csv(rows: list[dict], invocation: str) -> str:
         for row in rows:
             writer.writerow(row)
     return out.getvalue()
+
+
+# Principle 1 and principle 3 as they stood with an order list and a restarting
+# pair search; the passes in qummsa.simplify must return what these return.
+
+
+def merge_blocks_reference(frags: list[_Frag], n: int) -> list[_Frag]:
+    """Principle 1 on one run: re-cover each (phi, q0 parity) group by maximal cubes."""
+    ctrl_bits = tuple(range(1, n))
+    full_ctrl_mask = (2**n - 1) & ~1
+    # group fragments by (phi, parity of q0); q0-free fragments pass through
+    groups: dict[tuple[float, int], list[_Frag]] = {}
+    order: list[tuple[str, object]] = []  # first-appearance order keeps the pass stable
+    for f in frags:
+        mask, value, phi, _ = f
+        if mask & 1:
+            key = (phi, value & 1)
+            if key not in groups:
+                groups[key] = []
+                order.append(("group", key))
+            groups[key].append(f)
+        else:
+            order.append(("pass", f))
+    out: list[_Frag] = []
+    for tag, entry in order:
+        if tag == "pass":
+            out.append(entry)
+            continue
+        phi, q0bit = entry
+        minterms: set[int] = set()
+        count = 0
+        for mask, value, _, _ in groups[entry]:
+            free = [q for q in ctrl_bits if not (mask >> q) & 1]
+            count += 2 ** len(free)
+            for k in range(2 ** len(free)):
+                m = value & full_ctrl_mask
+                for pos, q in enumerate(free):
+                    if (k >> pos) & 1:
+                        m |= 1 << q
+                minterms.add(m)
+        if len(minterms) != count:
+            return frags  # overlapping marks: phases would stack, leave alone
+        conj = "bare" if q0bit else "ctrl"
+        for mask, value in _partition_cubes(minterms, ctrl_bits):
+            out.append((mask | 1, value | q0bit, phi, conj))
+    return out
+
+
+def fuse_pairs_reference(frags: list[_Frag], n: int) -> list[_Frag]:
+    """Principle 3 on one run: fuse pairs until no two cubes differ in one fixed bit."""
+    frags = list(frags)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(frags)):
+            for j in range(i + 1, len(frags)):
+                mi, vi, phii, _ = frags[i]
+                mj, vj, phij, _ = frags[j]
+                if phii != phij or mi != mj:
+                    continue
+                diff = vi ^ vj
+                if diff and (diff & (diff - 1)) == 0 and mi & ~diff:
+                    frags[i] = (mi & ~diff, vi & ~diff, phii, "bare")
+                    del frags[j]
+                    changed = True
+                    break
+            if changed:
+                break
+    return frags

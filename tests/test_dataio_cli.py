@@ -75,6 +75,21 @@ def test_malformed_row_reports_line():
         parse_database("label,value\na,1\nb,two\n")
 
 
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ('label,value\n"a\nb",1\nc,x\n', "line 4: value 'x' is not an integer"),
+        ('label,value\n"a\nb",1\nc\r,x\n', "line 4: new-line character seen in unquoted field"),
+        ('label,value\n"a\nb",1\nc,1\n', "line 4: duplicate value 1 (first seen on line 3)"),
+    ],
+)
+def test_row_messages_name_physical_lines_after_a_quoted_newline(text, message):
+    # the quoted label spans lines 2 and 3, so the next record sits on line 4
+    with pytest.raises(DataError) as exc:
+        parse_database(text)
+    assert message in str(exc.value)
+
+
 def test_bad_header_rejected():
     with pytest.raises(DataError, match="header"):
         parse_database("name,age\na,1\n")
@@ -342,6 +357,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         # --n reaches the bundled dataset as it does a CSV path
         (["find-min", "titanic", "--n", "3"], 2),
         (["find-min", "titanic", "--n", "40", "--seed", "1"], 0),
+        # h = Z^2 sigma^2 / E^2 past the 2^63 - 1 trials a binomial draw takes,
+        # E^2 underflowing to 0, and Z^2 sigma^2 overflowing to inf
+        (["failure-curves", "--E", "1e-10"], 1),
+        (["failure-curves", "--sigma2", "1e20"], 1),
+        (["failure-curves", "--E", "1e-300"], 1),
+        (["failure-curves", "--sigma2", "1e308"], 1),
     ],
 )
 def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
@@ -869,6 +890,23 @@ def test_oracle_commands_pinned(tmp_path, monkeypatch, capsys):
                     record(simulated, ["simulate", name, "--grover-long", *flags])
     assert built.hexdigest() == "da4e3e7663e0a3ea080726972969203ca09cf63bacdc246596f2c2f4c43afea0"
     assert simulated.hexdigest() == "0c0c7440dab376861a73e0d6c755df9b88e0b822bc5980cc6e713e706262b601"
+
+
+@pytest.mark.parametrize(
+    "n,size,seed,phi,digest",
+    [
+        (12, 1500, 20121500, "0.9", "41600056ba98755f94873c07902f5dd5c6423bb0df6d47d80020528f3ccb25ed"),
+        (10, 400, 20100400, "2.1", "1f8ac129d039168adf26017ec3b15a3a0e6a446da5ac45e8d7c0e1324a0622fd"),
+    ],
+)
+def test_large_simplified_oracles_pinned(n, size, seed, phi, digest, capsys):
+    # build-oracle --simplify on runs of hundreds of fragments; recorded while
+    # principle 3 still restarted its pair search after every fusion
+    marked = ",".join(
+        str(int(v)) for v in np.random.default_rng(seed).choice(2**n, size=size, replace=False)
+    )
+    argv = ["build-oracle", "--n", str(n), "--marked", marked, "--phi", phi, "--simplify"]
+    assert _cli_digest(argv, capsys) == digest
 
 
 def test_larger_oracle_simulations_pinned(tmp_path, monkeypatch, capsys):

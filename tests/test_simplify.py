@@ -6,6 +6,10 @@ from hypothesis import strategies as st
 from qummsa.circuit import Circuit, GateOp, circuit_to_matrix, parse_circuit
 from qummsa.oracles import MarkedSet, ThresholdPredicate, build_I0, build_multi_oracle, build_single_oracle, build_threshold_oracle
 from qummsa.simplify import (
+    _bare_conjugation,
+    _fuse_pairs,
+    _merge_blocks,
+    _rewrite,
     emit_fragment,
     gate_cost,
     simplify_all,
@@ -14,7 +18,7 @@ from qummsa.simplify import (
     simplify_principle3,
 )
 
-from helpers import concat
+from helpers import concat, fuse_pairs_reference, merge_blocks_reference
 from conftest import assert_phase_equal
 
 PASSES = (simplify_principle1, simplify_principle2, simplify_principle3, simplify_all)
@@ -243,3 +247,59 @@ def test_pipeline_fixed_point_on_dyadic_families():
             raw = build_multi_oracle(MarkedSet(n, frozenset(range(2**m))), 0.7)
             once = simplify_all(raw)
             assert simplify_all(once).ops == once.ops
+
+
+# --- the passes against their references ----------------------------------------
+
+
+def test_p3_fused_cube_pairs_with_an_earlier_one():
+    # cubes 000 and 001 fuse at position 1 into 00-, which then pairs with the
+    # earlier 01- into 0--; the result keeps the lower position and its phi
+    frags = [(0b110, 0b010, -0.0, "ctrl"), (0b111, 0b000, 0.0, "ctrl"), (0b111, 0b001, 0.0, "ctrl")]
+    want = [(0b100, 0b000, -0.0, "bare")]
+    assert repr(_fuse_pairs(frags, 3)) == repr(fuse_pairs_reference(frags, 3)) == repr(want)
+
+
+@st.composite
+def fragment_runs(draw):
+    """A run of 0-40 fragments on n = 1..7 qubits: 1-3 phis, q0-free and repeated cubes."""
+    n = draw(st.integers(1, 7), label="n")
+    full = 2**n - 1
+    phis = draw(st.lists(st.sampled_from([0.5, 1.25, 2.0, 0.0, -0.0]), min_size=1, max_size=3))
+    # the full mask (single states), the full mask less one bit (fused pairs) or any mask
+    near_full = st.sampled_from([full] + [full & ~(1 << q) for q in range(n) if full & ~(1 << q)])
+    masks = draw(st.lists(st.one_of(near_full, st.integers(1, full)), min_size=1, max_size=3))
+    cube = st.tuples(
+        st.sampled_from(masks), st.integers(0, full), st.sampled_from(phis), st.sampled_from(["ctrl", "bare"])
+    )
+    size = draw(st.integers(0, 40), label="fragments")
+    cubes = draw(st.lists(cube, min_size=size, max_size=size))
+    frags = [(mask, value & mask, phi, conj) for mask, value, phi, conj in cubes]
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=6)):
+        if max(src, dst) < size:  # a repeated cube
+            frags[dst] = frags[src]
+    return n, frags
+
+
+@settings(max_examples=100)
+@given(fragment_runs())
+def test_passes_equal_their_references_on_fragment_runs(run):
+    n, frags = run
+    # repr tells 0.0 from -0.0, which == does not
+    assert repr(_fuse_pairs(frags, n)) == repr(fuse_pairs_reference(frags, n))
+    merged = _merge_blocks(frags, n)
+    assert repr(merged) == repr(merge_blocks_reference(frags, n))
+    assert repr(_fuse_pairs(merged, n)) == repr(fuse_pairs_reference(merged, n))
+
+
+def test_pipelines_equal_their_references_on_oracles():
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        n = int(rng.integers(2, 10))
+        k = int(rng.integers(1, min(2**n, 64) + 1))  # the restarting reference is cubic in k
+        V = frozenset(int(v) for v in rng.choice(2**n, size=k, replace=False))
+        raw = build_multi_oracle(MarkedSet(n, V), float(rng.uniform(0.1, 3.0)))
+        for circuit in (raw, simplify_principle1(raw), simplify_all(raw)):
+            assert simplify_principle3(circuit).ops == _rewrite(circuit, fuse_pairs_reference).ops
+            want = _rewrite(circuit, merge_blocks_reference, fuse_pairs_reference, _bare_conjugation)
+            assert simplify_all(circuit).ops == want.ops
