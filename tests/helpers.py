@@ -1,4 +1,4 @@
-"""Builders, state comparisons, model helpers and the CSV and rewrite-pass references only the tests use."""
+"""Test-only helpers: circuits, state comparisons, models, and references for CSV output and the rewrite passes."""
 
 import csv
 import io
