@@ -32,7 +32,11 @@ class Database:
     sorted_values: np.ndarray = field(init=False, repr=False, compare=False)  # ascending
 
     def __post_init__(self):
-        labels = tuple(map(str, self.labels))
+        labels = tuple(self.labels)
+        try:  # labels that are all str already, as the loader hands them, are kept as they are
+            "".join(labels)
+        except TypeError:
+            labels = tuple(map(str, labels))
         if isinstance(self.values, np.ndarray) and self.values.dtype == np.int64:
             values = tuple(self.values.tolist())
             ordered = np.sort(self.values)

@@ -21,7 +21,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuit import Circuit, invert_circuit, run_circuit
+from .circuit import Circuit, CompiledCircuit, invert_circuit, run_circuit
 from .errors import CircuitError
 from .oracles import MarkedSet, build_I0, build_multi_oracle, build_preparation
 from .statevector import NORM_TOL, StateVector, apply_rank1_reflection
@@ -95,9 +95,10 @@ def grover_long_states(
     prep = build_preparation(uniform_support(initial).tolist(), initial.n)
     oracle = build_multi_oracle(marked, params.phi)
     i0 = build_I0(initial.n, params.phi)
-    # one circuit in application order; no X-PHASE-X triple spans two parts,
-    # so its phase runs and results are those of the four parts run in turn
-    step = Circuit(initial.n, oracle.ops + invert_circuit(prep).ops + i0.ops + prep.ops)
+    # one circuit in application order, compiled once for all J iterations; no
+    # X-PHASE-X triple spans two parts, so its phase runs and results are those
+    # of the four parts run in turn
+    step = CompiledCircuit(Circuit(initial.n, oracle.ops + invert_circuit(prep).ops + i0.ops + prep.ops))
     state = initial
     for _ in range(params.iterations):
         state = run_circuit(step, state)

@@ -109,28 +109,29 @@ def build_preparation(occupied, n: int) -> Circuit:
     Full occupancy reduces to H on every qubit.  Otherwise a tree of
     (controlled) RY rotations splits the amplitude qubit by qubit from the
     most significant bit down; branches that are certain carry no control.
+    The tree is emitted level by level, so each level's gates, whose control
+    cubes are disjoint, sit next to each other.
     """
     occ = sorted_occupied(n, occupied)
     if len(occ) == 2**n:
         return Circuit(n, tuple(GateOp("H", q) for q in range(n)))
 
     ops: list[GateOp] = []
-
-    def split(qubit: int, mask: int, value: int, members: list[int]) -> None:
-        zeros = [m for m in members if not (m >> qubit) & 1]
-        ones = [m for m in members if (m >> qubit) & 1]
-        if ones and zeros:
-            theta = 2.0 * math.atan2(math.sqrt(len(ones)), math.sqrt(len(zeros)))
-            ops.append(GateOp("RY", qubit, mask, value, theta))
-        elif ones:
-            ops.append(GateOp("RY", qubit, mask, value, math.pi))
-        if qubit == 0:
-            return
-        bit = 1 << qubit if ones and zeros else 0  # a certain branch adds no control
-        if zeros:
-            split(qubit - 1, mask | bit, value, zeros)
-        if ones:
-            split(qubit - 1, mask | bit, value | bit, ones)
-
-    split(n - 1, 0, 0, occ)
+    level = [(0, 0, occ)]  # (mask, value, members) of each node, in depth-first order
+    for qubit in range(n - 1, -1, -1):
+        below = []
+        for mask, value, members in level:
+            zeros = [m for m in members if not (m >> qubit) & 1]
+            ones = [m for m in members if (m >> qubit) & 1]
+            if ones and zeros:
+                theta = 2.0 * math.atan2(math.sqrt(len(ones)), math.sqrt(len(zeros)))
+                ops.append(GateOp("RY", qubit, mask, value, theta))
+            elif ones:
+                ops.append(GateOp("RY", qubit, mask, value, math.pi))
+            bit = 1 << qubit if ones and zeros else 0  # a certain branch adds no control
+            if zeros:
+                below.append((mask | bit, value, zeros))
+            if ones:
+                below.append((mask | bit, value | bit, ones))
+        level = below
     return Circuit(n, tuple(ops))

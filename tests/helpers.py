@@ -1,4 +1,4 @@
-"""Test-only helpers: circuits, state comparisons, models, and references for CSV output and the rewrite passes."""
+"""Test-only helpers: circuits, state comparisons, models, and references for CSV output, the preparation tree and the rewrite passes."""
 
 import csv
 import io
@@ -11,7 +11,7 @@ from qummsa.circuit import GATE_KINDS, Circuit, GateOp, _apply_gate_inplace, _Fr
 from qummsa.driver import Database, _count_on_side
 from qummsa.errors import CircuitError
 from qummsa.simplify import _partition_cubes
-from qummsa.statevector import StateVector
+from qummsa.statevector import StateVector, sorted_occupied
 
 
 def concat(*circuits: Circuit) -> Circuit:
@@ -38,6 +38,34 @@ def random_circuit(n: int, n_gates: int, rng) -> Circuit:
         value = sum(int(gen.integers(2)) << q for q in others[:n_ctrl])
         param = float(gen.uniform(-2 * np.pi, 2 * np.pi)) if kind in ("RY", "PHASE") else None
         ops.append(GateOp(kind, target, mask, value, param))
+    return Circuit(n, tuple(ops))
+
+
+def depth_first_preparation(occupied, n: int) -> Circuit:
+    """``oracles.build_preparation`` as it emitted the RY tree before: depth first, zeros branch first."""
+    occ = sorted_occupied(n, occupied)
+    if len(occ) == 2**n:
+        return Circuit(n, tuple(GateOp("H", q) for q in range(n)))
+
+    ops: list[GateOp] = []
+
+    def split(qubit: int, mask: int, value: int, members: list[int]) -> None:
+        zeros = [m for m in members if not (m >> qubit) & 1]
+        ones = [m for m in members if (m >> qubit) & 1]
+        if ones and zeros:
+            theta = 2.0 * math.atan2(math.sqrt(len(ones)), math.sqrt(len(zeros)))
+            ops.append(GateOp("RY", qubit, mask, value, theta))
+        elif ones:
+            ops.append(GateOp("RY", qubit, mask, value, math.pi))
+        if qubit == 0:
+            return
+        bit = 1 << qubit if ones and zeros else 0  # a certain branch adds no control
+        if zeros:
+            split(qubit - 1, mask | bit, value, zeros)
+        if ones:
+            split(qubit - 1, mask | bit, value | bit, ones)
+
+    split(n - 1, 0, 0, occ)
     return Circuit(n, tuple(ops))
 
 

@@ -4,9 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qummsa.circuit import (
+    BATCH_PAIRS,
     GATE_KINDS,
+    NARROW_PAIRS,
     QC_MAX_QUBITS,
     Circuit,
+    CompiledCircuit,
     GateOp,
     circuit_to_matrix,
     export_circuit,
@@ -16,7 +19,7 @@ from qummsa.circuit import (
     run_circuit,
 )
 from qummsa.errors import CircuitError, ParseError
-from qummsa.oracles import build_I0, build_preparation
+from qummsa.oracles import MarkedSet, build_I0, build_multi_oracle, build_preparation
 from qummsa.simplify import emit_fragment
 from qummsa.statevector import StateVector, make_basis_state, make_superposition
 
@@ -183,7 +186,73 @@ def test_phase_runs_match_the_stride_kernel_bit_for_bit(data):
     state = data.draw(random_states(n), label="state")
     got = run_circuit(circuit, state).amps
     want = run_gate_by_gate(circuit, state).amps
-    assert np.array_equal(got.view(np.float64), want.view(np.float64))
+    assert got.tobytes() == want.tobytes()  # bits: -0.0 == 0.0 would pass a value comparison
+
+
+@st.composite
+def layer_circuits(draw, n):
+    """Runs of controlled X/H/RY gates between uncontrolled gates and preparation trees.
+
+    A run often keeps one target and mask and changes only the control value,
+    so its cubes are disjoint, and sometimes repeats a cube or takes a new
+    mask, so they overlap.
+    """
+    ops = []
+    for _ in range(draw(st.integers(1, 6))):
+        part = draw(st.sampled_from(["run", "bare", "prep"] if n > 1 else ["bare", "prep"]))
+        if part == "bare":
+            ops.append(draw(gate_ops(n).filter(lambda op: op.kind != "PHASE" and not op.mask)))
+        elif part == "prep":
+            prep = build_preparation(draw(st.sets(st.integers(0, 2**n - 1), min_size=1)), n)
+            ops.extend((prep if draw(st.booleans()) else invert_circuit(prep)).ops)
+        else:
+            op = None
+            for _ in range(draw(st.integers(1, 16))):
+                if op is None or draw(st.integers(0, 3)) == 0:
+                    op = draw(gate_ops(n).filter(lambda op: op.kind != "PHASE" and op.mask))
+                else:
+                    kind = draw(st.sampled_from(["X", "H", "RY"]))
+                    param = draw(st.floats(-2 * np.pi, 2 * np.pi)) if kind == "RY" else None
+                    op = GateOp(kind, op.target, op.mask, draw(st.integers(0, op.mask)) & op.mask, param)
+                ops.append(op)
+    return Circuit(n, tuple(ops))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_layers_match_the_stride_kernel_bit_for_bit(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    circuit = data.draw(layer_circuits(n), label="circuit")
+    state = data.draw(random_states(n), label="state")
+    got = run_circuit(circuit, state).amps
+    want = run_gate_by_gate(circuit, state).amps
+    assert got.tobytes() == want.tobytes()
+
+
+def test_layers_tell_signed_zero_angles_apart():
+    # RY(0.0) and RY(-0.0) differ in the sign of a zero matrix entry, which
+    # shows in the sign of a zero amplitude
+    state = StateVector(2, [-0.0, -0.5, -0.0, -0.5])
+    for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+        circuit = Circuit(2, (GateOp("RY", 0, 0b10, 0, first), GateOp("RY", 0, 0b10, 0b10, second)))
+        assert run_circuit(circuit, state).amps.tobytes() == run_gate_by_gate(circuit, state).amps.tobytes()
+
+
+def test_wide_gates_and_split_batches_match_the_stride_kernel_bit_for_bit():
+    # at n = 13 a gate with one control mixes 2^11 pairs, past NARROW_PAIRS,
+    # and a preparation tree over 600 values lists more than BATCH_PAIRS pairs
+    n = 13
+    rng = np.random.default_rng(1813)
+    prep = build_preparation(rng.choice(2**n, size=600, replace=False).tolist(), n)
+    circuit = concat(random_circuit(n, 40, rng), prep, invert_circuit(prep), random_circuit(n, 40, rng))
+    widths = [1 << (n - 1 - op.mask.bit_count()) for op in circuit.ops if op.mask]
+    assert max(widths) > NARROW_PAIRS and sum(w for w in widths if w <= NARROW_PAIRS) > BATCH_PAIRS
+    compiled = CompiledCircuit(circuit)
+    assert len(compiled) == len(circuit)
+    state = StateVector(n, rng.normal(size=2**n) + 1j * rng.normal(size=2**n))
+    want = run_gate_by_gate(circuit, state).amps.tobytes()
+    assert run_circuit(circuit, state).amps.tobytes() == want
+    assert run_circuit(compiled, state).amps.tobytes() == want
 
 
 def test_invert_circuit():
@@ -310,13 +379,35 @@ def test_gateop_validation():
     for loose, exact in (
         (GateOp("X", np.int64(0), np.int64(0b110), np.int64(0b010)), GateOp("X", 0, 0b110, 0b010)),
         (GateOp("X", 1, True, True), GateOp("X", 1, 1, 1)),
+        (GateOp("X", True, 0b100, 0b100), GateOp("X", 1, 0b100, 0b100)),
+        (GateOp("X", 0, np.int64(0b10), 0b10), GateOp("X", 0, 0b10, 0b10)),
+        (GateOp("X", 2, 1, True), GateOp("X", 2, 1, 1)),
     ):
         assert loose == exact
-        assert all(type(v) is int for v in (loose.target, loose.mask, loose.value))
+        assert type(loose.target) is type(loose.mask) is type(loose.value) is int
         np.testing.assert_array_equal(
             run_circuit(Circuit(3, (loose,)), state).amps,
             run_circuit(Circuit(3, (exact,)), state).amps,
         )
+
+
+def test_gateop_angle_becomes_a_float():
+    for loose, exact in ((np.float64(0.3), 0.3), (np.float32(0.5), 0.5), (True, 1.0), (2, 2.0)):
+        op = GateOp("RY", 0, param=loose)
+        assert type(op.param) is float and op.param == exact
+    for bad in (np.float64("nan"), np.inf, None):
+        with pytest.raises(CircuitError, match="finite angle"):
+            GateOp("PHASE", 0, param=bad)
+
+
+def test_numpy_and_bool_angles_round_trip():
+    oracle = build_multi_oracle(MarkedSet(3, frozenset({1, 6})), np.float64(0.3))
+    gates = Circuit(2, (GateOp("PHASE", 0, 0b10, 0b10, True), GateOp("RY", 1, param=np.float64(-2.5))))
+    for circuit in (oracle, gates):
+        text = export_circuit(circuit)
+        assert "np." not in text and "True" not in text
+        assert parse_circuit(text) == circuit
+        assert export_circuit(parse_circuit(text)) == text
 
 
 def test_gate_to_matrix_is_unitary():

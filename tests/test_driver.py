@@ -294,6 +294,9 @@ def test_database_converts_loose_columns():
     db = Database(["a", "b", 3], [np.int64(5), True, 2], 3)
     assert tuple(zip(db.labels, db.values)) == (("a", 5), ("b", 1), ("3", 2))
     assert all(type(v) is int for v in db.values)
+    assert Database((4, 5.5), [1, 2], 2).labels == ("4", "5.5")
+    labels = [f"row {i}" for i in range(2)]
+    assert all(kept is label for kept, label in zip(Database(labels, [1, 2], 2).labels, labels))
     with pytest.raises(DataError, match="2 labels for 3 values"):
         Database("ab", (1, 2, 3), 3)
 

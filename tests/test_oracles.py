@@ -26,7 +26,7 @@ from qummsa.oracles import (
 from qummsa.simplify import simplify_all
 from qummsa.statevector import make_basis_state, make_superposition
 
-from helpers import concat
+from helpers import concat, depth_first_preparation, run_gate_by_gate
 
 
 def oracle_diag(circuit):
@@ -246,6 +246,18 @@ def test_preparation_random_occupancies(n, seed):
         occ = sorted(int(v) for v in rng.choice(2**n, size=k, replace=False))
         out = run_circuit(build_preparation(occ, n), make_basis_state(n, 0))
         np.testing.assert_allclose(out.amps, make_superposition(n, occ).amps, atol=1e-10)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_level_order_preparation_equals_depth_first_bit_for_bit(data):
+    # the same gates, reordered only across disjoint control cubes
+    n = data.draw(st.integers(1, 8), label="n")
+    occ = data.draw(st.sets(st.integers(0, 2**n - 1), min_size=1), label="occupied")
+    level, depth = build_preparation(occ, n), depth_first_preparation(occ, n)
+    assert sorted(map(repr, level.ops)) == sorted(map(repr, depth.ops))
+    zero = make_basis_state(n, 0)
+    assert run_circuit(level, zero).amps.tobytes() == run_gate_by_gate(depth, zero).amps.tobytes()
 
 
 def test_preparation_empty_rejected():
