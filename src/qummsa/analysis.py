@@ -20,13 +20,17 @@ import numpy as np
 from .baselines import (
     DHA_PREP_COEFF, DHA_SEARCH_COEFF, GROWTH_FACTOR_MAX, draw_range, qesa_failure_model,
 )
-from .grover_long import compute_params, final_amplitudes
+from .grover_long import _tune, compute_params, final_amplitudes
 # re-exported: the tests' step-by-step reference, also wrapped by perfbench/spans.py
 from .grover_long import amplitude_recursion  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
 # cells per block of failure_contour_grid rows: each complex temporary stays
-# near 0.5 MB (one row, where a row alone is larger)
+# near 0.5 MB (one row, where a row alone is larger).  The block size is part
+# of the output bytes: below 16,384 cells, 256 KiB of complex128 and where
+# numpy starts to elide temporaries, 7,244 of the 65,536 cells of
+# failure-map --resolution 256 (pinned in the tests) change in their last
+# bits.  How many ratios one _failure call evaluates is part of them too.
 _GRID_BLOCK_CELLS = 1 << 15
 # database size the failure curves' baseline is modelled at.  The curves are
 # stated in M/N alone; N enters only through the sqrt(N) cap on the
@@ -63,12 +67,12 @@ def _failure(ratio_true, phi, iterations):
 
 
 def _tuned(ratio_est) -> tuple[np.ndarray, np.ndarray]:
-    """(phi, J) arrays shaped like ``ratio_est``, from one compute_params per distinct value."""
+    """(phi, J) arrays shaped like ``ratio_est``, tuned once per distinct value."""
     ratio_est = _check_ratios("ratio_est", ratio_est)
     distinct, inverse = np.unique(ratio_est, return_inverse=True)
-    params = [compute_params(r, 1.0) for r in distinct.tolist()]
-    phi = np.array([p.phi for p in params])[inverse].reshape(ratio_est.shape)
-    iterations = np.array([p.iterations for p in params])[inverse].reshape(ratio_est.shape)
+    tuned = [_tune(r) for r in distinct.tolist()]
+    phi = np.array([p for _, p, _ in tuned])[inverse].reshape(ratio_est.shape)
+    iterations = np.array([j for _, _, j in tuned])[inverse].reshape(ratio_est.shape)
     return phi, iterations
 
 

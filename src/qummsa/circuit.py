@@ -9,13 +9,17 @@ Gate kinds:
 A gate's controls are one cube ``(mask, value)``, the format the rewrite passes
 use too: a control qubit has its bit set in mask and fires on |1> (``+q``, black
 dot, bit set in value) or on |0> (``-q``, white dot, bit clear in value).
-``run_circuit`` compiles a circuit into steps and applies them: each maximal
-run of phase fragments (``_scan``) is one diagonal, consecutive narrow
+A circuit's runs (:attr:`Circuit.runs`) are its maximal runs of phase
+fragments and of other gates, lexed by ``_scan`` once, on first use; the
+oracle builders record theirs as they emit the gates, so a raw oracle is never
+lexed.  ``run_circuit`` compiles a circuit into steps and applies them: each
+run of phase fragments is one diagonal, consecutive narrow
 controlled gates (at most NARROW_PAIRS amplitude pairs each) are split into
 layers of pairwise disjoint supports, each one gather, product and scatter, and
 a one-gate layer, a wider gate or an uncontrolled one stays on the stride kernel.
 The result is bit-identical to applying the gates one by one.
-Circuits are immutable after construction and safe to share across threads.
+Circuits are immutable after construction and safe to share across threads:
+two threads that lex the same circuit at once compute and cache equal runs.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ _PARAMETRIC = ("RY", "PHASE")
 DENSE_MAX_QUBITS = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, slots=True)
 class GateOp:
     """A gate on ``target`` that fires on the basis states b with ``(b & mask) == value``."""
 
@@ -48,15 +52,15 @@ class GateOp:
     value: int = 0
     param: float | None = None
 
-    def __post_init__(self):
-        kind, target, mask, value, param = self.kind, self.target, self.mask, self.value, self.param
+    def __init__(self, kind: str, target: int, mask: int = 0, value: int = 0, param: float | None = None):
+        # written out, not generated, so the fields are checked as locals before they are stored
         if kind not in GATE_KINDS:
             raise CircuitError(f"unknown gate kind {kind!r}")
         if kind in _PARAMETRIC:
             if param is None or not math.isfinite(param):
                 raise CircuitError(f"{kind} requires a finite angle parameter")
             if type(param) is not float:  # numpy and bool angles export as a plain float
-                object.__setattr__(self, "param", float(param))
+                param = float(param)
         elif param is not None:
             raise CircuitError(f"{kind} takes no parameter")
         if not type(target) is type(mask) is type(value) is int:
@@ -64,20 +68,28 @@ class GateOp:
                 target, mask, value = map(operator.index, (target, mask, value))
             except TypeError:
                 raise CircuitError("target, mask and value must be integers") from None
-            object.__setattr__(self, "target", target)
-            object.__setattr__(self, "mask", mask)
-            object.__setattr__(self, "value", value)
         if target < 0 or mask < 0 or value < 0:
             raise CircuitError("target, mask and value must be non-negative")
         if value & ~mask:
             raise CircuitError("control values must lie inside the control mask")
         if (mask >> target) & 1:
             raise CircuitError(f"target qubit {target} also appears as a control")
+        _set_kind(self, kind)
+        _set_target(self, target)
+        _set_mask(self, mask)
+        _set_value(self, value)
+        _set_param(self, param)
 
     def inverse(self) -> "GateOp":
         if self.kind in _PARAMETRIC:
             return GateOp(self.kind, self.target, self.mask, self.value, -self.param)
         return self  # X and H are self-inverse
+
+
+# the slots' setters, which store past the frozen __setattr__ and cost less than object.__setattr__
+_set_kind, _set_target, _set_mask, _set_value, _set_param = (
+    getattr(GateOp, name).__set__ for name in ("kind", "target", "mask", "value", "param")
+)
 
 
 @dataclass(frozen=True)
@@ -86,16 +98,22 @@ class Circuit:
     ops: tuple[GateOp, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        object.__setattr__(self, "ops", tuple(self.ops))
-        if self.n < 1:
-            raise CircuitError(f"qubit count must be >= 1, got {self.n}")
-        for op in self.ops:
-            if op.target >= self.n or op.mask >> self.n:
+        n, ops = self.n, tuple(self.ops)
+        object.__setattr__(self, "ops", ops)
+        if n < 1:
+            raise CircuitError(f"qubit count must be >= 1, got {n}")
+        for op in ops:
+            if op.target >= n or op.mask >> n:
                 q = max(op.target, op.mask.bit_length() - 1)
-                raise CircuitError(f"qubit {q} out of range for {self.n}-qubit register")
+                raise CircuitError(f"qubit {q} out of range for {n}-qubit register")
 
     def __len__(self) -> int:
         return len(self.ops)
+
+    @functools.cached_property
+    def runs(self) -> tuple[tuple[bool, tuple], ...]:
+        """``_scan(self.ops)``: lexed on first use, or recorded by the oracle builder that emitted the ops."""
+        return _scan(self.ops)
 
 
 def gate_matrix(op: GateOp) -> np.ndarray:
@@ -187,11 +205,12 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
 _Frag = tuple[int, int, float, str]  # (mask, value, phi, conj)
 
 
-def _scan(ops: tuple[GateOp, ...]) -> list[tuple[bool, list]]:
+def _scan(ops: tuple[GateOp, ...]) -> tuple[tuple[bool, tuple], ...]:
     """Lex the op list into maximal runs ``(is_frag, payloads)`` of _Frags or of other GateOps.
 
     The one place an X-PHASE-X triple (or a lone PHASE) is recognized as a
-    phase fragment; the rewrite passes and :func:`run_circuit` both read it.
+    phase fragment; the rewrite passes and :func:`run_circuit` read it through
+    :attr:`Circuit.runs`.
     """
     items: list[tuple[bool, object]] = []
     i = 0
@@ -213,7 +232,28 @@ def _scan(ops: tuple[GateOp, ...]) -> list[tuple[bool, list]]:
             items.append((False, op))
         i += 1
     runs = itertools.groupby(items, key=lambda item: item[0])
-    return [(is_frag, [payload for _, payload in run]) for is_frag, run in runs]
+    return tuple((is_frag, tuple(payload for _, payload in run)) for is_frag, run in runs)
+
+
+def _lexed(frag: _Frag) -> _Frag:
+    """The fragment ``_scan`` reads from ``simplify.emit_fragment(frag)``.
+
+    conj stays "ctrl" only when the target bit is clear (so X gates are
+    emitted) and another qubit is fixed (so they carry controls).  A
+    sequence of emitted fragments alone lexes fragment by fragment, so a
+    builder that emits nothing else records its runs with this rule.
+    """
+    mask, value, phi, conj = frag
+    bit = mask & -mask
+    if conj == "ctrl" and (value & bit or mask == bit):
+        return (mask, value, phi, "bare")
+    return frag
+
+
+def _with_runs(circuit: Circuit, runs: tuple[tuple[bool, tuple], ...]) -> Circuit:
+    """``circuit`` with ``runs`` cached as its :attr:`Circuit.runs`, which must equal ``_scan(circuit.ops)``."""
+    circuit.__dict__["runs"] = runs
+    return circuit
 
 
 # --- compiled steps ---------------------------------------------------------
@@ -253,11 +293,11 @@ class CompiledCircuit:
 
 def _steps(circuit: Circuit):
     """The steps of ``circuit`` in application order, lowered as they are asked for."""
-    for is_frag, payloads in _scan(circuit.ops):
+    for is_frag, payloads in circuit.runs:
         yield from (_phase_steps if is_frag else _gate_steps)(circuit.n, payloads)
 
 
-def _phase_steps(n: int, frags: list[_Frag]):
+def _phase_steps(n: int, frags: tuple[_Frag, ...]):
     """Multiply each fragment's cube by e^{i phi}, in fragment order.
 
     Consecutive single-state cubes are one ``np.multiply.at`` scatter (repeated
@@ -282,7 +322,7 @@ def _phase_cube(sel: tuple, factor: complex, amps: np.ndarray) -> None:
     amps.reshape((2,) * len(sel))[sel] *= factor
 
 
-def _gate_steps(n: int, ops: list[GateOp]):
+def _gate_steps(n: int, ops: tuple[GateOp, ...]):
     """Wide and uncontrolled gates one by one on the stride kernel, narrow ones in layers.
 
     Consecutive narrow gates are lowered in batches of at most BATCH_PAIRS pairs.

@@ -46,10 +46,14 @@ def compute_params(m_est: float, n_est: float) -> SearchParams:
     """
     if not 0 < m_est <= n_est:
         raise ValueError(f"need 0 < M~ <= N~, got M~={m_est}, N~={n_est}")
-    ratio = m_est / n_est
+    return SearchParams(m_est, n_est, *_tune(m_est / n_est))
+
+
+def _tune(ratio: float) -> tuple[float, float, int]:
+    """(beta, phi, J) for a ratio M~/N~ in (0, 1]: the one tuning rule, shared with the models."""
     beta = math.asin(math.sqrt(ratio))
     if ratio == 1.0:
-        return SearchParams(m_est, n_est, beta, 0.0, 0)
+        return beta, 0.0, 0
     # +1e-12 absorbs float spill just below exact-integer boundaries, where the
     # rule deliberately returns one more iteration than the minimum
     iterations = math.floor((math.pi / 2 - beta) / (2.0 * beta) + 1e-12) + 1
@@ -58,8 +62,7 @@ def compute_params(m_est: float, n_est: float) -> SearchParams:
         if arg > 1.0 + 1e-12:
             raise ValueError(f"inconsistent parameters: arcsin argument {arg} > 1")
         arg = 1.0
-    phi = 2.0 * math.asin(arg)
-    return SearchParams(m_est, n_est, beta, phi, iterations)
+    return beta, 2.0 * math.asin(arg), iterations
 
 
 def oracle_phase_step(state: StateVector, marked: MarkedSet, phi: float) -> StateVector:

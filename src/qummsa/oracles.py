@@ -9,10 +9,11 @@ bit 0 is clear (the form the simplify passes later reduce).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateOp
+from .circuit import Circuit, GateOp, _lexed, _with_runs
 from .errors import CircuitError
 from .simplify import emit_fragment
 from .statevector import sorted_occupied
@@ -80,7 +81,7 @@ def build_single_oracle(n: int, v: int, phi: float) -> Circuit:
     """Oracle marking the single basis index v with phase e^{i phi}."""
     if not 0 <= v < 2**n:
         raise CircuitError(f"marked index {v} out of range for {n} qubits")
-    return Circuit(n, _oracle_ops(n, [v], phi))
+    return _oracle(n, [v], phi)
 
 
 def build_multi_oracle(marked: MarkedSet, phi: float) -> Circuit:
@@ -89,13 +90,19 @@ def build_multi_oracle(marked: MarkedSet, phi: float) -> Circuit:
     Indices are emitted in ascending order, so the members of each maximal
     dyadic block sit next to each other for the rewrite passes.
     """
-    return Circuit(marked.n, _oracle_ops(marked.n, sorted(marked.V), phi))
+    return _oracle(marked.n, sorted(marked.V), phi)
 
 
-def _oracle_ops(n: int, indices, phi: float) -> tuple[GateOp, ...]:
-    """Each index as a cube with every qubit fixed, emitted in order."""
+def _oracle(n: int, indices, phi: float) -> Circuit:
+    """Each index as a cube with every qubit fixed, emitted in order.
+
+    The fragments are the circuit's runs, recorded here so it is never lexed.
+    """
+    phi = GateOp("PHASE", 0, param=phi).param  # the angle as the emitted gates store it
     full = 2**n - 1
-    return tuple(op for v in indices for op in emit_fragment((full, v, phi, "ctrl")))
+    frags = tuple(_lexed((full, v, phi, "ctrl")) for v in indices)  # emit as their "ctrl" form
+    ops = tuple(itertools.chain.from_iterable(map(emit_fragment, frags)))
+    return _with_runs(Circuit(n, ops), ((True, frags),))
 
 
 def build_threshold_oracle(pred: ThresholdPredicate, phi: float) -> Circuit:

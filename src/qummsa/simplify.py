@@ -2,9 +2,10 @@
 
 The passes rewrite "phase fragments": spans of gates that imprint e^{i phi} on
 one cube of basis states (a pattern fixing some qubits, leaving the rest free),
-as ``circuit._scan`` recognizes them.  Every pass scans the circuit once, sends
-each maximal run of consecutive fragments through its rewrite steps and emits
-the result once through :func:`emit_fragment`.  Three rewrites, applied as a
+as ``circuit._scan`` recognizes them.  Every pass reads the circuit's runs
+(``Circuit.runs``, lexed at most once per circuit), sends each maximal run
+of consecutive fragments through its rewrite steps and emits the result once
+through :func:`emit_fragment`.  Three rewrites, applied as a
 pipeline 1 -> 3 -> 2:
 
   principle 1   merge same-parity single-state oracles that tile a block,
@@ -26,9 +27,10 @@ preserve the circuit unitary exactly; the claimed equivalence tolerance
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateOp, _Frag, _scan
+from .circuit import Circuit, GateOp, _Frag
 
 
 @dataclass(frozen=True)
@@ -77,9 +79,14 @@ def emit_fragment(frag: _Frag) -> tuple[GateOp, ...]:
 
 
 def _rewrite(circuit: Circuit, *steps) -> Circuit:
-    """Scan once, pass each maximal run of fragments through ``steps`` in order, emit once."""
+    """Pass each maximal run of fragments through ``steps`` in order, emit once.
+
+    The output's runs are lexed again when asked for, not recorded: a
+    pass-through X before an emitted fragment can lex differently from the
+    cubes it was emitted from.
+    """
     ops: list[GateOp] = []
-    for is_frag, payloads in _scan(circuit.ops):
+    for is_frag, payloads in circuit.runs:
         if not is_frag:
             ops.extend(payloads)
             continue
@@ -92,7 +99,7 @@ def _rewrite(circuit: Circuit, *steps) -> Circuit:
 
 def is_phase_oracle(circuit: Circuit) -> bool:
     """True when every op belongs to a phase fragment, so the circuit is diagonal."""
-    return all(is_frag for is_frag, _ in _scan(circuit.ops))
+    return all(is_frag for is_frag, _ in circuit.runs)
 
 
 # --- principle 1: block merge ------------------------------------------------
@@ -120,7 +127,7 @@ def _partition_cubes(minterms: set[int], bits: tuple[int, ...]) -> list[tuple[in
     return out
 
 
-def _merge_blocks(frags: list[_Frag], n: int) -> list[_Frag]:
+def _merge_blocks(frags: Sequence[_Frag], n: int) -> Sequence[_Frag]:
     """Principle 1 on one run: re-cover each (phi, q0 parity) group by maximal cubes."""
     ctrl_bits = tuple(range(1, n))
     full_ctrl_mask = (2**n - 1) & ~1
@@ -162,7 +169,7 @@ def simplify_principle1(circuit: Circuit) -> Circuit:
 # --- principle 3: even/odd pair fusion ----------------------------------------
 
 
-def _fuse_pairs(frags: list[_Frag], n: int) -> list[_Frag]:
+def _fuse_pairs(frags: Sequence[_Frag], n: int) -> list[_Frag]:
     """Principle 3 on one run: fuse pairs until no two cubes differ in one fixed bit.
 
     One forward scan over a position p.  Nothing before p has a partner unless
@@ -197,7 +204,7 @@ def simplify_principle3(circuit: Circuit) -> Circuit:
 # --- principle 2: plain X conjugation -----------------------------------------
 
 
-def _bare_conjugation(frags: list[_Frag], n: int) -> list[_Frag]:
+def _bare_conjugation(frags: Sequence[_Frag], n: int) -> list[_Frag]:
     """Principle 2 on one run: every fragment's X gates lose their controls."""
     return [(mask, value, phi, "bare") for mask, value, phi, _ in frags]
 

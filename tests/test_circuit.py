@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -389,6 +393,50 @@ def test_gateop_validation():
             run_circuit(Circuit(3, (loose,)), state).amps,
             run_circuit(Circuit(3, (exact,)), state).amps,
         )
+
+
+def test_gateop_error_messages():
+    cases = [
+        (lambda: GateOp("CX", 0), "unknown gate kind 'CX'"),
+        (lambda: GateOp("RY", 0), "RY requires a finite angle parameter"),
+        (lambda: GateOp("PHASE", 0, param=float("-inf")), "PHASE requires a finite angle parameter"),
+        (lambda: GateOp("X", 0, param=1.0), "X takes no parameter"),
+        (lambda: GateOp("H", 0, param=0.0), "H takes no parameter"),
+        (lambda: GateOp("X", 0, 2.0, 0), "target, mask and value must be integers"),
+        (lambda: GateOp("X", "0"), "target, mask and value must be integers"),
+        (lambda: GateOp("X", -1), "target, mask and value must be non-negative"),
+        (lambda: GateOp("X", 0, -2, 0), "target, mask and value must be non-negative"),
+        (lambda: GateOp("X", 0, 0b10, 0b100), "control values must lie inside the control mask"),
+        (lambda: GateOp("PHASE", 1, 0b10, 0, 1.0), "target qubit 1 also appears as a control"),
+    ]
+    for make, message in cases:
+        with pytest.raises(CircuitError) as info:
+            make()
+        assert str(info.value) == message
+
+
+def test_gateop_stays_a_frozen_dataclass():
+    op = GateOp("RY", np.int64(2), np.uint8(0b11), np.int32(0b01), np.float32(0.5))
+    assert (type(op.target), type(op.mask), type(op.value), type(op.param)) == (int, int, int, float)
+    exact = GateOp(kind="RY", target=2, mask=3, value=1, param=0.5)
+    assert op == exact and hash(op) == hash(exact)
+    assert repr(op) == "GateOp(kind='RY', target=2, mask=3, value=1, param=0.5)"
+    assert [f.name for f in dataclasses.fields(GateOp)] == ["kind", "target", "mask", "value", "param"]
+    assert GateOp("X", 1) == GateOp("X", 1, 0, 0, None)
+    # replace builds through the same checks and conversions
+    moved = dataclasses.replace(op, target=np.int64(5))
+    assert moved == GateOp("RY", 5, 3, 1, 0.5) and type(moved.target) is int
+    with pytest.raises(CircuitError, match="target qubit 0 also appears as a control"):
+        dataclasses.replace(op, target=0)
+    with pytest.raises(CircuitError, match="X takes no parameter"):
+        dataclasses.replace(op, kind="X")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        op.target = 4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del op.param
+    assert op == exact
+    assert pickle.loads(pickle.dumps(op)) == op and copy.deepcopy(op) == op
+    assert not hasattr(op, "__dict__")  # slots: a gate carries no per-instance dict
 
 
 def test_gateop_angle_becomes_a_float():

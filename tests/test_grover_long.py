@@ -212,7 +212,7 @@ def test_gates_mode_step_is_its_four_parts_bit_for_bit():
             for part in parts:
                 state = run_circuit(part, state)
             state = StateVector(n, -state.amps)
-            assert np.array_equal(got.amps, state.amps)
+            assert got.amps.tobytes() == state.amps.tobytes()  # bits: tells -0.0 from 0.0
 
 
 def test_amplitude_recursion_agreement():

@@ -1,14 +1,18 @@
+import dataclasses
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qummsa import circuit as circuit_module
 from qummsa import oracles
 from qummsa.circuit import (
     Circuit,
     GateOp,
+    _scan,
     circuit_to_matrix,
     export_circuit,
     run_circuit,
@@ -23,10 +27,10 @@ from qummsa.oracles import (
     build_single_oracle,
     build_threshold_oracle,
 )
-from qummsa.simplify import simplify_all
+from qummsa.simplify import emit_fragment, simplify_all
 from qummsa.statevector import make_basis_state, make_superposition
 
-from helpers import concat, depth_first_preparation, run_gate_by_gate
+from helpers import concat, depth_first_preparation, random_circuit, run_gate_by_gate
 
 
 def oracle_diag(circuit):
@@ -148,6 +152,63 @@ def test_raw_oracle_matches_concatenated_single_oracles(data):
     phi = data.draw(st.floats(0.1, 6.2), label="phi")
     built = build_multi_oracle(MarkedSet(n, frozenset(V)), phi)
     assert built.ops == concatenated_single_oracles(n, V, phi).ops
+
+
+def assert_runs_lex_the_ops(circuit):
+    """``circuit.runs``, recorded or lexed, is ``_scan`` of its ops, in immutable tuples of exact types."""
+    runs = circuit.runs
+    assert runs == _scan(circuit.ops)
+    assert type(runs) is tuple
+    for is_frag, payloads in runs:
+        assert type(is_frag) is bool and type(payloads) is tuple and payloads
+        for payload in payloads:
+            if is_frag:
+                mask, value, phi, conj = payload
+                assert type(payload) is tuple and type(mask) is type(value) is int
+                assert type(phi) is float and conj in ("ctrl", "bare")
+            else:
+                assert type(payload) is GateOp
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_runs_are_the_lexed_ops(data):
+    n = data.draw(st.integers(1, 10), label="n")
+    phi = data.draw(st.floats(-2 * np.pi, 2 * np.pi).map(data.draw(st.sampled_from([float, np.float64]))),
+                    label="phi")
+    V = data.draw(st.sets(st.integers(0, 2**n - 1), min_size=1, max_size=64), label="V")
+    pred = ThresholdPredicate(data.draw(st.sampled_from(["min", "max"])), data.draw(st.integers(0, 2**n - 1)), n)
+    built = [
+        build_I0(n, phi),
+        build_single_oracle(n, data.draw(st.integers(0, 2**n - 1), label="v"), phi),
+        build_multi_oracle(MarkedSet(n, frozenset(V)), phi),
+        build_threshold_oracle(pred, phi),
+        build_preparation(V, n),
+    ]
+    rng = data.draw(st.integers(0, 2**32 - 1), label="rng")
+    for circuit in [*built, *map(simplify_all, built), random_circuit(n, 30, rng), concat(*built)]:
+        assert_runs_lex_the_ops(circuit)
+    # the recorded cubes emit the gates of every index's fully fixed "ctrl" cube
+    full = 2**n - 1
+    assert built[2].ops == tuple(op for v in sorted(V) for op in emit_fragment((full, v, phi, "ctrl")))
+
+
+def test_raw_oracles_are_never_lexed():
+    # the builders record the fragments they emit as the circuit's runs, so
+    # building, simplifying and running a raw oracle never calls _scan
+    uniform = make_superposition(10, range(2**10))
+    with mock.patch.object(circuit_module, "_scan", side_effect=AssertionError("lexed")):
+        raw = [build_multi_oracle(ThresholdPredicate("max", 300, 10).marked_set(), 0.7),
+               build_single_oracle(10, 6, 1.1), build_I0(10, np.float64(2.5))]
+        simple = [simplify_all(c) for c in raw]
+        for c in raw:
+            run_circuit(c, uniform)
+    for c in raw + simple:
+        assert_runs_lex_the_ops(c)
+    # the cached runs are read, not recomputed, and cannot be assigned
+    assert raw[0].runs is raw[0].runs and simple[0].runs is simple[0].runs
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        raw[0].runs = ()
 
 
 def test_raw_and_simplified_oracles_bit_identical_pin():
