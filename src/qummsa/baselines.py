@@ -81,7 +81,7 @@ def run_qesa(
 
     trace = QesaTrace()
     for t in range(1, cfg.max_t + 1):
-        gamma = int(gen.uniform(0.0, draw_range(t, cfg.lam, len(occupied))))
+        gamma = int(draw_range(t, cfg.lam, len(occupied)) * gen.random())
         idx = measure(bounds, len(occupied), math.pi, gamma, gen)
         outcome = occupied[idx]
         success = flags[idx + 1]
@@ -160,7 +160,7 @@ def run_dha_minimum(db, cfg: QesaConfig, rng=None) -> DhaResult:
     t = 1
     below = int(np.searchsorted(ordered, d0, side="left"))  # d0's position, the marked prefix's end
     while time_used < budget:
-        gamma = int(gen.uniform(0.0, draw_range(t, cfg.lam, N)))
+        gamma = int(draw_range(t, cfg.lam, N) * gen.random())
         idx = measure((0, below), N, math.pi, gamma, gen)
         rounds += 1
         grover_total += gamma

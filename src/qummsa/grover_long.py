@@ -15,6 +15,7 @@ it approaches (pi/4) sqrt(N/M).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterator
@@ -168,6 +169,46 @@ def _pick(cond, x, y):
     return x if cond else y
 
 
+_ARRAY_OPS = (np.sqrt, np.sin, np.cos, np.arctan2, np.where)
+_SCALAR_OPS = (math.sqrt, math.sin, math.cos, math.atan2, _pick)
+
+
+def _rotation(M, N, phi, ops):
+    """The part of :func:`final_amplitudes` that depends on (M, N, phi) only, over ``ops``."""
+    sqrt, sin, cos, atan2, where = ops
+    r, rb = M / N, (N - M) / N
+    s, c = sin(phi / 2), cos(phi / 2)
+    # sin and cos of theta/2; the cos as sqrt(1 - r + r c^2) keeps its digits near r = 1
+    v, w = sqrt(r) * abs(s), sqrt(rb + r * c * c)
+    flip = v > w
+    singular = v * w == 0
+    angle = where(flip, -2.0 * atan2(w, v), 2.0 * atan2(v, w))
+    return flip, angle, singular, 2.0 * s, s / where(singular, 1.0, v * w), s * rb + 1j * c, r, s, sqrt(N)
+
+
+def _power(rotation, phi, j, ops):
+    """The part of :func:`final_amplitudes` that depends on J, given its :func:`_rotation`."""
+    _, sin, cos, _, where = ops
+    flip, angle, singular, twice_s, s_over_vw, good, r, s, root_n = rotation
+    x = j * angle
+    q = where(singular, twice_s * j, s_over_vw * sin(x))
+    sigma = where(flip, 1, 1 - 2 * (j & 1)) * (cos(j * phi) + 1j * sin(j * phi)) / root_n
+    cos_x = cos(x)
+    return sigma * (cos_x + q * good), sigma * (cos_x - q * r * s)
+
+
+@functools.lru_cache(maxsize=64)  # a search's rounds reuse one rotation in a row
+def _scalar_rotation(M: float, N: float, phi: float):
+    return _rotation(M, N, phi, _SCALAR_OPS)
+
+
+def _amplitudes(M: float, N: float, phi: float, j: int) -> tuple[complex, complex]:
+    """:func:`final_amplitudes` on Python floats and an int J, its rotation cached."""
+    if j < 0:
+        raise ValueError(f"iterations must be >= 0, got {j}")
+    return _power(_scalar_rotation(M, N, phi), phi, j, _SCALAR_OPS)
+
+
 def final_amplitudes(M, N, phi, iterations):
     """Per-state amplitudes (a_good, a_bad) after ``iterations`` steps, in O(1).
 
@@ -183,94 +224,52 @@ def final_amplitudes(M, N, phi, iterations):
     or phi = 0, q is its limit 2 J s.  Nothing is renormalised: M |a|^2 +
     (N - M) |b|^2 = cos^2 x + sin^2 x is 1 to rounding at any J.  The phase
     of sigma is exact only up to the rounding of J phi, which no probability
-    depends on.
+    depends on.  :func:`_rotation` holds everything but J, and
+    :func:`_power` the rest.
 
     If any argument is a numpy array, all four broadcast and each element has
     its own J (the result is a pair of complex arrays); otherwise they are
-    scalars and the arithmetic stays in Python floats, cheaper for one search.
+    scalars and the arithmetic stays in Python floats, cheaper for one search,
+    with the rotation cached per (M, N, phi).
     """
-    if (
-        isinstance(M, np.ndarray)
-        or isinstance(N, np.ndarray)
-        or isinstance(phi, np.ndarray)
-        or isinstance(iterations, np.ndarray)
-    ):
-        M, N, phi, j = np.broadcast_arrays(
-            *(np.asarray(v, dtype=float) for v in (M, N, phi)), np.asarray(iterations, np.int64)
-        )
-        sqrt, sin, cos, atan2, where = np.sqrt, np.sin, np.cos, np.arctan2, np.where
-        lowest = int(j.min(initial=0))
-    else:
-        M, N, phi, j = float(M), float(N), float(phi), int(iterations)
-        sqrt, sin, cos, atan2, where = math.sqrt, math.sin, math.cos, math.atan2, _pick
-        lowest = j
+    if not any(isinstance(v, np.ndarray) for v in (M, N, phi, iterations)):
+        return _amplitudes(float(M), float(N), float(phi), int(iterations))
+    M, N, phi, j = np.broadcast_arrays(
+        *(np.asarray(v, dtype=float) for v in (M, N, phi)), np.asarray(iterations, np.int64)
+    )
+    lowest = int(j.min(initial=0))
     if lowest < 0:
         raise ValueError(f"iterations must be >= 0, got {lowest}")
-    r, rb = M / N, (N - M) / N
-    s, c = sin(phi / 2), cos(phi / 2)
-    # sin and cos of theta/2; the cos as sqrt(1 - r + r c^2) keeps its digits near r = 1
-    v, w = sqrt(r) * abs(s), sqrt(rb + r * c * c)
-    flip = v > w
-    x = j * where(flip, -2.0 * atan2(w, v), 2.0 * atan2(v, w))
-    singular = v * w == 0
-    q = where(singular, 2.0 * s * j, s / where(singular, 1.0, v * w) * sin(x))
-    sigma = where(flip, 1, 1 - 2 * (j & 1)) * (cos(j * phi) + 1j * sin(j * phi)) / sqrt(N)
-    cos_x = cos(x)
-    return sigma * (cos_x + q * (s * rb + 1j * c)), sigma * (cos_x - q * r * s)
+    return _power(_rotation(M, N, phi, _ARRAY_OPS), phi, j, _ARRAY_OPS)
 
 
-def support_probabilities(is_marked: np.ndarray, phi: float, iterations: int) -> np.ndarray:
-    """Outcome probability of each occupied value after a search from the uniform start.
-
-    ``is_marked`` masks the ascending occupied values: the dense form of :func:`outcome_runs`.
-    """
-    is_marked = np.asarray(is_marked, dtype=bool)
-    a, b = final_amplitudes(np.count_nonzero(is_marked), is_marked.size, phi, iterations)
-    return np.where(is_marked, abs(a) ** 2, abs(b) ** 2)
-
-
-def outcome_runs(bounds: tuple[int, ...], size: int, phi: float, iterations: int):
-    """Outcome probabilities over ``size`` occupied values as (length, p) runs, and their total.
+def measure(bounds: tuple[int, ...], size: int, phi: float, iterations: int, rng) -> int:
+    """Position of one measurement among ``size`` occupied values: the Generator ``rng``'s next double.
 
     Marked are the ascending positions [bounds[0], bounds[1]), [bounds[2],
     bounds[3]), ...: (0, M) for a min prefix, (size - M, size) for a max
-    suffix.  A total off 1 by more than NORM_TOL raises CircuitError.
+    suffix.  A total off 1 by more than NORM_TOL raises CircuitError.  The
+    draw u lands at start + ceil((u - c)/p) - 1 in the run of the edges
+    (0, *bounds, size) that holds it, c the probability before that run:
+    ``sample_indices``' rule, which skips zero-probability runs.
     """
     marked = sum(bounds[1::2]) - sum(bounds[::2])
-    a, b = final_amplitudes(marked, size, phi, iterations)
+    a, b = _amplitudes(float(marked), float(size), float(phi), int(iterations))
     pa, pb = abs(a) ** 2, abs(b) ** 2
     total = marked * pa + (size - marked) * pb
     if abs(total - 1.0) > NORM_TOL:
         raise CircuitError(f"probabilities sum to {total!r}, not 1 within {NORM_TOL}")
+    u = rng.random() * total
     edges = (0, *bounds, size)
-    return [(edges[i + 1] - edges[i], pa if i & 1 else pb) for i in range(len(edges) - 1)], total
-
-
-def run_position(u: float, runs) -> int:
-    """``statevector.sample_indices``' index rule over (length, p) runs, in O(len(runs)).
-
-    In the run that holds u: start + ceil((u - c)/p) - 1, c the probability
-    before it.  Zero-probability runs are skipped: u = 0 gives the first
-    position of positive probability, a u past the total the last one.
-    """
-    start, cum, last = 0, 0.0, None
-    for length, p in runs:
+    cum, last = 0.0, None
+    for i in range(len(edges) - 1):
+        start, length, p = edges[i], edges[i + 1] - edges[i], pa if i & 1 else pb
         if length and p > 0:
             top = cum + length * p
             if u <= top:
                 return start + min(max(math.ceil((u - cum) / p), 1), length) - 1
             cum, last = top, start + length - 1
-        start += length
     return last
-
-
-def measure(bounds: tuple[int, ...], size: int, phi: float, iterations: int, rng) -> int:
-    """Position of one measurement: the Generator ``rng``'s next double among :func:`outcome_runs`.
-
-    The dense reference is ``sample_indices`` over :func:`support_probabilities`.
-    """
-    runs, total = outcome_runs(bounds, size, phi, iterations)
-    return run_position(rng.random() * total, runs)
 
 
 def success_probability(final: StateVector, marked: MarkedSet) -> float:

@@ -1,4 +1,4 @@
-"""Test-only helpers: circuits, state comparisons, models, and references for CSV output, the preparation tree and the rewrite passes."""
+"""Test-only helpers: circuits, state comparisons, models, and references for measurement, CSV output, the preparation tree and the rewrite passes."""
 
 import csv
 import io
@@ -10,8 +10,9 @@ from qummsa.analysis import ComplexityParams, ComplexityReport, grover_iteration
 from qummsa.circuit import GATE_KINDS, Circuit, GateOp, _apply_gate_inplace, _Frag
 from qummsa.driver import Database, _count_on_side
 from qummsa.errors import CircuitError
+from qummsa.grover_long import final_amplitudes
 from qummsa.simplify import _partition_cubes
-from qummsa.statevector import StateVector, sorted_occupied
+from qummsa.statevector import NORM_TOL, StateVector, sorted_occupied
 
 
 def concat(*circuits: Circuit) -> Circuit:
@@ -124,6 +125,76 @@ def qummsa_complexity_structured(params: ComplexityParams) -> ComplexityReport:
         prep_term=prep,
         prep_count=lg + params.c,
     )
+
+
+# The closed form in one piece, and the measurement rule as it stood with a run
+# list: a dense form, the runs and the position in them; qummsa.grover_long
+# must agree with these.
+
+
+def final_amplitudes_in_one_piece(M, N, phi, iterations, ops):
+    """``grover_long.final_amplitudes`` as it stood before its split, on the given ``ops``.
+
+    ``ops`` is (sqrt, sin, cos, atan2, where) from math or from numpy, as
+    the one formula took them; the split parts must give its bits.
+    """
+    sqrt, sin, cos, atan2, where = ops
+    j = iterations
+    r, rb = M / N, (N - M) / N
+    s, c = sin(phi / 2), cos(phi / 2)
+    v, w = sqrt(r) * abs(s), sqrt(rb + r * c * c)
+    flip = v > w
+    x = j * where(flip, -2.0 * atan2(w, v), 2.0 * atan2(v, w))
+    singular = v * w == 0
+    q = where(singular, 2.0 * s * j, s / where(singular, 1.0, v * w) * sin(x))
+    sigma = where(flip, 1, 1 - 2 * (j & 1)) * (cos(j * phi) + 1j * sin(j * phi)) / sqrt(N)
+    cos_x = cos(x)
+    return sigma * (cos_x + q * (s * rb + 1j * c)), sigma * (cos_x - q * r * s)
+
+
+def support_probabilities(is_marked: np.ndarray, phi: float, iterations: int) -> np.ndarray:
+    """Outcome probability of each occupied value after a search from the uniform start.
+
+    ``is_marked`` masks the ascending occupied values: the dense form of :func:`outcome_runs`.
+    """
+    is_marked = np.asarray(is_marked, dtype=bool)
+    a, b = final_amplitudes(np.count_nonzero(is_marked), is_marked.size, phi, iterations)
+    return np.where(is_marked, abs(a) ** 2, abs(b) ** 2)
+
+
+def outcome_runs(bounds: tuple[int, ...], size: int, phi: float, iterations: int):
+    """Outcome probabilities over ``size`` occupied values as (length, p) runs, and their total.
+
+    Marked are the ascending positions [bounds[0], bounds[1]), [bounds[2],
+    bounds[3]), ...: (0, M) for a min prefix, (size - M, size) for a max
+    suffix.  A total off 1 by more than NORM_TOL raises CircuitError.
+    """
+    marked = sum(bounds[1::2]) - sum(bounds[::2])
+    a, b = final_amplitudes(marked, size, phi, iterations)
+    pa, pb = abs(a) ** 2, abs(b) ** 2
+    total = marked * pa + (size - marked) * pb
+    if abs(total - 1.0) > NORM_TOL:
+        raise CircuitError(f"probabilities sum to {total!r}, not 1 within {NORM_TOL}")
+    edges = (0, *bounds, size)
+    return [(edges[i + 1] - edges[i], pa if i & 1 else pb) for i in range(len(edges) - 1)], total
+
+
+def run_position(u: float, runs) -> int:
+    """``statevector.sample_indices``' index rule over (length, p) runs, in O(len(runs)).
+
+    In the run that holds u: start + ceil((u - c)/p) - 1, c the probability
+    before it.  Zero-probability runs are skipped: u = 0 gives the first
+    position of positive probability, a u past the total the last one.
+    """
+    start, cum, last = 0, 0.0, None
+    for length, p in runs:
+        if length and p > 0:
+            top = cum + length * p
+            if u <= top:
+                return start + min(max(math.ceil((u - cum) / p), 1), length) - 1
+            cum, last = top, start + length - 1
+        start += length
+    return last
 
 
 def zero_generator() -> np.random.Generator:

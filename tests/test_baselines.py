@@ -3,8 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qummsa.baselines import QesaConfig, qesa_failure_model, run_dha_minimum, run_qesa
+from qummsa.baselines import (
+    GROWTH_FACTOR_MAX, QesaConfig, draw_range, qesa_failure_model, run_dha_minimum, run_qesa,
+)
 from qummsa.driver import Database
 from qummsa.errors import CircuitError
 from qummsa.oracles import MarkedSet
@@ -246,3 +250,23 @@ def test_dha_rounds_allocate_no_length_n_array():
         tracemalloc.stop()
     assert res.rounds > 100
     assert peak < 2**18
+
+
+@settings(max_examples=300)
+@given(
+    t=st.integers(1, 64),
+    lam=st.floats(1.0, GROWTH_FACTOR_MAX, exclude_min=True),
+    size=st.integers(1, 2**40),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_gamma_draw_is_numpys_uniform(t, lam, size, seed):
+    # numpy's uniform(0.0, x) is 0.0 + (x - 0.0) * next_double, and both
+    # additions of 0.0 are exact: the one-call draw is the same double, and
+    # the generators stay in step
+    x = draw_range(t, lam, size)
+    twin, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        uniform, drawn = twin.uniform(0.0, x), x * gen.random()
+        assert np.float64(uniform).tobytes() == np.float64(drawn).tobytes()
+        assert int(uniform) == int(drawn)
+    assert twin.bit_generator.state == gen.bit_generator.state

@@ -15,10 +15,9 @@ from qummsa.driver import (
     run_qummsa,
 )
 from qummsa.errors import DataError
-from qummsa.grover_long import support_probabilities
 from qummsa.statevector import NORM_TOL
 
-from helpers import loop_failure_bound, rank
+from helpers import loop_failure_bound, rank, support_probabilities
 
 
 def full_database(n):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +17,8 @@ from qummsa.grover_long import (
     final_amplitudes,
     grover_long_states,
     measure,
-    outcome_runs,
     run_grover_long,
     success_probability,
-    support_probabilities,
 )
 from qummsa.circuit import invert_circuit, run_circuit
 from qummsa.oracles import (
@@ -29,7 +28,9 @@ from qummsa.statevector import (
     NORM_TOL, StateVector, make_basis_state, make_superposition, sample_indices,
 )
 
-from helpers import zero_generator
+from helpers import (
+    final_amplitudes_in_one_piece, outcome_runs, run_position, support_probabilities, zero_generator,
+)
 
 
 def test_params_two_of_four():
@@ -446,11 +447,12 @@ def test_measure_and_dense_reference_agree_at_zero_draw():
 
 @pytest.mark.parametrize("scale", [1 - 1e-8, 1 + 1e-8, 1 + 1e-11])
 def test_measure_refuses_a_total_off_one(monkeypatch, scale):
-    # final_amplitudes off by the factor scale: outside NORM_TOL the draw is
-    # refused, inside it the probabilities are drawn from as they are
-    exact = final_amplitudes
+    # the amplitudes measure draws from off by the factor scale: outside
+    # NORM_TOL the draw is refused, inside it the probabilities are drawn
+    # from as they are
+    exact = grover_long._amplitudes
     monkeypatch.setattr(
-        grover_long, "final_amplitudes", lambda *args: tuple(scale * x for x in exact(*args))
+        grover_long, "_amplitudes", lambda *args: tuple(scale * x for x in exact(*args))
     )
     params = compute_params(3, 40)
     if abs(scale**2 - 1.0) > NORM_TOL:
@@ -458,11 +460,86 @@ def test_measure_refuses_a_total_off_one(monkeypatch, scale):
             measure((0, 3), 40, params.phi, params.iterations, np.random.default_rng(1))
         return
     runs, total = outcome_runs((0, 3), 40, params.phi, params.iterations)
-    a, b = exact(3, 40, params.phi, params.iterations)
+    a, b = exact(3.0, 40.0, params.phi, params.iterations)
     pa, pb = abs(scale * a) ** 2, abs(scale * b) ** 2
     assert runs == [(0, pb), (3, pa), (37, pb)]
     assert total != 1.0
-    assert 0 <= measure((0, 3), 40, params.phi, params.iterations, np.random.default_rng(1)) < 3
+    for seed in range(20):
+        drawn = measure((0, 3), 40, params.phi, params.iterations, np.random.default_rng(seed))
+        assert drawn == run_position(np.random.default_rng(seed).random() * total, runs)
+        assert 0 <= drawn < 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mask=_marked_masks(),
+    data=st.data(),
+    seed=st.integers(0, 2**64 - 1),
+    scale=st.sampled_from([1.0, 1.0, 1.0, 1 - 1e-8, 1 + 1e-11]),
+)
+def test_measure_is_the_run_list_rule(mask, data, seed, scale):
+    # the inline walk over the edges is run_position over outcome_runs,
+    # position for position, and refuses the same totals with the same error
+    phi, iterations = data.draw(_phases(mask.size))
+    bounds = _bounds_of(mask)
+    exact = grover_long._amplitudes
+    with mock.patch.object(
+        grover_long, "_amplitudes", lambda *args: tuple(scale * x for x in exact(*args))
+    ):
+        try:
+            runs, total = outcome_runs(bounds, mask.size, phi, iterations)
+        except CircuitError as refused:
+            with pytest.raises(CircuitError) as raised:
+                measure(bounds, mask.size, phi, iterations, np.random.default_rng(seed))
+            assert str(raised.value) == str(refused)
+            return
+        drawn = measure(bounds, mask.size, phi, iterations, np.random.default_rng(seed))
+    assert drawn == run_position(np.random.default_rng(seed).random() * total, runs)
+
+
+_singular_cells = [
+    (0, 8, 1.3, 5), (-0.0, 8, 1.3, 5), (8, 8, math.pi, 7), (1, 1, 1.1, 3), (3, 8, 0.0, 4),
+    (3, 8, -0.0, 4), (0, 8, 0.0, 2), (3, 8, 1.3, 0), (0, 8, 0.0, 0), (8, 8, 0.0, 0),
+]
+
+
+@settings(max_examples=100)
+@given(
+    cells=st.lists(
+        st.tuples(_counts, _phis, st.integers(0, 2**40)).map(lambda c: (*c[0], c[1], c[2])),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_split_closed_form_keeps_its_bits(cells):
+    # cached, uncached and array evaluations of the split parts give the bits
+    # of the one-piece formula on the same ops (numpy's vector trig rounds
+    # apart from math's, so array and scalar agree only to rounding: see
+    # test_final_amplitudes_array_matches_scalar)
+    # the cache is not cleared between cells, so -0.0 also meets the rotation of 0.0
+    cells = _singular_cells + cells
+    ops = grover_long._SCALAR_OPS
+    grover_long._scalar_rotation.cache_clear()
+    for M, N, phi, j in cells:
+        reference = np.array(final_amplitudes_in_one_piece(float(M), float(N), phi, j, ops))
+        uncached = grover_long._power(grover_long._rotation(float(M), float(N), phi, ops), phi, j, ops)
+        for got in (uncached, final_amplitudes(M, N, phi, j), final_amplitudes(M, N, phi, j)):
+            assert np.array(got).tobytes() == reference.tobytes(), (M, N, phi, j)
+    M, N, phi = (np.array(column, dtype=float) for column in list(zip(*cells))[:3])
+    J = np.array([j for *_, j in cells], dtype=np.int64)
+    a, b = final_amplitudes(M, N, phi, J)
+    ref_a, ref_b = final_amplitudes_in_one_piece(M, N, phi, J, grover_long._ARRAY_OPS)
+    assert a.tobytes() == ref_a.tobytes() and b.tobytes() == ref_b.tobytes()
+
+
+def test_scalar_rotation_is_cached_per_cell():
+    grover_long._scalar_rotation.cache_clear()
+    for j in range(50):
+        final_amplitudes(3, 4096, math.pi, j)
+        measure((0, 3), 4096, math.pi, j, np.random.default_rng(j))
+    info = grover_long._scalar_rotation.cache_info()
+    assert (info.misses, info.hits) == (1, 99)
+    assert info.maxsize is not None
 
 
 def test_measure_costs_nothing_of_size_n():

@@ -3,7 +3,6 @@ import pytest
 
 from qummsa.circuit import Circuit, GateOp, gate_to_matrix, run_circuit
 from qummsa.errors import CircuitError
-from qummsa.grover_long import run_position
 from qummsa.statevector import (
     StateVector,
     apply_rank1_reflection,
@@ -17,6 +16,7 @@ from qummsa.statevector import (
 from helpers import (
     canonical_global_phase,
     random_circuit,
+    run_position,
     states_equal_up_to_global_phase,
     zero_generator,
 )
