@@ -10,16 +10,18 @@ A gate's controls are one cube ``(mask, value)``, the format the rewrite passes
 use too: a control qubit has its bit set in mask and fires on |1> (``+q``, black
 dot, bit set in value) or on |0> (``-q``, white dot, bit clear in value).
 A circuit's runs (:attr:`Circuit.runs`) are its maximal runs of phase
-fragments and of other gates, lexed by ``_scan`` once, on first use; the
-oracle builders record theirs as they emit the gates, so a raw oracle is never
-lexed.  ``run_circuit`` compiles a circuit into steps and applies them: each
-run of phase fragments is one diagonal, consecutive narrow
-controlled gates (at most NARROW_PAIRS amplitude pairs each) are split into
-layers of pairwise disjoint supports, each one gather, product and scatter, and
-a one-gate layer, a wider gate or an uncontrolled one stays on the stride kernel.
-The result is bit-identical to applying the gates one by one.
-Circuits are immutable after construction and safe to share across threads:
-two threads that lex the same circuit at once compute and cache equal runs.
+fragments and of other gates, lexed by ``_scan`` once, on first use.  A phase
+oracle from the builders or the passes is made from its cubes instead and emits
+its gates (:func:`emit_fragment`) only when ``.ops`` is first read, so a raw
+oracle is never lexed and its gates are built only if read.  ``run_circuit``
+compiles a circuit into steps and applies them: each run of phase fragments is
+one diagonal, consecutive narrow controlled gates (at most NARROW_PAIRS
+amplitude pairs each) are split into layers of pairwise disjoint supports, each
+one gather, product and scatter, and a one-gate layer, a wider gate or an
+uncontrolled one stays on the stride kernel.  The result is bit-identical to
+applying the gates one by one.  Circuits are immutable after construction and
+safe to share across threads: two threads that lex a circuit, or emit its ops,
+at once compute and cache equal ones.
 """
 
 from __future__ import annotations
@@ -107,12 +109,32 @@ class Circuit:
                 q = max(op.target, op.mask.bit_length() - 1)
                 raise CircuitError(f"qubit {q} out of range for {n}-qubit register")
 
+    @classmethod
+    def _from_runs(cls, n: int, runs: tuple[tuple[bool, tuple], ...]) -> Circuit:
+        """The circuit of the fragment runs ``runs``, as ``_lexed`` gives them; its ops are emitted when first read."""
+        if n < 1:
+            raise CircuitError(f"qubit count must be >= 1, got {n}")
+        for mask in (frag[0] for _, frags in runs for frag in frags):
+            if mask >> n:  # named by the cube's highest fixed qubit, as __post_init__ names a gate
+                raise CircuitError(f"qubit {mask.bit_length() - 1} out of range for {n}-qubit register")
+        circuit = object.__new__(cls)
+        circuit.__dict__.update(n=n, runs=runs)
+        return circuit
+
+    def __getattr__(self, name: str):
+        # only a circuit made from its runs lacks ops: eq, hash, repr and pickling read them from here
+        if name != "ops" or "runs" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ops = tuple(op for _, frags in self.runs for frag in frags for op in emit_fragment(frag))
+        self.__dict__["ops"] = ops
+        return ops
+
     def __len__(self) -> int:
         return len(self.ops)
 
     @functools.cached_property
     def runs(self) -> tuple[tuple[bool, tuple], ...]:
-        """``_scan(self.ops)``: lexed on first use, or recorded by the oracle builder that emitted the ops."""
+        """``_scan(self.ops)``: lexed on first use, or the cubes a circuit was made from."""
         return _scan(self.ops)
 
 
@@ -236,12 +258,12 @@ def _scan(ops: tuple[GateOp, ...]) -> tuple[tuple[bool, tuple], ...]:
 
 
 def _lexed(frag: _Frag) -> _Frag:
-    """The fragment ``_scan`` reads from ``simplify.emit_fragment(frag)``.
+    """The fragment ``_scan`` reads from ``emit_fragment(frag)``.
 
     conj stays "ctrl" only when the target bit is clear (so X gates are
     emitted) and another qubit is fixed (so they carry controls).  A
     sequence of emitted fragments alone lexes fragment by fragment, so a
-    builder that emits nothing else records its runs with this rule.
+    circuit of fragments alone is made from its runs with this rule.
     """
     mask, value, phi, conj = frag
     bit = mask & -mask
@@ -250,10 +272,36 @@ def _lexed(frag: _Frag) -> _Frag:
     return frag
 
 
-def _with_runs(circuit: Circuit, runs: tuple[tuple[bool, tuple], ...]) -> Circuit:
-    """``circuit`` with ``runs`` cached as its :attr:`Circuit.runs`, which must equal ``_scan(circuit.ops)``."""
-    circuit.__dict__["runs"] = runs
-    return circuit
+def emit_fragment(frag: _Frag) -> tuple[GateOp, ...]:
+    """The one cube-to-gates emitter, shared by the oracle builders and the passes.
+
+    The target is the lowest fixed qubit; the other fixed qubits are its
+    control cube.  A target fixed at 0 gets its PHASE conjugated by X gates
+    shaped by ``conj``.
+    """
+    mask, value, phi, conj = frag
+    if mask <= 0:
+        raise AssertionError("cannot emit a fragment with no fixed qubit")
+    bit = mask & -mask
+    target = bit.bit_length() - 1
+    ctrl_mask, ctrl_value = mask ^ bit, value & ~bit
+    phase = GateOp("PHASE", target, ctrl_mask, ctrl_value, phi)
+    if value & bit:
+        return (phase,)
+    flip = GateOp("X", target, ctrl_mask, ctrl_value) if conj == "ctrl" else GateOp("X", target)
+    return (flip, phase, flip)
+
+
+def _gate_shapes(circuit: Circuit) -> list[tuple[int, bool]]:
+    """(controls, is PHASE) of each gate: per cube as emitted while a circuit made from cubes has no ops read."""
+    ops = circuit.__dict__.get("ops")  # else per op: a lexed lone PHASE may target any of its fixed qubits
+    cubes = [frag for _, frags in circuit.runs for frag in frags] if ops is None else ()
+    shapes = [(op.mask.bit_count(), op.kind == "PHASE") for op in ops or ()]
+    for mask, value, _, conj in cubes:
+        shapes.append((mask.bit_count() - 1, True))
+        if not value & mask & -mask:  # target fixed at 0: an X on each side
+            shapes += [(mask.bit_count() - 1 if conj == "ctrl" else 0, False)] * 2
+    return shapes
 
 
 # --- compiled steps ---------------------------------------------------------

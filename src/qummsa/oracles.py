@@ -2,20 +2,20 @@
 
 Every oracle built here is a diagonal unitary whose entries are e^{i phi} on
 the marked basis indices and 1 elsewhere.  Each marked index is a cube with
-every qubit fixed, turned into gates by :func:`simplify.emit_fragment`: a PHASE
-on q[0] controlled by the other bits, conjugated by controlled X gates when
-bit 0 is clear (the form the simplify passes later reduce).
+every qubit fixed, and the oracle is made from these cubes alone: its gates,
+emitted by :func:`circuit.emit_fragment` only when ``.ops`` is first read, are
+a PHASE on q[0] controlled by the other bits, conjugated by controlled X gates
+when bit 0 is clear (the form the simplify passes later reduce).  Simplifying,
+costing and running an oracle read its cubes and build none of its gates.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateOp, _lexed, _with_runs
+from .circuit import Circuit, GateOp, _lexed
 from .errors import CircuitError
-from .simplify import emit_fragment
 from .statevector import sorted_occupied
 
 # Largest marked set a threshold predicate enumerates.  The raw oracle carries
@@ -94,15 +94,11 @@ def build_multi_oracle(marked: MarkedSet, phi: float) -> Circuit:
 
 
 def _oracle(n: int, indices, phi: float) -> Circuit:
-    """Each index as a cube with every qubit fixed, emitted in order.
-
-    The fragments are the circuit's runs, recorded here so it is never lexed.
-    """
+    """Each index as a cube with every qubit fixed, in order: the one run of the circuit made from them."""
     phi = GateOp("PHASE", 0, param=phi).param  # the angle as the emitted gates store it
     full = 2**n - 1
     frags = tuple(_lexed((full, v, phi, "ctrl")) for v in indices)  # emit as their "ctrl" form
-    ops = tuple(itertools.chain.from_iterable(map(emit_fragment, frags)))
-    return _with_runs(Circuit(n, ops), ((True, frags),))
+    return Circuit._from_runs(n, ((True, frags),))
 
 
 def build_threshold_oracle(pred: ThresholdPredicate, phi: float) -> Circuit:

@@ -3,9 +3,10 @@
 The passes rewrite "phase fragments": spans of gates that imprint e^{i phi} on
 one cube of basis states (a pattern fixing some qubits, leaving the rest free),
 as ``circuit._scan`` recognizes them.  Every pass reads the circuit's runs
-(``Circuit.runs``, lexed at most once per circuit), sends each maximal run
-of consecutive fragments through its rewrite steps and emits the result once
-through :func:`emit_fragment`.  Three rewrites, applied as a
+(``Circuit.runs``, lexed at most once per circuit) and sends each maximal run
+of consecutive fragments through its rewrite steps.  A phase oracle comes out
+as its cubes, whose gates are emitted when first read; any other circuit is
+emitted once through :func:`emit_fragment`.  Three rewrites, applied as a
 pipeline 1 -> 3 -> 2:
 
   principle 1   merge same-parity single-state oracles that tile a block,
@@ -26,11 +27,12 @@ preserve the circuit unitary exactly; the claimed equivalence tolerance
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateOp, _Frag
+from .circuit import Circuit, GateOp, _Frag, _gate_shapes, _lexed, emit_fragment
 
 
 @dataclass(frozen=True)
@@ -49,51 +51,31 @@ class GateCostReport:
 
 
 def gate_cost(circuit: Circuit) -> GateCostReport:
-    multi = sum(1 for op in circuit.ops if op.mask.bit_count() >= 2)
-    two_q = sum(2 ** op.mask.bit_count() for op in circuit.ops if op.kind == "PHASE")
-    single = sum(1 for op in circuit.ops if not op.mask)
+    multi = two_q = single = 0
+    for controls, phase in _gate_shapes(circuit):
+        multi += controls >= 2
+        two_q += phase << controls  # 2**controls for a PHASE
+        single += not controls
     return GateCostReport(multi, two_q, single)
 
 
-# --- fragment emission ------------------------------------------------------
-
-
-def emit_fragment(frag: _Frag) -> tuple[GateOp, ...]:
-    """The one cube-to-gates emitter, shared by the oracle builders and the passes.
-
-    The target is the lowest fixed qubit; the other fixed qubits are its
-    control cube.  A target fixed at 0 gets its PHASE conjugated by X gates
-    shaped by ``conj``.
-    """
-    mask, value, phi, conj = frag
-    if mask <= 0:
-        raise AssertionError("cannot emit a fragment with no fixed qubit")
-    bit = mask & -mask
-    target = bit.bit_length() - 1
-    ctrl_mask, ctrl_value = mask ^ bit, value & ~bit
-    phase = GateOp("PHASE", target, ctrl_mask, ctrl_value, phi)
-    if value & bit:
-        return (phase,)
-    flip = GateOp("X", target, ctrl_mask, ctrl_value) if conj == "ctrl" else GateOp("X", target)
-    return (flip, phase, flip)
-
-
 def _rewrite(circuit: Circuit, *steps) -> Circuit:
-    """Pass each maximal run of fragments through ``steps`` in order, emit once.
+    """Pass each maximal run of fragments through ``steps`` in order.
 
-    The output's runs are lexed again when asked for, not recorded: a
-    pass-through X before an emitted fragment can lex differently from the
-    cubes it was emitted from.
+    A phase oracle's output is made from its cubes.  Any other output is
+    emitted here and lexed again when its runs are asked for: a pass-through
+    X before an emitted fragment can lex differently from its cubes.
     """
-    ops: list[GateOp] = []
+    runs = []
     for is_frag, payloads in circuit.runs:
-        if not is_frag:
-            ops.extend(payloads)
-            continue
-        for step in steps:
-            payloads = step(payloads, circuit.n)
-        for frag in payloads:
-            ops.extend(emit_fragment(frag))
+        if is_frag:
+            for step in steps:
+                payloads = step(payloads, circuit.n)
+        runs.append((is_frag, payloads))
+    if all(is_frag for is_frag, _ in runs):  # one run of fragments, or none
+        return Circuit._from_runs(circuit.n, tuple((True, tuple(map(_lexed, frags))) for _, frags in runs))
+    ops = (op for is_frag, payloads in runs for item in payloads
+           for op in (emit_fragment(item) if is_frag else (item,)))
     return Circuit(circuit.n, tuple(ops))
 
 
@@ -105,26 +87,29 @@ def is_phase_oracle(circuit: Circuit) -> bool:
 # --- principle 1: block merge ------------------------------------------------
 
 
-def _partition_cubes(minterms: set[int], bits: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Exact disjoint cover of a minterm set by cubes over ``bits``.
+def _partition_cubes(minterms: list[int], bits: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Exact disjoint cover of sorted distinct minterms by cubes over ``bits``, in ascending order.
 
     Splits on the highest bit, except when that bit is free for the whole set
     (both halves identical), in which case it stays free.  Dyadic blocks come
-    out as single maximal cubes.
+    out as single maximal cubes.  The minterms of a cube being split agree on
+    every higher bit, so each split is one bisection of the sorted list.
     """
-    if not minterms:
-        return []
-    if len(minterms) == 2 ** len(bits):
-        return [(0, 0)]
-    b = bits[-1]
-    rest = bits[:-1]
-    s0 = {m for m in minterms if not (m >> b) & 1}
-    s1 = {m & ~(1 << b) for m in minterms if (m >> b) & 1}
-    if s0 == s1:
-        return _partition_cubes(s0, rest)
-    out = [(mask | (1 << b), val) for mask, val in _partition_cubes(s0, rest)]
-    out += [(mask | (1 << b), val | (1 << b)) for mask, val in _partition_cubes(s1, rest)]
-    return out
+
+    def cover(lo: int, hi: int, depth: int) -> list[tuple[int, int]]:
+        if lo == hi:
+            return []
+        if hi - lo == 1 << depth:
+            return [(0, 0)]
+        b = 1 << bits[depth - 1]
+        mid = bisect.bisect_left(minterms, (minterms[lo] & -b << 1) | b, lo, hi)
+        if mid - lo == hi - mid and all(minterms[i] | b == minterms[i - lo + mid] for i in range(lo, mid)):
+            return cover(lo, mid, depth - 1)
+        out = [(mask | b, val) for mask, val in cover(lo, mid, depth - 1)]
+        out += [(mask | b, val | b) for mask, val in cover(mid, hi, depth - 1)]
+        return out
+
+    return cover(0, len(minterms), len(bits))
 
 
 def _merge_blocks(frags: Sequence[_Frag], n: int) -> Sequence[_Frag]:
@@ -156,7 +141,7 @@ def _merge_blocks(frags: Sequence[_Frag], n: int) -> Sequence[_Frag]:
         if len(minterms) != count:
             return frags  # overlapping marks: phases would stack, leave alone
         conj = "bare" if q0bit else "ctrl"
-        for mask, value in _partition_cubes(minterms, ctrl_bits):
+        for mask, value in _partition_cubes(sorted(minterms), ctrl_bits):
             out.append((mask | 1, value | q0bit, phi, conj))
     return out
 

@@ -11,7 +11,7 @@ from qummsa.circuit import GATE_KINDS, Circuit, GateOp, _apply_gate_inplace, _Fr
 from qummsa.driver import Database, _count_on_side
 from qummsa.errors import CircuitError
 from qummsa.grover_long import final_amplitudes
-from qummsa.simplify import _partition_cubes
+from qummsa.simplify import GateCostReport
 from qummsa.statevector import NORM_TOL, StateVector, sorted_occupied
 
 
@@ -218,8 +218,26 @@ def format_csv(rows: list[dict], invocation: str) -> str:
     return out.getvalue()
 
 
-# Principle 1 and principle 3 as they stood with an order list and a restarting
-# pair search; the passes in qummsa.simplify must return what these return.
+# Principle 1 and principle 3 as they stood with an order list, set-based
+# partitioning and a restarting pair search; the passes in qummsa.simplify must
+# return what these return.
+
+
+def partition_cubes_reference(minterms: set[int], bits: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Exact disjoint cover of a minterm set by cubes over ``bits``, two sets rebuilt per split."""
+    if not minterms:
+        return []
+    if len(minterms) == 2 ** len(bits):
+        return [(0, 0)]
+    b = bits[-1]
+    rest = bits[:-1]
+    s0 = {m for m in minterms if not (m >> b) & 1}
+    s1 = {m & ~(1 << b) for m in minterms if (m >> b) & 1}
+    if s0 == s1:
+        return partition_cubes_reference(s0, rest)
+    out = [(mask | (1 << b), val) for mask, val in partition_cubes_reference(s0, rest)]
+    out += [(mask | (1 << b), val | (1 << b)) for mask, val in partition_cubes_reference(s1, rest)]
+    return out
 
 
 def merge_blocks_reference(frags: list[_Frag], n: int) -> list[_Frag]:
@@ -259,7 +277,7 @@ def merge_blocks_reference(frags: list[_Frag], n: int) -> list[_Frag]:
         if len(minterms) != count:
             return frags  # overlapping marks: phases would stack, leave alone
         conj = "bare" if q0bit else "ctrl"
-        for mask, value in _partition_cubes(minterms, ctrl_bits):
+        for mask, value in partition_cubes_reference(minterms, ctrl_bits):
             out.append((mask | 1, value | q0bit, phi, conj))
     return out
 
@@ -285,3 +303,11 @@ def fuse_pairs_reference(frags: list[_Frag], n: int) -> list[_Frag]:
             if changed:
                 break
     return frags
+
+
+def gate_cost_reference(circuit: Circuit) -> GateCostReport:
+    """``simplify.gate_cost`` as it counted gate by gate from the circuit's ops."""
+    multi = sum(1 for op in circuit.ops if op.mask.bit_count() >= 2)
+    two_q = sum(2 ** op.mask.bit_count() for op in circuit.ops if op.kind == "PHASE")
+    single = sum(1 for op in circuit.ops if not op.mask)
+    return GateCostReport(multi, two_q, single)

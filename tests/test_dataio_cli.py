@@ -12,7 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import format_csv, random_circuit
+from qummsa import circuit as circuit_module
 from qummsa import cli
+from qummsa import simplify as simplify_module
 from qummsa.analysis import failure_contour_grid
 from qummsa.circuit import export_circuit, run_circuit
 from qummsa.cli import main
@@ -20,7 +22,7 @@ from qummsa.dataio import load_database, parse_database, titanic_database
 from qummsa.driver import Database
 from qummsa.errors import DataError
 from qummsa.grover_long import SearchParams, compute_params, run_grover_long
-from qummsa.oracles import MarkedSet
+from qummsa.oracles import MarkedSet, build_multi_oracle
 from qummsa.statevector import make_basis_state, make_superposition
 
 EQ8_CSV = "label,value\na,0\nb,2\nc,3\n"
@@ -441,6 +443,26 @@ def test_cli_simulate_streams_its_rows(tmp_path, monkeypatch, capsys):
     assert peak < 12 * 2**20
     with (tmp_path / "dist.csv").open() as fh:
         assert sum(1 for _ in fh) == 2 + 2**16
+
+
+def test_cli_simplified_oracle_emits_only_its_cubes(tmp_path, monkeypatch, capsys):
+    # the raw oracle of 65,534 indices is made from its cubes, so the only
+    # gates built are the simplified output's, once, as it is written out;
+    # the bytes were recorded when every raw gate was built (27.8 MiB peak)
+    monkeypatch.chdir(tmp_path)
+    argv = ["build-oracle", "--n", "16", "--threshold-ge", "2", "--phi", "1.0", "--simplify", "--out", "o.qc"]
+    with (mock.patch.object(circuit_module, "emit_fragment", wraps=circuit_module.emit_fragment) as emit,
+          mock.patch.object(simplify_module, "emit_fragment", side_effect=AssertionError("emitted"))):
+        code, peak = run_traced(argv)
+    assert code == 0
+    output = simplify_module.simplify_all(build_multi_oracle(MarkedSet(16, frozenset(range(2, 2**16))), 1.0))
+    assert [call.args for call in emit.call_args_list] == [(frag,) for frag in output.runs[0][1]]
+    assert len(emit.call_args_list) == 15
+    assert peak < 20 * 2**20
+    assert hashlib.sha256((tmp_path / "o.qc").read_bytes()).hexdigest() == (
+        "e0a5302c092cad103ba334ebca69d6cf7236854b19cd20f453f7299f036ef8f2")
+    assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == (
+        "c0582a9e7834e2207b4d0c68417fb73a2340eee82ce6f324a62f1ecb6c8a76bc")
 
 
 @pytest.mark.parametrize(

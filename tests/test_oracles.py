@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import hashlib
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from qummsa import circuit as circuit_module
 from qummsa import oracles
+from qummsa import simplify as simplify_module
 from qummsa.circuit import (
     Circuit,
     GateOp,
@@ -27,7 +30,14 @@ from qummsa.oracles import (
     build_single_oracle,
     build_threshold_oracle,
 )
-from qummsa.simplify import emit_fragment, simplify_all
+from qummsa.simplify import (
+    emit_fragment,
+    gate_cost,
+    simplify_all,
+    simplify_principle1,
+    simplify_principle2,
+    simplify_principle3,
+)
 from qummsa.statevector import make_basis_state, make_superposition
 
 from helpers import concat, depth_first_preparation, random_circuit, run_gate_by_gate
@@ -186,7 +196,9 @@ def test_runs_are_the_lexed_ops(data):
         build_preparation(V, n),
     ]
     rng = data.draw(st.integers(0, 2**32 - 1), label="rng")
-    for circuit in [*built, *map(simplify_all, built), random_circuit(n, 30, rng), concat(*built)]:
+    passes = (simplify_principle1, simplify_principle2, simplify_principle3, simplify_all)
+    rewritten = [simplify_pass(c) for simplify_pass in passes for c in built]
+    for circuit in [*built, *rewritten, random_circuit(n, 30, rng), concat(*built)]:
         assert_runs_lex_the_ops(circuit)
     # the recorded cubes emit the gates of every index's fully fixed "ctrl" cube
     full = 2**n - 1
@@ -194,21 +206,58 @@ def test_runs_are_the_lexed_ops(data):
 
 
 def test_raw_oracles_are_never_lexed():
-    # the builders record the fragments they emit as the circuit's runs, so
-    # building, simplifying and running a raw oracle never calls _scan
+    # a raw oracle is made from its cubes, so building, simplifying, costing
+    # and running one neither lexes it nor emits a gate
     uniform = make_superposition(10, range(2**10))
-    with mock.patch.object(circuit_module, "_scan", side_effect=AssertionError("lexed")):
+    with (mock.patch.object(circuit_module, "_scan", side_effect=AssertionError("lexed")),
+          mock.patch.object(circuit_module, "emit_fragment", side_effect=AssertionError("emitted")),
+          mock.patch.object(simplify_module, "emit_fragment", side_effect=AssertionError("emitted"))):
         raw = [build_multi_oracle(ThresholdPredicate("max", 300, 10).marked_set(), 0.7),
                build_single_oracle(10, 6, 1.1), build_I0(10, np.float64(2.5))]
         simple = [simplify_all(c) for c in raw]
-        for c in raw:
+        for c in raw + simple:
+            gate_cost(c)
             run_circuit(c, uniform)
     for c in raw + simple:
+        assert "ops" not in vars(c)  # not emitted yet
         assert_runs_lex_the_ops(c)
-    # the cached runs are read, not recomputed, and cannot be assigned
+    # the cached runs and ops are read, not recomputed, and cannot be assigned
     assert raw[0].runs is raw[0].runs and simple[0].runs is simple[0].runs
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        raw[0].runs = ()
+    assert raw[0].ops is raw[0].ops
+    for name in ("ops", "runs"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(raw[1], name, ())
+    with pytest.raises(AttributeError, match="no attribute 'opz'"):
+        raw[1].opz
+
+
+def test_circuit_made_from_its_cubes_is_the_eager_circuit():
+    frags = ((0b1111, 0b0110, 0.5, "ctrl"), (0b1111, 0b1011, 0.5, "bare"), (0b0110, 0b0100, -1.5, "bare"))
+    eager = Circuit(4, tuple(op for frag in frags for op in emit_fragment(frag)))
+
+    def lazy():
+        return Circuit._from_runs(4, ((True, frags),))
+
+    assert type(lazy()) is Circuit and lazy() == eager and eager == lazy()
+    assert hash(lazy()) == hash(eager) and repr(lazy()) == repr(eager)
+    assert lazy() != Circuit._from_runs(4, ((True, frags[:2]),))
+    assert lazy().runs == eager.runs and len(lazy()) == len(eager) == 7
+    for copied in (pickle.loads(pickle.dumps(lazy())), copy.copy(lazy()), copy.deepcopy(lazy())):
+        assert copied == eager and copied.ops == eager.ops and copied.runs == eager.runs
+    read = lazy()
+    read.ops
+    assert pickle.loads(pickle.dumps(read)) == eager and copy.deepcopy(read) == eager
+    assert dataclasses.replace(lazy(), n=5) == Circuit(5, eager.ops)
+    # the range check of an eager circuit, on the cubes
+    wide = (0b11001, 0b00001, 0.5, "bare")
+    with pytest.raises(CircuitError) as eager_error:
+        Circuit(4, emit_fragment(wide))
+    with pytest.raises(CircuitError) as lazy_error:
+        Circuit._from_runs(4, ((True, (frags[0], wide)),))
+    assert str(lazy_error.value) == str(eager_error.value) == "qubit 4 out of range for 4-qubit register"
+    with pytest.raises(CircuitError, match="qubit count must be >= 1, got 0"):
+        Circuit._from_runs(0, ())
+    assert Circuit._from_runs(2, ()) == Circuit(2)
 
 
 def test_raw_and_simplified_oracles_bit_identical_pin():

@@ -3,12 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qummsa.circuit import Circuit, GateOp, circuit_to_matrix, parse_circuit
-from qummsa.oracles import MarkedSet, ThresholdPredicate, build_I0, build_multi_oracle, build_single_oracle, build_threshold_oracle
+from qummsa.circuit import Circuit, GateOp, _lexed, _scan, circuit_to_matrix, export_circuit, parse_circuit
+from qummsa.oracles import (
+    MarkedSet,
+    ThresholdPredicate,
+    build_I0,
+    build_multi_oracle,
+    build_preparation,
+    build_single_oracle,
+    build_threshold_oracle,
+)
 from qummsa.simplify import (
     _bare_conjugation,
     _fuse_pairs,
     _merge_blocks,
+    _partition_cubes,
     _rewrite,
     emit_fragment,
     gate_cost,
@@ -18,7 +27,14 @@ from qummsa.simplify import (
     simplify_principle3,
 )
 
-from helpers import concat, fuse_pairs_reference, merge_blocks_reference
+from helpers import (
+    concat,
+    fuse_pairs_reference,
+    gate_cost_reference,
+    merge_blocks_reference,
+    partition_cubes_reference,
+    random_circuit,
+)
 from conftest import assert_phase_equal
 
 PASSES = (simplify_principle1, simplify_principle2, simplify_principle3, simplify_all)
@@ -185,6 +201,24 @@ def test_cost_report_invariants_on_oracles():
         assert report.n_two_qubit_equiv >= report.n_multi_controlled >= 0
 
 
+@settings(max_examples=60)
+@given(st.data())
+def test_gate_cost_from_runs_is_the_per_op_count(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    phi = data.draw(st.floats(-2 * np.pi, 2 * np.pi), label="phi")
+    V = data.draw(st.sets(st.integers(0, 2**n - 1), min_size=1, max_size=64), label="V")
+    pred = ThresholdPredicate(data.draw(st.sampled_from(["min", "max"])), data.draw(st.integers(0, 2**n - 1)), n)
+    rng = data.draw(st.integers(0, 2**32 - 1), label="rng")
+    raw = [build_multi_oracle(MarkedSet(n, frozenset(V)), phi), build_threshold_oracle(pred, phi), build_I0(n, phi)]
+    made = [*raw, *(p(c) for p in PASSES for c in raw)]
+    assert not any("ops" in vars(c) for c in made)  # phase oracles made from their cubes
+    costs = [gate_cost(c) for c in made]  # counted before any of their gates is read
+    rand, prep = random_circuit(n, 30, rng), build_preparation(V, n)
+    other = [rand, prep, concat(*raw), concat(raw[0], rand, prep, raw[2])]
+    for circuit, cost in zip(made + other, costs + [gate_cost(c) for c in other]):
+        assert cost == gate_cost_reference(circuit) == gate_cost(parse_circuit(export_circuit(circuit)))
+
+
 # --- pipeline -----------------------------------------------------------------
 
 
@@ -279,6 +313,30 @@ def fragment_runs(draw):
         if max(src, dst) < size:  # a repeated cube
             frags[dst] = frags[src]
     return n, frags
+
+
+@settings(max_examples=100)
+@given(fragment_runs())
+def test_circuit_made_from_fragment_runs_is_their_emitted_gates(run):
+    n, frags = run
+    emitted = Circuit(n, tuple(op for frag in frags for op in emit_fragment(frag)))
+    made = Circuit._from_runs(n, ((True, tuple(map(_lexed, frags))),) if frags else ())
+    assert gate_cost(made) == gate_cost_reference(emitted)  # counted before its gates are read
+    assert made.runs == _scan(emitted.ops) and made == emitted
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_partition_cubes_bisects_as_the_sets_split(data):
+    n = data.draw(st.integers(1, 9), label="n")
+    top = 2 ** (n - 1) - 1  # the control bits q1..q(n-1), shifted down to q0..
+    scattered = data.draw(st.sets(st.integers(0, top), max_size=40), label="scattered")
+    lo, hi = sorted(data.draw(st.tuples(st.integers(0, top + 1), st.integers(0, top + 1)), label="range"))
+    free = data.draw(st.integers(0, top), label="free bits")  # bits that every member leaves free
+    subsets = {sub for sub in range(free + 1) if sub & free == sub}
+    minterms = {(m | sub) << 1 for m in scattered | set(range(lo, hi)) for sub in subsets}
+    bits = tuple(range(1, n))
+    assert _partition_cubes(sorted(minterms), bits) == partition_cubes_reference(minterms, bits)
 
 
 @settings(max_examples=100)
