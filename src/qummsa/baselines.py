@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CircuitError
-from .grover_long import measure, uniform_support
+from .grover_long import measure
 from .oracles import MarkedSet
 from .statevector import StateVector
 
@@ -75,7 +75,7 @@ def run_qesa(
     if marked.n != initial.n:
         raise CircuitError(f"dimension mismatch: marked.n={marked.n}, initial.n={initial.n}")
     gen = np.random.default_rng(rng)
-    occupied = uniform_support(initial).tolist()
+    occupied = initial.uniform_support().tolist()
     flags = [False, *(v in marked.V for v in occupied), False]  # flags[i + 1] marks occupied[i]
     bounds = tuple(i for i in range(len(occupied) + 1) if flags[i] != flags[i + 1])
 

@@ -130,7 +130,7 @@ class Circuit:
         return ops
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.__dict__.get("ops") or _gate_shapes(self))  # made from cubes: counted, not emitted
 
     @functools.cached_property
     def runs(self) -> tuple[tuple[bool, tuple], ...]:

@@ -363,6 +363,7 @@ def _cmd_build_oracle(args, argv) -> int:
     if args.simplify:
         circuit = simplify.simplify_all(circuit)
     cost = simplify.gate_cost(circuit)
+    text = export_circuit(circuit) + "\n"  # emits the ops, which len() below then reads
     report = {
         "invocation": _invocation(argv),
         "n": args.n,
@@ -372,7 +373,6 @@ def _cmd_build_oracle(args, argv) -> int:
         "n_two_qubit_equiv": cost.n_two_qubit_equiv,
         "n_single": cost.n_single,
     }
-    text = export_circuit(circuit) + "\n"
     if args.out:
         _emit(text, args.out)
         sys.stdout.write(_json_dump(report))

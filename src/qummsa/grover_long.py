@@ -96,7 +96,7 @@ def grover_long_states(
             yield state
         return
 
-    prep = build_preparation(uniform_support(initial).tolist(), initial.n)
+    prep = build_preparation(initial.uniform_support().tolist(), initial.n)
     oracle = build_multi_oracle(marked, params.phi)
     i0 = build_I0(initial.n, params.phi)
     # one circuit in application order, compiled once for all J iterations; no
@@ -116,20 +116,11 @@ def run_grover_long(
     params: SearchParams,
     mode: str = "rank1",
 ) -> StateVector:
-    """Apply G exactly J times; J = 0 returns the initial state unchanged."""
-    state = initial.copy()
+    """Apply G exactly J times; J = 0 returns ``initial`` itself."""
+    state = initial
     for state in grover_long_states(initial, marked, params, mode):
         pass
     return state
-
-
-def uniform_support(initial: StateVector) -> np.ndarray:
-    """Ascending occupied indices of ``initial``; CircuitError unless it is uniform on them."""
-    occupied = np.flatnonzero(initial.probabilities() > 1e-18)
-    amp = 1.0 / math.sqrt(len(occupied))
-    if np.max(np.abs(initial.amps[occupied] - amp)) > 1e-9:
-        raise CircuitError("initial state must be uniform over its occupied indices")
-    return occupied
 
 
 def _step_matrix(M, N, ph):

@@ -4,10 +4,14 @@ Qubit convention: q[0] is the least-significant bit of the basis index, so
 basis state ``|b_{n-1} ... b_1 b_0>`` has index ``sum(b_k * 2**k)``.
 Amplitudes are complex128 throughout.  No operation renormalizes silently;
 drift is something callers assert on, not something we hide.
+A state never changes, so it is shared, never copied: its constructor adopts an
+array that owns its data, marked read-only, and copies a view, whose base could
+still be written; writing to an array after handing it over raises ValueError.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -18,9 +22,9 @@ NORM_TOL = 1e-9
 
 
 class StateVector:
-    """An n-qubit register as a length-2**n complex amplitude array."""
+    """An n-qubit register as a length-2**n complex amplitude array it owns, read-only."""
 
-    __slots__ = ("n", "amps")
+    __slots__ = ("n", "amps", "_support")
 
     def __init__(self, n: int, amps: np.ndarray):
         if n < 1:
@@ -30,19 +34,29 @@ class StateVector:
             raise CircuitError(
                 f"amplitude array has shape {amps.shape}, expected ({2**n},)"
             )
+        amps = amps if amps.flags.owndata else amps.copy()  # a view's base may still be written
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise CircuitError("amplitudes must be finite")
+        amps.flags.writeable = False
         self.n = n
         self.amps = amps
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n, self.amps.copy())
+        self._support = None
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
+
+    def uniform_support(self) -> np.ndarray:
+        """Ascending occupied indices, read-only int64, checked once; CircuitError unless uniform on them."""
+        if self._support is None:  # not uniform: checked again, and raises, on every call
+            occupied = np.flatnonzero(self.probabilities() > 1e-18)
+            if np.max(np.abs(self.amps[occupied] - 1.0 / math.sqrt(len(occupied)))) > 1e-9:
+                raise CircuitError("initial state must be uniform over its occupied indices")
+            occupied.flags.writeable = False
+            self._support = occupied
+        return self._support
 
     def __repr__(self) -> str:
         return f"StateVector(n={self.n}, amps={self.amps!r})"
@@ -94,12 +108,7 @@ def apply_rank1_reflection(state: StateVector, psi: StateVector, phi: float) -> 
 
 def sample_measurement(state: StateVector, rng) -> int:
     """Sample one basis index (see :func:`sample_indices`); ``rng`` is a seed or Generator."""
-    return int(sample_measurements(state, 1, rng)[0])
-
-
-def sample_measurements(state: StateVector, size: int, rng) -> np.ndarray:
-    """Vectorized version of sample_measurement; deterministic for a fixed seed."""
-    return sample_indices(state.probabilities(), size, rng)
+    return int(sample_indices(state.probabilities(), 1, rng)[0])
 
 
 def sample_indices(probs: np.ndarray, size: int, rng) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Test-only helpers: circuits, state comparisons, models, and references for measurement, CSV output, the preparation tree and the rewrite passes."""
+"""Test-only helpers: circuits, state comparisons, models, and references for measurement, the uniform support, CSV output, the preparation tree and the rewrite passes."""
 
 import csv
 import io
@@ -83,7 +83,7 @@ def canonical_global_phase(state: StateVector, tol: float = 1e-12) -> StateVecto
     for a in state.amps:
         if abs(a) > tol:
             return StateVector(state.n, state.amps * (abs(a) / a))
-    return state.copy()
+    return state
 
 
 def states_equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float = 1e-9) -> bool:
@@ -150,6 +150,15 @@ def final_amplitudes_in_one_piece(M, N, phi, iterations, ops):
     sigma = where(flip, 1, 1 - 2 * (j & 1)) * (cos(j * phi) + 1j * sin(j * phi)) / sqrt(N)
     cos_x = cos(x)
     return sigma * (cos_x + q * (s * rb + 1j * c)), sigma * (cos_x - q * r * s)
+
+
+def uniform_support(initial: StateVector) -> np.ndarray:
+    """Ascending occupied indices of ``initial``; CircuitError unless it is uniform on them."""
+    occupied = np.flatnonzero(initial.probabilities() > 1e-18)
+    amp = 1.0 / math.sqrt(len(occupied))
+    if np.max(np.abs(initial.amps[occupied] - amp)) > 1e-9:
+        raise CircuitError("initial state must be uniform over its occupied indices")
+    return occupied
 
 
 def support_probabilities(is_marked: np.ndarray, phi: float, iterations: int) -> np.ndarray:

@@ -231,6 +231,21 @@ def test_raw_oracles_are_never_lexed():
         raw[1].opz
 
 
+def test_len_counts_a_circuit_made_from_cubes_without_emitting_it():
+    frags = ((0b1111, 0b0110, 0.5, "ctrl"), (0b1111, 0b1011, 0.5, "bare"), (0b0110, 0b0100, -1.5, "bare"))
+    with (mock.patch.object(circuit_module, "emit_fragment", side_effect=AssertionError("emitted")),
+          mock.patch.object(simplify_module, "emit_fragment", side_effect=AssertionError("emitted"))):
+        made = [build_multi_oracle(ThresholdPredicate("max", 300, 10).marked_set(), 0.7),
+                build_single_oracle(10, 6, 1.1), build_I0(10, np.float64(2.5)),
+                Circuit._from_runs(4, ((True, frags),)), Circuit._from_runs(3, ())]
+        made += [simplify_all(c) for c in made[:3]]
+        lengths = [len(c) for c in made]
+    for c, length in zip(made, lengths):
+        assert "ops" not in c.__dict__  # counted from its cubes
+        assert length == len(c.ops) == len(c)  # and the same count once its ops are read
+    assert lengths[3:5] == [7, 0]
+
+
 def test_circuit_made_from_its_cubes_is_the_eager_circuit():
     frags = ((0b1111, 0b0110, 0.5, "ctrl"), (0b1111, 0b1011, 0.5, "bare"), (0b0110, 0b0100, -1.5, "bare"))
     eager = Circuit(4, tuple(op for frag in frags for op in emit_fragment(frag)))

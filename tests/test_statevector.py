@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qummsa.circuit import Circuit, GateOp, gate_to_matrix, run_circuit
 from qummsa.errors import CircuitError
+from qummsa.grover_long import compute_params, oracle_phase_step, run_grover_long
+from qummsa.oracles import MarkedSet
 from qummsa.statevector import (
     StateVector,
     apply_rank1_reflection,
@@ -10,7 +14,6 @@ from qummsa.statevector import (
     make_superposition,
     sample_indices,
     sample_measurement,
-    sample_measurements,
 )
 
 from helpers import (
@@ -18,6 +21,7 @@ from helpers import (
     random_circuit,
     run_position,
     states_equal_up_to_global_phase,
+    uniform_support,
     zero_generator,
 )
 
@@ -138,20 +142,20 @@ def test_sample_deterministic_outcome():
 
 def test_sample_frequencies_uniform():
     state = make_superposition(2, range(4))
-    samples = sample_measurements(state, 100_000, np.random.default_rng(1))
+    samples = sample_indices(state.probabilities(), 100_000, np.random.default_rng(1))
     freqs = np.bincount(samples, minlength=4) / len(samples)
     np.testing.assert_allclose(freqs, 0.25, atol=0.01)
 
 
 def test_sample_never_hits_zero_amplitude():
     state = make_superposition(2, {0, 2, 3})
-    samples = sample_measurements(state, 100_000, np.random.default_rng(2))
+    samples = sample_indices(state.probabilities(), 100_000, np.random.default_rng(2))
     assert np.count_nonzero(samples == 1) == 0
 
 
 def test_sample_convergence_to_distribution():
     state = make_superposition(3, {0, 1, 4, 6, 7})
-    samples = sample_measurements(state, 1_000_000, np.random.default_rng(3))
+    samples = sample_indices(state.probabilities(), 1_000_000, np.random.default_rng(3))
     freqs = np.bincount(samples, minlength=8) / len(samples)
     assert np.max(np.abs(freqs - state.probabilities())) < 5e-3
 
@@ -159,7 +163,7 @@ def test_sample_convergence_to_distribution():
 def test_sample_refuses_unnormalised_state():
     state = StateVector(2, 2.0 * make_superposition(2, range(4)).amps)  # norm 2
     with pytest.raises(CircuitError):
-        sample_measurements(state, 10, np.random.default_rng(0))
+        sample_indices(state.probabilities(), 10, np.random.default_rng(0))
     with pytest.raises(CircuitError):
         sample_indices(np.full(3, 0.5), 1, np.random.default_rng(0))
 
@@ -233,3 +237,121 @@ def test_statevector_validation():
         StateVector(2, np.ones(3))
     with pytest.raises(CircuitError):
         StateVector(1, np.array([np.nan, 0.0]))
+    with pytest.raises(CircuitError, match="finite"):  # a strided view is checked too
+        StateVector(1, np.array([0.0, 1.0, np.inf, 1.0], dtype=complex)[::2])
+
+
+finite_amplitudes = st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def handed_arrays(draw):
+    """(n, what a caller hands to StateVector, the base of that array if it is a view, else None)."""
+    n = draw(st.integers(1, 4))
+    amps = np.array(draw(st.lists(finite_amplitudes, min_size=2**n, max_size=2**n)), dtype=np.complex128)
+    kind = draw(st.sampled_from(["owned", "list", "float", "stride", "offset", "reversed", "state"]))
+    if kind == "owned":
+        return n, amps, None
+    if kind == "list":
+        return n, amps.tolist(), None
+    if kind == "float":
+        return n, amps.real.copy(), None
+    if kind == "state":  # another state's read-only array
+        return n, StateVector(n, amps).amps, None
+    base = np.zeros(2 ** (n + 1), dtype=np.complex128)
+    view = {"stride": base[::2], "offset": base[2**n:], "reversed": base[::-1][: 2**n]}[kind]
+    view[:] = amps
+    return n, view, base
+
+
+@settings(max_examples=150)
+@given(handed_arrays())
+def test_a_state_owns_read_only_amplitudes(case):
+    n, handed, base = case
+    want = np.array(handed, dtype=np.complex128)  # the values, in a copy of our own
+    state = StateVector(n, handed)
+    assert state.amps.flags.owndata and not state.amps.flags.writeable
+    assert state.amps.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        state.amps[0] = 1.0
+    with pytest.raises(ValueError):
+        state.amps *= 2.0
+    if base is not None:  # a view is copied, so writing through its base changes nothing
+        assert state.amps is not handed
+        base[:] = 7.0
+        handed[:] = -7.0
+    elif isinstance(handed, np.ndarray) and handed.dtype == np.complex128:
+        assert state.amps is handed  # adopted, not copied: a later write is refused
+        with pytest.raises(ValueError):
+            handed[-1] = 1.0
+    elif isinstance(handed, np.ndarray):
+        handed[:] = 7.0  # converted to a new array, which the state owns
+    assert state.amps.tobytes() == want.tobytes()
+
+
+@settings(max_examples=100)
+@given(handed_arrays(), st.floats(-2 * np.pi, 2 * np.pi), st.integers(0, 2**32 - 1))
+def test_every_operation_returns_read_only_amplitudes(case, phi, seed):
+    n, handed, _ = case
+    state = StateVector(n, handed)
+    psi = make_superposition(n, range(0, 2**n, 2))
+    outs = [
+        run_circuit(random_circuit(n, 5, seed), state),
+        apply_rank1_reflection(state, psi, phi),
+        oracle_phase_step(state, MarkedSet(n, frozenset({2**n - 1})), phi),
+        make_basis_state(n, seed % 2**n),
+        make_superposition(n, {seed % 2**n, 0}),
+    ]
+    for out in outs:
+        assert not out.amps.flags.writeable and out.amps.flags.owndata
+
+
+@pytest.mark.parametrize("mode", ["rank1", "gates"])
+def test_run_grover_long_returns_read_only_amplitudes(mode):
+    initial = make_superposition(4, [1, 3, 4, 9, 12])
+    marked = MarkedSet(4, frozenset({3, 12}))
+    final = run_grover_long(initial, marked, compute_params(2, 5), mode)
+    assert not final.amps.flags.writeable and final is not initial
+    assert run_grover_long(initial, marked, compute_params(5, 5), mode) is initial  # J = 0
+
+
+@st.composite
+def support_states(draw):
+    """Uniform superpositions, ones nudged by a small or large amount, and arbitrary states."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return StateVector(n, draw(st.lists(finite_amplitudes, min_size=2**n, max_size=2**n)))
+    occupied = sorted(draw(st.sets(st.integers(0, 2**n - 1), min_size=1)))
+    state = make_superposition(n, occupied)
+    if draw(st.booleans()):
+        return state
+    amps = state.amps.copy()
+    nudge = draw(st.sampled_from([1e-12, 1e-10, 1e-8, 1e-3])) * draw(st.sampled_from([1, -1, 1j]))
+    amps[draw(st.integers(0, 2**n - 1))] += nudge
+    return StateVector(n, amps)
+
+
+def _outcome(support, state):
+    try:
+        return support(state)
+    except (CircuitError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=150)
+@given(support_states())
+def test_uniform_support_is_the_scan_checked_once(state):
+    want, got = _outcome(uniform_support, state), _outcome(StateVector.uniform_support, state)
+    if isinstance(want, tuple):  # not uniform: the same error, on every call
+        assert got == want and _outcome(StateVector.uniform_support, state) == want
+        return
+    assert got.dtype == np.int64 and got.tolist() == want.tolist()
+    assert not got.flags.writeable
+    assert state.uniform_support() is got  # kept, not scanned again
+
+
+def test_a_skewed_state_is_refused_on_every_call():
+    skewed = StateVector(2, np.array([0.8, 0.6, 0.0, 0.0], dtype=complex))
+    for _ in range(3):
+        with pytest.raises(CircuitError, match="initial state must be uniform over its occupied indices"):
+            skewed.uniform_support()
