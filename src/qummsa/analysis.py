@@ -137,8 +137,8 @@ class SampleSpec:
 
 
 def min_sample_size(spec: SampleSpec) -> int:
-    """Smallest sample estimating a distribution function within spec.error."""
-    return math.ceil(spec.z**2 * spec.sigma2 / spec.error**2)
+    """Smallest sample estimating a distribution function within spec.error: at least 1."""
+    return max(1, math.ceil(spec.z**2 * spec.sigma2 / spec.error**2))
 
 
 # --- estimated-parameter failure curves ---------------------------------------

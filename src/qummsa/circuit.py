@@ -111,14 +111,14 @@ class Circuit:
 
     @classmethod
     def _from_runs(cls, n: int, runs: tuple[tuple[bool, tuple], ...]) -> Circuit:
-        """The circuit of the fragment runs ``runs``, as ``_lexed`` gives them; its ops are emitted when first read."""
+        """The circuit of the fragment runs ``runs``, each cube as ``_lexed`` gives it; its ops are emitted when first read."""
         if n < 1:
             raise CircuitError(f"qubit count must be >= 1, got {n}")
         for mask in (frag[0] for _, frags in runs for frag in frags):
             if mask >> n:  # named by the cube's highest fixed qubit, as __post_init__ names a gate
                 raise CircuitError(f"qubit {mask.bit_length() - 1} out of range for {n}-qubit register")
         circuit = object.__new__(cls)
-        circuit.__dict__.update(n=n, runs=runs)
+        circuit.__dict__.update(n=n, runs=tuple((True, tuple(map(_lexed, frags))) for _, frags in runs))
         return circuit
 
     def __getattr__(self, name: str):

@@ -150,7 +150,7 @@ class LoopRecord:
     n_est: float
     iterations: int
     measured: int
-    attempts: int = 1  # prepare/measure rounds before d1 landed on the wanted side
+    attempts: int  # prepare/measure rounds before d1 landed on the wanted side
 
 
 @dataclass
@@ -183,7 +183,7 @@ def run_qummsa(
     returned.
 
     Searches run in the two-amplitude subspace of the uniform start, so a
-    measurement is a draw over the stored values, never outside the database.
+    measurement is a position among the stored values: the loop walks on d0's rank.
 
     retry_cap bounds the inner repeat: misestimated parameters make the
     inner search fallible, so a cap converts pathological non-termination
@@ -198,37 +198,30 @@ def run_qummsa(
     ordered = db.sorted_values
     sample = ascending_sample(db, strategy, gen)  # one sample serves the whole run
     d0 = int(db.values[gen.integers(db.size)])
+    rank = _count_on_side(ordered, d0, mode)  # d0's 1-based rank from the wanted end
     result = QummsaResult(minimum=d0, main_loops=0)
-
-    def better(a: int, b: int) -> bool:
-        return a < b if mode == "min" else a > b
 
     streak = 0
     while streak < c:
         params = estimate_params(d0, db, strategy, mode, sample=sample)
-        marked = _count_on_side(ordered, d0, mode)
-        bounds = (0, marked) if mode == "min" else (db.size - marked, db.size)
-        d1 = None
-        attempts = 0
-        for _ in range(retry_cap):
-            attempts += 1
+        low, high = (0, rank) if mode == "min" else (db.size - rank, db.size)  # the marked positions
+        for attempts in range(1, retry_cap + 1):
             result.preparations += 1
             result.grover_iterations += params.iterations
-            outcome = int(ordered[measure(bounds, db.size, params.phi, params.iterations, gen)])
-            if not better(d0, outcome):
-                d1 = outcome
+            idx = measure((low, high), db.size, params.phi, params.iterations, gen)
+            if low <= idx < high:
                 break
-        if d1 is None:
+        else:
             result.success = False
             break
+        d1 = int(ordered[idx])
         result.main_loops += 1
-        result.records.append(
-            LoopRecord(d0, params.m_est, params.n_est, params.iterations, d1, attempts)
-        )
-        if better(d1, d0):
+        result.records.append(LoopRecord(d0, params.m_est, params.n_est, params.iterations, d1, attempts))
+        new_rank = idx + 1 if mode == "min" else db.size - idx
+        if new_rank < rank:
             streak = 0
             result.descents += 1
-            d0 = d1
+            d0, rank = d1, new_rank
         else:
             streak += 1
     result.minimum = d0

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateOp, _lexed
+from .circuit import Circuit, GateOp
 from .errors import CircuitError
 from .statevector import sorted_occupied
 
@@ -97,8 +97,7 @@ def _oracle(n: int, indices, phi: float) -> Circuit:
     """Each index as a cube with every qubit fixed, in order: the one run of the circuit made from them."""
     phi = GateOp("PHASE", 0, param=phi).param  # the angle as the emitted gates store it
     full = 2**n - 1
-    frags = tuple(_lexed((full, v, phi, "ctrl")) for v in indices)  # emit as their "ctrl" form
-    return Circuit._from_runs(n, ((True, frags),))
+    return Circuit._from_runs(n, ((True, tuple((full, v, phi, "ctrl") for v in indices)),))
 
 
 def build_threshold_oracle(pred: ThresholdPredicate, phi: float) -> Circuit:

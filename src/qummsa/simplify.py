@@ -32,7 +32,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .circuit import Circuit, GateOp, _Frag, _gate_shapes, _lexed, emit_fragment
+from .circuit import Circuit, _Frag, _gate_shapes, emit_fragment
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def _rewrite(circuit: Circuit, *steps) -> Circuit:
                 payloads = step(payloads, circuit.n)
         runs.append((is_frag, payloads))
     if all(is_frag for is_frag, _ in runs):  # one run of fragments, or none
-        return Circuit._from_runs(circuit.n, tuple((True, tuple(map(_lexed, frags))) for _, frags in runs))
+        return Circuit._from_runs(circuit.n, tuple(runs))
     ops = (op for is_frag, payloads in runs for item in payloads
            for op in (emit_fragment(item) if is_frag else (item,)))
     return Circuit(circuit.n, tuple(ops))

@@ -7,6 +7,8 @@ drift is something callers assert on, not something we hide.
 A state never changes, so it is shared, never copied: its constructor adopts an
 array that owns its data, marked read-only, and copies a view, whose base could
 still be written; writing to an array after handing it over raises ValueError.
+A view taken before the array was handed over still writes into the state:
+numpy cannot tell whether one exists, so only the array itself is guarded.
 """
 
 from __future__ import annotations
@@ -57,6 +59,9 @@ class StateVector:
             occupied.flags.writeable = False
             self._support = occupied
         return self._support
+
+    def __reduce__(self):  # copies and pickles go through the constructor: read-only, support unchecked
+        return (StateVector, (self.n, self.amps))
 
     def __repr__(self) -> str:
         return f"StateVector(n={self.n}, amps={self.amps!r})"

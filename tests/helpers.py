@@ -1,4 +1,4 @@
-"""Test-only helpers: circuits, state comparisons, models, and references for measurement, the uniform support, CSV output, the preparation tree and the rewrite passes."""
+"""Test-only helpers: circuits, state comparisons, models, and references for measurement, the uniform support, the threshold descent, CSV output, the preparation tree and the rewrite passes."""
 
 import csv
 import io
@@ -8,9 +8,16 @@ import numpy as np
 
 from qummsa.analysis import ComplexityParams, ComplexityReport, grover_iterations_closed
 from qummsa.circuit import GATE_KINDS, Circuit, GateOp, _apply_gate_inplace, _Frag
-from qummsa.driver import Database, _count_on_side
+from qummsa.driver import (
+    Database,
+    LoopRecord,
+    QummsaResult,
+    _count_on_side,
+    ascending_sample,
+    estimate_params,
+)
 from qummsa.errors import CircuitError
-from qummsa.grover_long import final_amplitudes
+from qummsa.grover_long import final_amplitudes, measure
 from qummsa.simplify import GateCostReport
 from qummsa.statevector import NORM_TOL, StateVector, sorted_occupied
 
@@ -97,6 +104,50 @@ def states_equal_up_to_global_phase(a: StateVector, b: StateVector, tol: float =
 def rank(db: Database, value: int, mode: str = "min") -> int:
     """1-based rank of ``value`` in ``db`` from the relevant end."""
     return _count_on_side(db.sorted_values, value, mode)
+
+
+def run_qummsa_reference(db, c, strategy, mode, rng, retry_cap) -> QummsaResult:
+    """``driver.run_qummsa`` as it kept d0's value: one bisection per loop, and values compared."""
+    gen = np.random.default_rng(rng)
+
+    ordered = db.sorted_values
+    sample = ascending_sample(db, strategy, gen)  # one sample serves the whole run
+    d0 = int(db.values[gen.integers(db.size)])
+    result = QummsaResult(minimum=d0, main_loops=0)
+
+    def better(a: int, b: int) -> bool:
+        return a < b if mode == "min" else a > b
+
+    streak = 0
+    while streak < c:
+        params = estimate_params(d0, db, strategy, mode, sample=sample)
+        marked = _count_on_side(ordered, d0, mode)
+        bounds = (0, marked) if mode == "min" else (db.size - marked, db.size)
+        d1 = None
+        attempts = 0
+        for _ in range(retry_cap):
+            attempts += 1
+            result.preparations += 1
+            result.grover_iterations += params.iterations
+            outcome = int(ordered[measure(bounds, db.size, params.phi, params.iterations, gen)])
+            if not better(d0, outcome):
+                d1 = outcome
+                break
+        if d1 is None:
+            result.success = False
+            break
+        result.main_loops += 1
+        result.records.append(
+            LoopRecord(d0, params.m_est, params.n_est, params.iterations, d1, attempts)
+        )
+        if better(d1, d0):
+            streak = 0
+            result.descents += 1
+            d0 = d1
+        else:
+            streak += 1
+    result.minimum = d0
+    return result
 
 
 def loop_failure_bound(r0: int, c: int) -> float:

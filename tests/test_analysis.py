@@ -173,6 +173,12 @@ def test_min_sample_size_examples(confidence, error, expected):
     assert min_sample_size(spec) == expected
 
 
+def test_min_sample_size_is_at_least_one():
+    # Z^2 sigma^2 / E^2 > 0 for every valid spec, also where the quotient rounds to 0
+    assert min_sample_size(SampleSpec(z=1e-300, error=0.5)) == 1
+    assert min_sample_size(SampleSpec(z=z_for_confidence(0.5), error=0.5, sigma2=5e-324)) == 1
+
+
 def test_z_fallback_uses_exact_quantile():
     assert z_for_confidence(0.9) == pytest.approx(1.6449, abs=1e-4)
     with pytest.raises(ValueError):

@@ -139,6 +139,9 @@ def test_cli_sample_size_other_cells(capsys):
     assert capsys.readouterr().out.strip() == "664"
     main(["sample-size", "--confidence", "0.5", "--error", "0.1"])
     assert capsys.readouterr().out.strip() == "12"
+    # Z^2 sigma^2 / E^2 rounds to 0: a sample still holds one value
+    assert main(["sample-size", "--confidence", "0.5", "--error", "0.5", "--sigma2", "5e-324"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
 
 
 def test_cli_build_oracle_then_simulate(tmp_path, capsys):
@@ -365,6 +368,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["failure-curves", "--sigma2", "1e20"], 1),
         (["failure-curves", "--E", "1e-300"], 1),
         (["failure-curves", "--sigma2", "1e308"], 1),
+        # and the quotient rounding to 0, which once estimated a ratio of 1/0
+        (["failure-curves", "--sigma2", "5e-324", "--confidence", "0.5", "--points", "2", "--draws", "2"], 0),
     ],
 )
 def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):

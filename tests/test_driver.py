@@ -17,7 +17,7 @@ from qummsa.driver import (
 from qummsa.errors import DataError
 from qummsa.statevector import NORM_TOL
 
-from helpers import loop_failure_bound, rank, support_probabilities
+from helpers import loop_failure_bound, rank, run_qummsa_reference, support_probabilities
 
 
 def full_database(n):
@@ -144,6 +144,26 @@ def test_cost_accounting_with_retries(titanic):
         assert res.success
         assert res.preparations == sum(r.attempts for r in res.records)
         assert res.grover_iterations == sum(r.iterations * r.attempts for r in res.records)
+
+
+@settings(max_examples=150)
+@given(data=st.data())
+def test_rank_descent_is_the_value_descent(data):
+    # the same draws in the same order: the whole result, records included, for
+    # values up to beyond 2^63, exact and misestimated fractions, and caps that fire
+    n = data.draw(st.integers(1, 8) | st.integers(62, 70), label="n")
+    top = st.integers(max(0, 2**n - 16), 2**n - 1)  # from 2^62 - 16 to 2^70 - 1 for the wide n
+    values = data.draw(st.lists(st.integers(0, 2**n - 1) | top, min_size=1, max_size=12, unique=True))
+    strategy = data.draw(st.sampled_from(
+        [UniformEstimation(), SampledEstimation(None), *map(SampledEstimation, range(1, 6))]
+    ))
+    mode = data.draw(st.sampled_from(["min", "max"]), label="mode")
+    c = data.draw(st.integers(1, 3), label="c")
+    retry_cap = data.draw(st.integers(1, 3), label="retry_cap")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    db = Database([f"r{i}" for i in range(len(values))], values, n)
+    got = run_qummsa(db, c, strategy, mode, np.random.default_rng(seed), retry_cap)
+    assert got == run_qummsa_reference(db, c, strategy, mode, np.random.default_rng(seed), retry_cap)
 
 
 def test_conditional_success_bound_full_database():

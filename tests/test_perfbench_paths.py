@@ -1,8 +1,12 @@
-"""The benchmark tracer wraps package functions by import path; each must exist."""
+"""The benchmark tracer wraps package functions by import path; each must exist, and its counters read the results."""
 
 import importlib
 import importlib.util
 from pathlib import Path
+
+import numpy as np
+
+from qummsa import baselines, driver
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
@@ -34,3 +38,21 @@ def test_tracer_installs_and_uninstalls():
     finally:
         tracer.uninstall()
     assert all(resolve(*path) is original for path, original in zip(paths, originals))
+
+
+def test_tracer_counts_are_the_results_own(titanic):
+    # through the module attributes, as the benchmark's plans call them
+    spans = load_spans()
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        tracer.active = True
+        qummsa = driver.run_qummsa(titanic, rng=np.random.default_rng(4))  # one loop takes two attempts
+        dha = baselines.run_dha_minimum(titanic, baselines.QesaConfig(), rng=np.random.default_rng(4))
+    finally:
+        tracer.active = False
+        tracer.uninstall()
+    assert qummsa.preparations > qummsa.main_loops > 0 and dha.grover_iterations > 0
+    assert tracer.counts["driver.main_loops"] == qummsa.main_loops
+    assert tracer.counts["driver.attempts"] == qummsa.preparations
+    assert tracer.counts["baselines.grover_steps"] == dha.grover_iterations

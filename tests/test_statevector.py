@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,3 +358,18 @@ def test_a_skewed_state_is_refused_on_every_call():
     for _ in range(3):
         with pytest.raises(CircuitError, match="initial state must be uniform over its occupied indices"):
             skewed.uniform_support()
+
+
+@pytest.mark.parametrize(
+    "duplicate", [copy.copy, copy.deepcopy, lambda s: pickle.loads(pickle.dumps(s))], ids=["copy", "deepcopy", "pickle"]
+)
+def test_a_copied_state_is_read_only_and_checks_its_support_again(duplicate):
+    state = make_superposition(2, [0, 2, 3])
+    state.uniform_support()
+    dup = duplicate(state)
+    assert dup.n == 2 and dup.amps.tolist() == state.amps.tolist()
+    assert not dup.amps.flags.writeable
+    with pytest.raises(ValueError):
+        dup.amps[1] = 1.0
+    assert dup._support is None  # a copy is checked again, not trusted
+    assert dup.uniform_support().tolist() == [0, 2, 3]
