@@ -73,7 +73,7 @@ def _rewrite(circuit: Circuit, *steps) -> Circuit:
                 payloads = step(payloads, circuit.n)
         runs.append((is_frag, payloads))
     if all(is_frag for is_frag, _ in runs):  # one run of fragments, or none
-        return Circuit._from_runs(circuit.n, tuple(runs))
+        return Circuit._from_runs(circuit.n, runs)
     ops = (op for is_frag, payloads in runs for item in payloads
            for op in (emit_fragment(item) if is_frag else (item,)))
     return Circuit(circuit.n, tuple(ops))

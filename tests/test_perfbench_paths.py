@@ -47,12 +47,12 @@ def test_tracer_counts_are_the_results_own(titanic):
     try:
         tracer.install()
         tracer.active = True
-        qummsa = driver.run_qummsa(titanic, rng=np.random.default_rng(4))  # one loop takes two attempts
+        descent = driver.run_qummsa(titanic, rng=np.random.default_rng(4))  # one loop takes two attempts
         dha = baselines.run_dha_minimum(titanic, baselines.QesaConfig(), rng=np.random.default_rng(4))
     finally:
         tracer.active = False
         tracer.uninstall()
-    assert qummsa.preparations > qummsa.main_loops > 0 and dha.grover_iterations > 0
-    assert tracer.counts["driver.main_loops"] == qummsa.main_loops
-    assert tracer.counts["driver.attempts"] == qummsa.preparations
+    assert descent.preparations > descent.main_loops > 0 and dha.grover_iterations > 0
+    assert tracer.counts["driver.main_loops"] == descent.main_loops
+    assert tracer.counts["driver.attempts"] == descent.preparations
     assert tracer.counts["baselines.grover_steps"] == dha.grover_iterations
