@@ -12,6 +12,7 @@ state-vector reference.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -25,13 +26,20 @@ from .grover_long import _tune, compute_params, final_amplitudes
 from .grover_long import amplitude_recursion  # noqa: F401
 
 SQRT2 = math.sqrt(2.0)
-# cells per block of failure_contour_grid rows: each complex temporary stays
-# near 0.5 MB (one row, where a row alone is larger).  The block size is part
-# of the output bytes: below 16,384 cells, 256 KiB of complex128 and where
-# numpy starts to elide temporaries, 7,244 of the 65,536 cells of
-# failure-map --resolution 256 (pinned in the tests) change in their last
-# bits.  How many ratios one _failure call evaluates is part of them too.
+# Block sizes of the model evaluations.  How many cells one _failure call
+# evaluates is part of the output bytes: from 16,384 cells (256 KiB of
+# complex128, where numpy starts to elide temporaries) on, some cells change
+# in their last bits against smaller calls.
+# failure_contour_grid evaluates blocks of rows near 2^15 cells (one row, where
+# a row alone is larger), each complex temporary near 0.5 MB; below 16,384
+# cells, 7,244 of the 65,536 cells of failure-map --resolution 256 (pinned in
+# the tests) would change.
 _GRID_BLOCK_CELLS = 1 << 15
+# sampled_failure_curve evaluates blocks of ratio rows below 16,384 cells (one
+# row, where a row alone is larger), so every cell has the bits of its row
+# evaluated alone, as the curves were first recorded, and memory is bounded by
+# one block.
+_CURVE_BLOCK_CELLS = 16_383
 # database size the failure curves' baseline is modelled at.  The curves are
 # stated in M/N alone; N enters only through the sqrt(N) cap on the
 # exponential search's draw range, and for every ratio down to 1e-6 the range
@@ -152,39 +160,53 @@ def qesa_expected_gamma(m: float) -> float:
 
 
 def sampled_failure_curve(spec: SampleSpec, ratios, draws: int = 200, rng=None) -> list[dict]:
-    """Mean misestimated failure rate vs. the exponential-search baseline.
+    """Mean failure rate of the search tuned to a sampled estimate, per true ratio.
 
     For each true ratio, the solution fraction is estimated ``draws`` times
-    from an h-sized sample (h from ``spec``), the resulting failure rates are
-    averaged, and the baseline failure is evaluated at the iteration budget
-    matched to the tuned run's J (equal cumulative Grover iterations, with
-    growth factor ``GROWTH_FACTOR_MAX`` and ``CURVE_MODEL_N`` standing in for
-    the database size).
+    from an h-sized sample (h from ``spec``) and the resulting failure rates
+    are averaged.  Consecutive ratios are drawn, tuned and evaluated together
+    in blocks below 16,384 draws (one ratio where ``draws`` alone is more):
+    the draws come in the order of one ratio at a time, every failure rate
+    has the bits of its ratio evaluated alone, and memory is bounded by one
+    block.  The baseline is :func:`qesa_baseline`.
     """
     gen = np.random.default_rng(rng)
     h = min_sample_size(spec)
+    ratios = _check_ratios("ratio_true", ratios)
+    step = max(1, _CURVE_BLOCK_CELLS // draws)
     rows = []
-    for r in _check_ratios("ratio_true", ratios):
-        counts = gen.binomial(h, r, size=draws)
-        phi, iterations = _tuned(np.maximum(counts, 1) / h)
-        eps_vals = _failure(r, phi, iterations)
-        j_budget = compute_params(r, 1.0).iterations
-        t, cum = 1, 0.0
-        while True:
-            cum += qesa_expected_gamma(draw_range(t, GROWTH_FACTOR_MAX, CURVE_MODEL_N))
-            if cum >= j_budget or t > 10_000:
-                break
-            t += 1
+    for start in range(0, len(ratios), step):
+        block = ratios[start : start + step, None]
+        counts = gen.binomial(h, block, size=(len(block), draws))
+        eps = _failure(block, *_tuned(np.maximum(counts, 1) / h))
+        rows.extend(
+            {"ratio": r, "sample_size": h, "eps_grover_long": float(np.mean(row))}
+            for r, row in zip(block[:, 0].tolist(), eps)
+        )
+    return rows
+
+
+def qesa_baseline(ratios) -> list[dict]:
+    """The exponential-search baseline at each true ratio: its rounds t and failure rate.
+
+    t is the first round count whose expected cumulative Grover iterations
+    reach the J of the search tuned to the true ratio (growth factor
+    ``GROWTH_FACTOR_MAX``, ``CURVE_MODEL_N`` standing in for the database
+    size), at most 10,001; the failure rate is ``qesa_failure_model`` after t
+    rounds.  The cumulative sums are taken once for all ratios.
+    """
+    ratios = _check_ratios("ratio_true", ratios)
+    budgets = _tuned(ratios)[1].tolist()
+    top = max(budgets, default=0)
+    cum, cums = 0.0, []
+    while len(cums) < 10_000 and cum < top:
+        cum += qesa_expected_gamma(draw_range(len(cums) + 1, GROWTH_FACTOR_MAX, CURVE_MODEL_N))
+        cums.append(cum)
+    rows = []
+    for r, j in zip(ratios.tolist(), budgets):
+        t = bisect_left(cums, j) + 1  # 10,001 when no sum within the first 10,000 rounds reaches J
         rows.append(
-            {
-                "ratio": float(r),
-                "sample_size": h,
-                "eps_grover_long": float(np.mean(eps_vals)),
-                "qesa_t": t,
-                "eps_qesa": float(
-                    qesa_failure_model(float(r) * CURVE_MODEL_N, CURVE_MODEL_N, t, GROWTH_FACTOR_MAX)
-                ),
-            }
+            {"qesa_t": t, "eps_qesa": qesa_failure_model(r * CURVE_MODEL_N, CURVE_MODEL_N, t, GROWTH_FACTOR_MAX)}
         )
     return rows
 

@@ -62,7 +62,9 @@ def _ranged(kind, accept, expected: str):
 _positive_int = _ranged(int, lambda v: v >= 1, "a positive integer")
 _SEED = _ranged(int, lambda v: v >= 0, "a non-negative integer")
 # Model-command size caps: peak memory grows by about 8 B per failure-map cell
-# (resolution^2 of them; the text is streamed) and 180 B per failure-curves draw.
+# (resolution^2 of them; the text is streamed) and, for failure-curves, 180 B per
+# draw of one block (at most max(draws, 16,383) draws) plus 200-400 B per point
+# and curve.
 _RESOLUTION = _ranged(int, lambda v: 10 <= v <= 2048, "an integer in [10, 2048]")
 _POINTS = _ranged(int, lambda v: 1 <= v <= 10**5, "an integer in [1, 100000]")
 _DRAWS = _ranged(int, lambda v: 1 <= v <= 10**6, "an integer in [1, 1000000]")
@@ -304,7 +306,7 @@ def _cmd_failure_curves(args, argv) -> int:
         curves[err] = analysis.sampled_failure_curve(
             spec, ratios=ratios, draws=args.draws, rng=np.random.default_rng(ss)
         )
-    base = curves[errors[0]]
+    base = analysis.qesa_baseline(ratios)
     header = ("ratio", *(f"eps_gl_E{err}" for err in curves), "qesa_t", "eps_qesa")
     rows = (
         (r, *(curve[i]["eps_grover_long"] for curve in curves.values()),

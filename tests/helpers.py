@@ -1,4 +1,4 @@
-"""Test-only helpers: circuits, state comparisons, models, and references for measurement, the uniform support, the threshold descent, CSV output, the preparation tree and the rewrite passes."""
+"""Test-only helpers: circuits, state comparisons, models, and references for the failure curves, measurement, the uniform support, the threshold descent, CSV output, the preparation tree and the rewrite passes."""
 
 import csv
 import io
@@ -6,7 +6,19 @@ import math
 
 import numpy as np
 
-from qummsa.analysis import ComplexityParams, ComplexityReport, grover_iterations_closed
+from qummsa.analysis import (
+    CURVE_MODEL_N,
+    ComplexityParams,
+    ComplexityReport,
+    SampleSpec,
+    _check_ratios,
+    _failure,
+    _tuned,
+    grover_iterations_closed,
+    min_sample_size,
+    qesa_expected_gamma,
+)
+from qummsa.baselines import GROWTH_FACTOR_MAX, draw_range, qesa_failure_model
 from qummsa.circuit import GATE_KINDS, Circuit, GateOp, _apply_gate_inplace, _Frag
 from qummsa.driver import (
     Database,
@@ -17,7 +29,7 @@ from qummsa.driver import (
     estimate_params,
 )
 from qummsa.errors import CircuitError
-from qummsa.grover_long import final_amplitudes, measure
+from qummsa.grover_long import compute_params, final_amplitudes, measure
 from qummsa.simplify import GateCostReport
 from qummsa.statevector import NORM_TOL, StateVector, sorted_occupied
 
@@ -176,6 +188,42 @@ def qummsa_complexity_structured(params: ComplexityParams) -> ComplexityReport:
         prep_term=prep,
         prep_count=lg + params.c,
     )
+
+
+def sampled_failure_curve_by_ratio(spec: SampleSpec, ratios, draws: int = 200, rng=None) -> list[dict]:
+    """``analysis.sampled_failure_curve`` as it stood before its row blocks, with the baseline in each row.
+
+    One binomial draw, one tuning pass and one ``_failure`` evaluation per
+    ratio, and the baseline's t summed from t = 1 for every ratio; each row is
+    a row of ``sampled_failure_curve`` merged with the same ratio's row of
+    ``qesa_baseline``.
+    """
+    gen = np.random.default_rng(rng)
+    h = min_sample_size(spec)
+    rows = []
+    for r in _check_ratios("ratio_true", ratios):
+        counts = gen.binomial(h, r, size=draws)
+        phi, iterations = _tuned(np.maximum(counts, 1) / h)
+        eps_vals = _failure(r, phi, iterations)
+        j_budget = compute_params(r, 1.0).iterations
+        t, cum = 1, 0.0
+        while True:
+            cum += qesa_expected_gamma(draw_range(t, GROWTH_FACTOR_MAX, CURVE_MODEL_N))
+            if cum >= j_budget or t > 10_000:
+                break
+            t += 1
+        rows.append(
+            {
+                "ratio": float(r),
+                "sample_size": h,
+                "eps_grover_long": float(np.mean(eps_vals)),
+                "qesa_t": t,
+                "eps_qesa": float(
+                    qesa_failure_model(float(r) * CURVE_MODEL_N, CURVE_MODEL_N, t, GROWTH_FACTOR_MAX)
+                ),
+            }
+        )
+    return rows
 
 
 # The closed form in one piece, and the measurement rule as it stood with a run

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qummsa import analysis
@@ -18,6 +18,7 @@ from qummsa.analysis import (
     grover_iterations_sum,
     grover_long_failure,
     min_sample_size,
+    qesa_baseline,
     qesa_expected_gamma,
     qummsa_complexity,
     sampled_failure_curve,
@@ -27,7 +28,7 @@ from qummsa.grover_long import compute_params, run_grover_long, success_probabil
 from qummsa.oracles import MarkedSet
 from qummsa.statevector import make_superposition
 
-from helpers import qummsa_complexity_structured
+from helpers import qummsa_complexity_structured, sampled_failure_curve_by_ratio
 
 
 def simulate_failure(n, occupied, marked_list, m_est, n_est):
@@ -227,8 +228,61 @@ def test_curve_baseline_above_tuned_mid_range():
         SampleSpec(z=1.96, error=0.05), ratios=ratios, draws=300,
         rng=np.random.default_rng(4),
     )
-    for row in rows:
-        assert row["eps_qesa"] > row["eps_grover_long"]
+    for row, base in zip(rows, qesa_baseline(ratios), strict=True):
+        assert base["eps_qesa"] > row["eps_grover_long"]
+
+
+@settings(max_examples=40, deadline=None)
+@example(points=40, draws=1000, error=0.01, sigma2=0.25, seed=0)  # blocks of 16, 16 and 8 rows
+@example(points=17, draws=1000, error=0.05, sigma2=0.25, seed=1)  # the last block one row
+@example(points=3, draws=8192, error=0.05, sigma2=0.25, seed=2)  # two rows would be 16,384 cells
+@example(points=3, draws=20000, error=0.02, sigma2=0.25, seed=3)  # one row, above a block
+@given(
+    points=st.integers(1, 60),
+    draws=st.sampled_from([1, 2, 199, 200, 1000, 16383, 16384, 20000]),
+    error=st.floats(0.005, 0.5),
+    sigma2=st.floats(0.01, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curve_blocks_are_the_per_ratio_curve(points, draws, error, sigma2, seed):
+    # the same draws in the same order, and every float the same bits, as one
+    # ratio at a time; at most 200,000 draws an example keeps the test near 1 s
+    if points * draws > 2 * 10**5:
+        points = max(1, 2 * 10**5 // draws)
+    ratios = np.linspace(1.0 / points, 1.0, points)
+    spec = SampleSpec(z=1.96, error=error, sigma2=sigma2)
+    got = [
+        {**row, **base}
+        for row, base in zip(
+            sampled_failure_curve(spec, ratios, draws, np.random.default_rng(seed)),
+            qesa_baseline(ratios),
+            strict=True,
+        )
+    ]
+    assert got == sampled_failure_curve_by_ratio(spec, ratios, draws, np.random.default_rng(seed))
+
+
+def test_qesa_baseline_is_the_per_ratio_sum():
+    # t from one cumulative sequence, out to the 179 rounds that J = 78,540 takes
+    ratios = [1e-10, 1e-6, 1e-3, 0.3, 1.0]
+    base = qesa_baseline(ratios)
+    ref = sampled_failure_curve_by_ratio(SampleSpec(z=1.96, error=0.5), ratios, 1, np.random.default_rng(0))
+    assert base == [{"qesa_t": row["qesa_t"], "eps_qesa": row["eps_qesa"]} for row in ref]
+    assert base[-1]["qesa_t"] == 1 and qesa_baseline([]) == []
+
+
+def test_curve_memory_is_one_block():
+    # about 180 B per draw held at once: all 200 x 1,000 draws in one piece
+    # would take 36 MB, a block of 16 rows about 2.9 MB (3.8 MB traced with the rows)
+    ratios = np.linspace(0.005, 1.0, 200)
+    spec = SampleSpec(z=1.96, error=0.03)
+    tracemalloc.start()
+    try:
+        sampled_failure_curve(spec, ratios, draws=1000, rng=np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 180 * 200 * 1000 / 6
 
 
 # --- complexity -------------------------------------------------------------------
