@@ -84,12 +84,12 @@ def _tuned(ratio_est) -> tuple[np.ndarray, np.ndarray]:
     return phi, iterations
 
 
-def failure_contour_grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def failure_contour_grid(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Failure-rate surface over (ratio_true, ratio_est) in (0, 1]^2.
 
-    Returns (true_axis, est_axis, grid) with grid[i, j] evaluated at
-    (true_axis[i], est_axis[j]).  Rows are evaluated in blocks, so temporaries
-    stay small next to the grid itself.
+    Returns (axis, grid) with grid[i, j] evaluated at true ratio axis[i] and
+    estimated ratio axis[j]: both ratios run over the one axis.  Rows are
+    evaluated in blocks, so temporaries stay small next to the grid itself.
     """
     if resolution < 10:
         raise ValueError(f"resolution must be >= 10, got {resolution}")
@@ -100,7 +100,7 @@ def failure_contour_grid(resolution: int) -> tuple[np.ndarray, np.ndarray, np.nd
     for start in range(0, resolution, rows):
         block = axis[start : start + rows, None]
         grid[start : start + rows] = _failure(block, phi, iterations)
-    return axis, axis.copy(), grid
+    return axis, grid
 
 
 # --- sample sizing ------------------------------------------------------------
@@ -159,35 +159,32 @@ def qesa_expected_gamma(m: float) -> float:
     return exact + (m - f) / m * f
 
 
-def sampled_failure_curve(spec: SampleSpec, ratios, draws: int = 200, rng=None) -> list[dict]:
-    """Mean failure rate of the search tuned to a sampled estimate, per true ratio.
+def sampled_failure_curve(spec: SampleSpec, ratios, draws: int = 200, rng=None) -> np.ndarray:
+    """Mean failure rate of the search tuned to a sampled estimate, one per true ratio.
 
     For each true ratio, the solution fraction is estimated ``draws`` times
-    from an h-sized sample (h from ``spec``) and the resulting failure rates
-    are averaged.  Consecutive ratios are drawn, tuned and evaluated together
-    in blocks below 16,384 draws (one ratio where ``draws`` alone is more):
-    the draws come in the order of one ratio at a time, every failure rate
-    has the bits of its ratio evaluated alone, and memory is bounded by one
-    block.  The baseline is :func:`qesa_baseline`.
+    from an h-sized sample (h from ``spec``) and the failure rates are
+    averaged into one float array.  Consecutive ratios are drawn, tuned and
+    evaluated together in blocks below 16,384 draws (one ratio where
+    ``draws`` alone is more): the draws come in the order of one ratio at a
+    time, every mean has the bits of its ratio evaluated alone, and memory is
+    one block plus the array.  The baseline is :func:`qesa_baseline`.
     """
     gen = np.random.default_rng(rng)
     h = min_sample_size(spec)
     ratios = _check_ratios("ratio_true", ratios)
     step = max(1, _CURVE_BLOCK_CELLS // draws)
-    rows = []
+    means = np.empty(len(ratios))
     for start in range(0, len(ratios), step):
         block = ratios[start : start + step, None]
         counts = gen.binomial(h, block, size=(len(block), draws))
         eps = _failure(block, *_tuned(np.maximum(counts, 1) / h))
-        rows.extend(
-            {"ratio": r, "sample_size": h, "eps_grover_long": float(np.mean(row))}
-            for r, row in zip(block[:, 0].tolist(), eps)
-        )
-    return rows
+        means[start : start + step] = [np.mean(row) for row in eps]
+    return means
 
 
-def qesa_baseline(ratios) -> list[dict]:
-    """The exponential-search baseline at each true ratio: its rounds t and failure rate.
+def qesa_baseline(ratios) -> tuple[list[int], list[float]]:
+    """The exponential-search baseline at each true ratio: columns of rounds t and failure rates.
 
     t is the first round count whose expected cumulative Grover iterations
     reach the J of the search tuned to the true ratio (growth factor
@@ -202,13 +199,10 @@ def qesa_baseline(ratios) -> list[dict]:
     while len(cums) < 10_000 and cum < top:
         cum += qesa_expected_gamma(draw_range(len(cums) + 1, GROWTH_FACTOR_MAX, CURVE_MODEL_N))
         cums.append(cum)
-    rows = []
-    for r, j in zip(ratios.tolist(), budgets):
-        t = bisect_left(cums, j) + 1  # 10,001 when no sum within the first 10,000 rounds reaches J
-        rows.append(
-            {"qesa_t": t, "eps_qesa": qesa_failure_model(r * CURVE_MODEL_N, CURVE_MODEL_N, t, GROWTH_FACTOR_MAX)}
-        )
-    return rows
+    rounds = [bisect_left(cums, j) + 1 for j in budgets]  # 10,001 where no 10,000-round sum reaches J
+    eps = [qesa_failure_model(r * CURVE_MODEL_N, CURVE_MODEL_N, t, GROWTH_FACTOR_MAX)
+           for r, t in zip(ratios.tolist(), rounds)]
+    return rounds, eps
 
 
 # --- complexity ---------------------------------------------------------------

@@ -40,7 +40,10 @@ class QesaConfig:
 
 def draw_range(t: int, lam: float, size: float) -> float:
     """Round t's iteration draw range min(lam^(t-1), sqrt(size)) (Boyer-Brassard-Hoyer-Tapp)."""
-    return min(lam ** (t - 1), math.sqrt(size))
+    try:
+        return min(lam ** (t - 1), math.sqrt(size))
+    except OverflowError:  # lam^(t-1) is past the float range, so past the cap
+        return math.sqrt(size)
 
 
 class QesaIteration(NamedTuple):

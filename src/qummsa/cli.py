@@ -35,6 +35,8 @@ SIMULATE_MAX_QUBITS = 20
 # `complexity` rows are powers of two N with sqrt(2N) in a float column, so
 # N must stay below 2^1023.
 COMPLEXITY_N_LIMIT = 2**1023
+# Most `failure-curves --E` values, each a curve held until the rows are written.
+CURVES_MAX_ERRORS = 32
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,8 +65,8 @@ _positive_int = _ranged(int, lambda v: v >= 1, "a positive integer")
 _SEED = _ranged(int, lambda v: v >= 0, "a non-negative integer")
 # Model-command size caps: peak memory grows by about 8 B per failure-map cell
 # (resolution^2 of them; the text is streamed) and, for failure-curves, 180 B per
-# draw of one block (at most max(draws, 16,383) draws) plus 200-400 B per point
-# and curve.
+# draw of one block (at most max(draws, 16,383) draws) plus 8 B per point and
+# curve (at most CURVES_MAX_ERRORS curves).
 _RESOLUTION = _ranged(int, lambda v: 10 <= v <= 2048, "an integer in [10, 2048]")
 _POINTS = _ranged(int, lambda v: 1 <= v <= 10**5, "an integer in [1, 100000]")
 _DRAWS = _ranged(int, lambda v: 1 <= v <= 10**6, "an integer in [1, 1000000]")
@@ -110,8 +112,8 @@ def _csv(argv, header, rows):
 
     ``rows`` is consumed as it is produced.  A row is a tuple of fields or its
     rendered text (whole lines).  Every field is an int, a bitstring or a
-    float, whose str is its repr, so nothing needs CSV quoting.  With no rows
-    the stamp line is all there is: no header.
+    float (a numpy float64 too), whose str is the float's repr, so nothing
+    needs CSV quoting.  With no rows the stamp line is all there is: no header.
     """
     yield f"# invocation: {_invocation(argv)}\n"
     rows = iter(rows)
@@ -275,12 +277,13 @@ def _cmd_dha(args, argv) -> int:
 
 
 def _cmd_failure_map(args, argv) -> int:
-    true_axis, est_axis, grid = analysis.failure_contour_grid(args.resolution)
-    # one text row per grid row; each estimate-axis value is rendered once, not per cell
-    est = [f",{re_!r}," for re_ in est_axis.tolist()]
+    axis, grid = analysis.failure_contour_grid(args.resolution)
+    # one text row per grid row; each axis value is rendered once for both columns, not per cell
+    text = list(map(repr, axis.tolist()))
+    est = [f",{r}," for r in text]
     rows = (
         "".join(f"{head}{mid}{eps!r}\n" for mid, eps in zip(est, row.tolist()))
-        for head, row in zip(map(repr, true_axis.tolist()), grid)
+        for head, row in zip(text, grid)
     )
     _emit(_csv(argv, ("ratio_true", "ratio_est", "eps_gl"), rows), args.out)
     return 0
@@ -299,20 +302,16 @@ def _cmd_failure_curves(args, argv) -> int:
             args.parser.error(
                 f"--E {spec.error} with --sigma2 {args.sigma2}: Z^2 sigma^2 / E^2 exceeds 2^63 - 1"
             )
+    if len(errors) > CURVES_MAX_ERRORS:
+        args.parser.error(f"--E takes at most {CURVES_MAX_ERRORS} values, got {len(errors)}")
     ratios = np.linspace(1.0 / args.points, 1.0, args.points)
     streams = np.random.SeedSequence(args.seed).spawn(len(errors))
-    curves = {}  # a repeated --E keeps its first column and its last stream's curve
-    for err, spec, ss in zip(errors, specs, streams):
-        curves[err] = analysis.sampled_failure_curve(
-            spec, ratios=ratios, draws=args.draws, rng=np.random.default_rng(ss)
-        )
-    base = analysis.qesa_baseline(ratios)
-    header = ("ratio", *(f"eps_gl_E{err}" for err in curves), "qesa_t", "eps_qesa")
-    rows = (
-        (r, *(curve[i]["eps_grover_long"] for curve in curves.values()),
-         base[i]["qesa_t"], base[i]["eps_qesa"])
-        for i, r in enumerate(ratios.tolist())
-    )
+    # a repeated --E keeps its first column and its last stream: only printed curves are computed
+    plan = {err: (spec, ss) for err, spec, ss in zip(errors, specs, streams)}
+    curves = [analysis.sampled_failure_curve(spec, ratios, args.draws, np.random.default_rng(ss))
+              for spec, ss in plan.values()]
+    header = ("ratio", *(f"eps_gl_E{err}" for err in plan), "qesa_t", "eps_qesa")
+    rows = zip(ratios, *curves, *analysis.qesa_baseline(ratios))
     _emit(_csv(argv, header, rows), args.out)
     return 0
 

@@ -84,7 +84,7 @@ def test_misestimation_point_validation():
 
 
 def test_contour_grid_diagonal_and_corner():
-    true_axis, est_axis, grid = failure_contour_grid(16)
+    _, grid = failure_contour_grid(16)
     assert grid.shape == (16, 16)
     np.testing.assert_allclose(np.diagonal(grid), 0.0, atol=1e-9)
     assert grid[-1, -1] == 0.0
@@ -93,13 +93,13 @@ def test_contour_grid_diagonal_and_corner():
 
 def test_contour_grid_spot_checks_against_simulation():
     # resolution 16 makes every ratio realizable as M/256 at n = 8
-    true_axis, est_axis, grid = failure_contour_grid(16)
+    axis, grid = failure_contour_grid(16)
     rng = np.random.default_rng(31)
     psi = make_superposition(8, range(256))
     for _ in range(5):
         i, j = int(rng.integers(16)), int(rng.integers(16))
-        m_true = round(true_axis[i] * 256)
-        m_est = round(est_axis[j] * 256)
+        m_true = round(axis[i] * 256)
+        m_est = round(axis[j] * 256)
         sim = simulate_failure(8, range(256), range(m_true), m_est, 256)
         assert abs(grid[i, j] - sim) < 1e-6, (i, j)
 
@@ -116,19 +116,19 @@ def per_cell_grid(true_axis, est_axis):
 @settings(max_examples=15)
 @given(resolution=st.integers(10, 40))
 def test_contour_grid_matches_per_cell_failure(resolution):
-    true_axis, est_axis, grid = failure_contour_grid(resolution)
-    np.testing.assert_allclose(grid, per_cell_grid(true_axis, est_axis), rtol=0, atol=1e-13)
+    axis, grid = failure_contour_grid(resolution)
+    np.testing.assert_allclose(grid, per_cell_grid(axis, axis), rtol=0, atol=1e-13)
 
 
 def test_contour_grid_matches_the_step_by_step_recursion():
     # every cell at every resolution 10..40 against 1 - r |a_J|^2 after J single steps
     for resolution in range(10, 41):
-        true_axis, est_axis, grid = failure_contour_grid(resolution)
-        tuned = [compute_params(re_, 1.0) for re_ in est_axis.tolist()]
+        axis, grid = failure_contour_grid(resolution)
+        tuned = [compute_params(re_, 1.0) for re_ in axis.tolist()]
         want = [
             [1.0 - rt * abs(amplitude_recursion(rt, 1.0, p.phi, p.iterations)[-1][0]) ** 2
              for p in tuned]
-            for rt in true_axis.tolist()
+            for rt in axis.tolist()
         ]
         np.testing.assert_allclose(grid, want, rtol=0, atol=1e-12, err_msg=f"{resolution}")
 
@@ -136,8 +136,8 @@ def test_contour_grid_matches_the_step_by_step_recursion():
 def test_contour_grid_row_blocks(monkeypatch):
     # 100 cells per block at resolution 23: blocks of 4 rows, the last one of 3
     monkeypatch.setattr(analysis, "_GRID_BLOCK_CELLS", 100)
-    true_axis, est_axis, grid = failure_contour_grid(23)
-    np.testing.assert_allclose(grid, per_cell_grid(true_axis, est_axis), rtol=0, atol=1e-13)
+    axis, grid = failure_contour_grid(23)
+    np.testing.assert_allclose(grid, per_cell_grid(axis, axis), rtol=0, atol=1e-13)
 
 
 def test_contour_grid_temporaries_stay_small():
@@ -145,7 +145,7 @@ def test_contour_grid_temporaries_stay_small():
     # would take tens of MB
     tracemalloc.start()
     try:
-        _, _, grid = failure_contour_grid(512)
+        _, grid = failure_contour_grid(512)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -204,8 +204,8 @@ def test_qesa_expected_gamma():
 
 def test_curve_tiny_error_vanishes():
     spec = SampleSpec(z=1.96, error=0.002)
-    rows = sampled_failure_curve(spec, ratios=[0.4], draws=50, rng=np.random.default_rng(1))
-    assert rows[0]["eps_grover_long"] < 1e-3
+    curve = sampled_failure_curve(spec, ratios=[0.4], draws=50, rng=np.random.default_rng(1))
+    assert curve[0] < 1e-3
 
 
 def test_curve_smaller_error_smaller_failure():
@@ -219,17 +219,17 @@ def test_curve_smaller_error_smaller_failure():
         rng=np.random.default_rng(3),
     )
     for a, b in zip(tight, loose):
-        assert a["eps_grover_long"] <= b["eps_grover_long"]
+        assert a <= b
 
 
 def test_curve_baseline_above_tuned_mid_range():
     ratios = [0.2, 0.3, 0.4, 0.5]
-    rows = sampled_failure_curve(
+    curve = sampled_failure_curve(
         SampleSpec(z=1.96, error=0.05), ratios=ratios, draws=300,
         rng=np.random.default_rng(4),
     )
-    for row, base in zip(rows, qesa_baseline(ratios), strict=True):
-        assert base["eps_qesa"] > row["eps_grover_long"]
+    for eps_gl, eps_qesa in zip(curve, qesa_baseline(ratios)[1], strict=True):
+        assert eps_qesa > eps_gl
 
 
 @settings(max_examples=40, deadline=None)
@@ -251,13 +251,10 @@ def test_curve_blocks_are_the_per_ratio_curve(points, draws, error, sigma2, seed
         points = max(1, 2 * 10**5 // draws)
     ratios = np.linspace(1.0 / points, 1.0, points)
     spec = SampleSpec(z=1.96, error=error, sigma2=sigma2)
+    curve = sampled_failure_curve(spec, ratios, draws, np.random.default_rng(seed))
     got = [
-        {**row, **base}
-        for row, base in zip(
-            sampled_failure_curve(spec, ratios, draws, np.random.default_rng(seed)),
-            qesa_baseline(ratios),
-            strict=True,
-        )
+        {"ratio": r, "sample_size": min_sample_size(spec), "eps_grover_long": eps, "qesa_t": t, "eps_qesa": q}
+        for r, eps, t, q in zip(ratios.tolist(), curve.tolist(), *qesa_baseline(ratios), strict=True)
     ]
     assert got == sampled_failure_curve_by_ratio(spec, ratios, draws, np.random.default_rng(seed))
 
@@ -265,10 +262,10 @@ def test_curve_blocks_are_the_per_ratio_curve(points, draws, error, sigma2, seed
 def test_qesa_baseline_is_the_per_ratio_sum():
     # t from one cumulative sequence, out to the 179 rounds that J = 78,540 takes
     ratios = [1e-10, 1e-6, 1e-3, 0.3, 1.0]
-    base = qesa_baseline(ratios)
+    rounds, eps = qesa_baseline(ratios)
     ref = sampled_failure_curve_by_ratio(SampleSpec(z=1.96, error=0.5), ratios, 1, np.random.default_rng(0))
-    assert base == [{"qesa_t": row["qesa_t"], "eps_qesa": row["eps_qesa"]} for row in ref]
-    assert base[-1]["qesa_t"] == 1 and qesa_baseline([]) == []
+    assert (rounds, eps) == ([row["qesa_t"] for row in ref], [row["eps_qesa"] for row in ref])
+    assert rounds[-1] == 1 and qesa_baseline([]) == ([], [])
 
 
 def test_curve_memory_is_one_block():

@@ -270,3 +270,21 @@ def test_gamma_draw_is_numpys_uniform(t, lam, size, seed):
         assert np.float64(uniform).tobytes() == np.float64(drawn).tobytes()
         assert int(uniform) == int(drawn)
     assert twin.bit_generator.state == gen.bit_generator.state
+
+
+def test_draw_range_past_the_float_range_is_the_cap():
+    # (4/3)^10000 is past the float range; the cap sqrt(10^6) bounds every round
+    assert draw_range(10_001, 4 / 3, 1e6) == 1000.0
+
+
+def test_failure_model_runs_past_the_float_range_of_the_draw():
+    # 3,000 rounds: the uncapped range (4/3)^2999 overflows from round 2,469 on
+    assert 0.0 <= qesa_failure_model(1.0, 4.0, 3000) <= 1.0
+
+
+def test_draw_range_below_the_float_range_is_the_capped_power():
+    for size in (1, 3, 1e6, 2**40, 1e300):
+        for t in range(1, 2401):
+            assert draw_range(t, GROWTH_FACTOR_MAX, size) == min(
+                GROWTH_FACTOR_MAX ** (t - 1), math.sqrt(size)
+            ), (t, size)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import format_csv, random_circuit
+from qummsa import analysis
 from qummsa import circuit as circuit_module
 from qummsa import cli
 from qummsa import simplify as simplify_module
@@ -227,11 +228,11 @@ def test_cli_failure_map_matches_repr_rendering(capsys):
     # the grid, with every float as its repr
     assert main(["failure-map", "--resolution", "16"]) == 0
     out = capsys.readouterr().out
-    true_axis, est_axis, grid = failure_contour_grid(16)
+    axis, grid = failure_contour_grid(16)
     rows = [
         {"ratio_true": repr(float(rt)), "ratio_est": repr(float(re_)), "eps_gl": repr(float(grid[i, j]))}
-        for i, rt in enumerate(true_axis)
-        for j, re_ in enumerate(est_axis)
+        for i, rt in enumerate(axis)
+        for j, re_ in enumerate(axis)
     ]
     expected = format_csv(rows, "qummsa failure-map --resolution 16")
     assert out.splitlines() == expected.splitlines()
@@ -370,6 +371,8 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["failure-curves", "--sigma2", "1e308"], 1),
         # and the quotient rounding to 0, which once estimated a ratio of 1/0
         (["failure-curves", "--sigma2", "5e-324", "--confidence", "0.5", "--points", "2", "--draws", "2"], 0),
+        # one --E value past cli.CURVES_MAX_ERRORS
+        (["failure-curves", "--E", ",".join(f"{k / 1000}" for k in range(1, 34))], 1),
     ],
 )
 def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
@@ -434,6 +437,40 @@ def test_cli_failure_map_streams_its_rows(tmp_path, capsys):
     assert peak < 16 * 2**20
     with out.open() as fh:
         assert sum(1 for _ in fh) == 2 + 512**2
+
+
+def test_cli_failure_curves_hold_8_bytes_a_point_per_curve(tmp_path, capsys):
+    # each --E value past the first adds one float column of --points values;
+    # rows of dicts took about 220 B a point and curve
+    def peak(errors):
+        out = tmp_path / f"curves{len(errors)}.csv"
+        argv = ["failure-curves", "--points", "5000", "--draws", "1", "--E", ",".join(errors),
+                "--out", str(out)]
+        code, traced = run_traced(argv)
+        assert code == 0 and capsys.readouterr().out == ""
+        return traced
+
+    errors = [f"{k / 100}" for k in range(1, cli.CURVES_MAX_ERRORS + 1)]
+    one = peak(errors[:1])
+    assert peak(errors) - one <= 31 * 5000 * 16
+
+
+def test_cli_failure_curves_refuses_too_many_errors(capsys):
+    argv = ["failure-curves", "--E", ",".join(["0.1"] * (cli.CURVES_MAX_ERRORS + 1))]
+    code, peak = run_traced(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"--E takes at most {cli.CURVES_MAX_ERRORS} values, got 33" in err and "Traceback" not in err
+    assert peak < 2**20
+
+
+def test_cli_failure_curves_computes_a_repeated_error_once(capsys):
+    # only the printed curves: a repeated --E keeps its first column and its last stream
+    argv = ["failure-curves", "--E", "0.1,0.2,0.1,0.1", "--points", "5", "--draws", "10"]
+    with mock.patch.object(analysis, "sampled_failure_curve", wraps=analysis.sampled_failure_curve) as curve:
+        assert main(argv) == 0
+    assert curve.call_count == 2
+    assert capsys.readouterr().out.splitlines()[1] == "ratio,eps_gl_E0.1,eps_gl_E0.2,qesa_t,eps_qesa"
 
 
 def test_cli_simulate_streams_its_rows(tmp_path, monkeypatch, capsys):
@@ -878,6 +915,12 @@ def test_model_commands_pinned(capsys):
          "959ef7e243a8be85e54ab637789f23788f64068ef48b1a4b4a99e789e0e2cc22"),
         (["failure-curves", "--points", "8", "--draws", "20", "--seed", "3"],
          "f047adf6a3ac6c58a86e07cccc3dd730dfaeef3258a29159830714e11cc46d27"),
+        # recorded before the curves became columns: a repeated --E (its first
+        # column, its last stream) and a curve of many blocks
+        (["failure-curves", "--points", "60", "--draws", "1000", "--E", "0.01,0.2,0.01", "--seed", "5"],
+         "89fb30c02cf5c4f9a4ff67494e6c68938ce34ea80c13684b450f2ec0367aeafd"),
+        (["failure-curves", "--points", "2000", "--draws", "3", "--E", "0.004,0.3"],
+         "c66bf620d1f6cd2108a643d1eb515daf71bf7ad15df0a4d5ce799cfae7690feb"),
         (["complexity", "--eps", "0.1", "--nmax", "2^20"],
          "68a19842d014c0bad07a808a8563a7044a59af2d991e1f6b894ea212e837b785"),
         (["sample-size", "--confidence", "0.9", "--error", "0.02", "--sigma2", "0.2"],
