@@ -1,10 +1,10 @@
 """Command-line surface: one subcommand per analysis or experiment.
 
-Outputs are CSV (streamed row by row through :func:`_csv`) for curves, grids
-and distributions and JSON for structured results, always with the full
-invocation recorded, so identical argv (and seed) reproduce byte-identical
-output.  Exit codes: 0 success, 1 usage error, 2 data error or a file that
-cannot be read or written, 3 internal error.
+Every command writes chunks through :func:`_emit` as they are produced: CSV
+rows (:func:`_csv`) for curves, grids and distributions, JSON (:func:`_json`)
+for structured results, with the full invocation recorded, so identical argv
+(and seed) give byte-identical output.  Exit codes: 0 success, 1 usage error, 2
+data error or a file that cannot be read or written, 3 internal error.
 """
 
 from __future__ import annotations
@@ -37,6 +37,12 @@ SIMULATE_MAX_QUBITS = 20
 COMPLEXITY_N_LIMIT = 2**1023
 # Most `failure-curves --E` values, each a curve held until the rows are written.
 CURVES_MAX_ERRORS = 32
+# Most `--trials`: each trial's row (about 300 B) is held until its JSON is
+# written, so the cap holds about 300 MB of rows.
+TRIALS_MAX = 10**6
+# Widest `--n`: 2^n is an exact int, and build-oracle's cost report holds
+# 2^(n-1), which stays within the 4,300 digits an int may print as.
+QUBITS_MAX = 8192
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,6 +69,8 @@ def _ranged(kind, accept, expected: str):
 
 _positive_int = _ranged(int, lambda v: v >= 1, "a positive integer")
 _SEED = _ranged(int, lambda v: v >= 0, "a non-negative integer")
+_TRIALS = _ranged(int, lambda v: 1 <= v <= TRIALS_MAX, f"an integer in [1, {TRIALS_MAX}]")
+_QUBITS = _ranged(int, lambda v: 1 <= v <= QUBITS_MAX, f"an integer in [1, {QUBITS_MAX}]")
 # Model-command size caps: peak memory grows by about 8 B per failure-map cell
 # (resolution^2 of them; the text is streamed) and, for failure-curves, 180 B per
 # draw of one block (at most max(draws, 16,383) draws) plus 8 B per point and
@@ -97,9 +105,8 @@ _ERRORS = _ranged(
 _SIZE = _ranged(_power, lambda v: 1 <= v < COMPLEXITY_N_LIMIT, "an integer or 2^k in [1, 2^1023)")
 
 
-def _emit(text, out: str | None) -> None:
-    """Write ``text``, one str or an iterable of str chunks, to ``out`` or stdout."""
-    chunks = [text] if isinstance(text, str) else text
+def _emit(chunks, out: str | None = None) -> None:
+    """Write the str ``chunks`` to the file ``out``, or to stdout, as they are produced."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
@@ -125,8 +132,10 @@ def _csv(argv, header, rows):
         yield row if isinstance(row, str) else ",".join(map(str, row)) + "\n"
 
 
-def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _json(obj):
+    """Yield ``json.dumps(obj, indent=2, sort_keys=True)``'s chunks, then a newline."""
+    yield from json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    yield "\n"
 
 
 @functools.cache
@@ -138,21 +147,21 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("find-min", "find-max"):
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} of a dataset")
         p.add_argument("dataset", help="CSV file with 'label,value' header, or 'titanic'")
-        p.add_argument("--n", type=_positive_int, default=None, help="qubit count override")
+        p.add_argument("--n", type=_QUBITS, default=None, help="qubit count override")
         p.add_argument("--c", type=_positive_int, default=3, help="interrupt constant")
         p.add_argument("--strategy", choices=("uniform", "sampled"), default="uniform")
         p.add_argument("--sample-size", type=_positive_int, default=None,
                        help="sampled strategy: draw size (default: census)")
         p.add_argument("--seed", type=_SEED, default=0)
-        p.add_argument("--trials", type=_positive_int, default=1)
+        p.add_argument("--trials", type=_TRIALS, default=1)
         p.add_argument("--retry-cap", type=_positive_int, default=32)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("baseline-dha", help="run the baseline minimum finder")
     p.add_argument("dataset")
-    p.add_argument("--n", type=_positive_int, default=None)
+    p.add_argument("--n", type=_QUBITS, default=None)
     p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--trials", type=_positive_int, default=1)
+    p.add_argument("--trials", type=_TRIALS, default=1)
     p.add_argument("--lam", type=_GROWTH, default=4.0 / 3.0)
     p.add_argument("--out", default=None)
 
@@ -184,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=_POSITIVE, default=None, help="override the Z lookup")
 
     p = sub.add_parser("build-oracle", help="emit a phase-oracle circuit (.qc)")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_QUBITS, required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--marked", default=None, help="comma-separated basis indices")
     group.add_argument("--threshold-le", type=int, default=None, help="mark values <= d0")
@@ -226,10 +235,10 @@ def _trials(args, argv, db, run, fields, means, target, **header) -> int:
     ``fields`` of the run; the aggregate counts the results, the share that
     hit ``target`` and the mean of each field in ``means``.
     """
-    streams = np.random.SeedSequence(args.seed).spawn(args.trials)
+    seeds = np.random.SeedSequence(args.seed)  # spawn(1) k times gives spawn(k)'s children
     trials = []
-    for idx, ss in enumerate(streams):
-        res = run(np.random.default_rng(ss))
+    for idx in range(args.trials):
+        res = run(np.random.default_rng(seeds.spawn(1)[0]))
         trials.append({"trial": idx, "result": res.minimum, **{f: getattr(res, f) for f in fields}})
     counts = collections.Counter(t["result"] for t in trials)
     payload = {
@@ -245,7 +254,7 @@ def _trials(args, argv, db, run, fields, means, target, **header) -> int:
             **{f"mean_{f}": sum(t[f] for t in trials) / args.trials for f in means},
         },
     }
-    _emit(_json_dump(payload), args.out)
+    _emit(_json(payload), args.out)
     return 0
 
 
@@ -343,7 +352,7 @@ def _cmd_sample_size(args, argv) -> int:
         size = analysis.min_sample_size(spec)
     except ArithmeticError:  # Z^2 sigma^2 / E^2 overflows, or E^2 underflows to 0
         args.parser.error("Z^2 sigma^2 / E^2 is out of float range")
-    print(size)
+    _emit([f"{size}\n"])
     return 0
 
 
@@ -375,11 +384,10 @@ def _cmd_build_oracle(args, argv) -> int:
         "n_single": cost.n_single,
     }
     if args.out:
-        _emit(text, args.out)
-        sys.stdout.write(_json_dump(report))
+        _emit([text], args.out)
+        _emit(_json(report))
     else:
-        sys.stdout.write(text)
-        sys.stdout.write("# cost: " + json.dumps(report, sort_keys=True) + "\n")
+        _emit([text, "# cost: " + json.dumps(report, sort_keys=True) + "\n"])
     return 0
 
 

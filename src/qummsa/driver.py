@@ -193,9 +193,15 @@ def run_qummsa(
         raise ValueError(f"interrupt constant c must be >= 1, got {c}")
     if mode not in ("min", "max"):
         raise ValueError(f"mode must be 'min' or 'max', got {mode!r}")
+    ordered = db.sorted_values
+    if isinstance(strategy, UniformEstimation):  # the smallest M~/N~ a run can tune to
+        fewest = int(ordered[0]) + 1 if mode == "min" else 2**db.n - int(ordered[-1])
+        if fewest / 2**db.n == 0.0:
+            raise DataError(
+                f"n={db.n}: the uniform estimate {fewest}/2^{db.n} rounds to 0; use a smaller n"
+            )
     gen = np.random.default_rng(rng)
 
-    ordered = db.sorted_values
     sample = ascending_sample(db, strategy, gen)  # one sample serves the whole run
     d0 = int(db.values[gen.integers(db.size)])
     rank = _count_on_side(ordered, d0, mode)  # d0's 1-based rank from the wanted end

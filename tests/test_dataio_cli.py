@@ -373,6 +373,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["failure-curves", "--sigma2", "5e-324", "--confidence", "0.5", "--points", "2", "--draws", "2"], 0),
         # one --E value past cli.CURVES_MAX_ERRORS
         (["failure-curves", "--E", ",".join(f"{k / 1000}" for k in range(1, 34))], 1),
+        # the uniform estimate 2/2^1100 rounds to 0.0, and tuning to it divided by 0
+        (["find-min", "titanic", "--n", "1100"], 2),
+        # --n past cli.QUBITS_MAX: 2^14285 was the widest cost report JSON could print
+        (["build-oracle", "--n", "14286", "--marked", "1", "--phi", "1.0"], 1),
+        (["build-oracle", "--n", "8192", "--marked", "1", "--phi", "1.0"], 0),
+        (["find-max", "titanic", "--n", "8193"], 1),
+        (["baseline-dha", "titanic", "--n", "100000"], 1),
+        # one trial past cli.TRIALS_MAX
+        (["find-min", "titanic", "--trials", "1000001"], 1),
     ],
 )
 def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
@@ -471,6 +480,29 @@ def test_cli_failure_curves_computes_a_repeated_error_once(capsys):
         assert main(argv) == 0
     assert curve.call_count == 2
     assert capsys.readouterr().out.splitlines()[1] == "ratio,eps_gl_E0.1,eps_gl_E0.2,qesa_t,eps_qesa"
+
+
+def test_cli_trials_hold_a_row_a_trial(tmp_path, capsys):
+    # the JSON is written as the encoder yields it, from one seed stream spawned
+    # per trial: what each trial adds is its row; the whole text and a list of
+    # seed sequences took about 1.9 KB a trial
+    def peak(trials):
+        out = tmp_path / f"dha{trials}.json"
+        code, traced = run_traced(["baseline-dha", "titanic", "--trials", str(trials), "--out", str(out)])
+        assert code == 0 and capsys.readouterr().out == ""
+        return traced
+
+    assert peak(2000) - peak(200) <= 1800 * 600
+
+
+@settings(max_examples=100)
+@given(st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+))
+def test_json_chunks_join_to_json_dumps(obj):
+    assert "".join(cli._json(obj)) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_simulate_streams_its_rows(tmp_path, monkeypatch, capsys):
@@ -895,6 +927,12 @@ def test_titanic_find_commands_pinned(capsys):
          "a962f849b450789eb21d537d8a2f12cc7ee41b3d37657489b3c138676c5cee8b"),
         (["baseline-dha", "titanic", "--trials", "20", "--seed", "24"],
          "13902b10d10332236953e032f81d1a8d2be7f44094d4f272c63440df430f2b4a"),
+        # recorded before the JSON was written as the encoder yields it
+        (["find-min", "titanic", "--trials", "3000", "--seed", "25"],
+         "7ab27099b46295fcf6edae535f1deab8b0f83e146865d3c8baaac528a23355e8"),
+        # 2/2^1075 is the smallest float, the uniform estimate tuned to at d0 = 1
+        (["find-min", "titanic", "--n", "1075"],
+         "118917fd0be005dff56783b9bd84c06d3322e23c3096d0daedc2f68311076775"),
     ]
     for argv, digest in pins:
         assert _cli_digest(argv, capsys) == digest, argv

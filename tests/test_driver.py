@@ -268,6 +268,17 @@ def test_uniform_estimation_large_iteration_counts():
         assert abs(probs.sum() - 1.0) < NORM_TOL
 
 
+@pytest.mark.parametrize("mode,values,fewest", [("min", [3, 9], 4), ("max", [3, 2**1100 - 1], 1)])
+def test_uniform_estimate_rounding_to_zero_is_refused_before_any_draw(mode, values, fewest):
+    # fewest/2^1100 is below the smallest float; the run once divided by it
+    # when d0 reached the wanted end, so whether it failed hung on the seed
+    db = Database(["a", "b"], values, 1100)
+    for seed in range(4):
+        with pytest.raises(DataError, match=rf"n=1100: the uniform estimate {fewest}/2\^1100 rounds to 0"):
+            run_qummsa(db, strategy=UniformEstimation(), mode=mode, rng=np.random.default_rng(seed))
+    assert run_qummsa(db, strategy=SampledEstimation(), mode=mode, rng=np.random.default_rng(0)).success
+
+
 def test_duplicate_report_is_not_quadratic():
     # one repeated value among 200k: found on the sorted array, not by a
     # count per value
