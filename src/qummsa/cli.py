@@ -40,6 +40,11 @@ CURVES_MAX_ERRORS = 32
 # Most `--trials`: each trial's row (about 300 B) is held until its JSON is
 # written, so the cap holds about 300 MB of rows.
 TRIALS_MAX = 10**6
+# Largest find-min/find-max `--c` and `--retry-cap`.  A run holds one record
+# per main loop, and takes at least --c of them; --retry-cap bounds the
+# attempts of each.  `find-min titanic --c 1000` takes about 0.1 s.
+CONFIRMATIONS_MAX = 1000
+RETRY_CAP_MAX = 1000
 # Widest `--n`: 2^n is an exact int, and build-oracle's cost report holds
 # 2^(n-1), which stays within the 4,300 digits an int may print as.
 QUBITS_MAX = 8192
@@ -70,6 +75,10 @@ def _ranged(kind, accept, expected: str):
 _positive_int = _ranged(int, lambda v: v >= 1, "a positive integer")
 _SEED = _ranged(int, lambda v: v >= 0, "a non-negative integer")
 _TRIALS = _ranged(int, lambda v: 1 <= v <= TRIALS_MAX, f"an integer in [1, {TRIALS_MAX}]")
+_CONFIRMATIONS = _ranged(
+    int, lambda v: 1 <= v <= CONFIRMATIONS_MAX, f"an integer in [1, {CONFIRMATIONS_MAX}]"
+)
+_RETRY_CAP = _ranged(int, lambda v: 1 <= v <= RETRY_CAP_MAX, f"an integer in [1, {RETRY_CAP_MAX}]")
 _QUBITS = _ranged(int, lambda v: 1 <= v <= QUBITS_MAX, f"an integer in [1, {QUBITS_MAX}]")
 # Model-command size caps: peak memory grows by about 8 B per failure-map cell
 # (resolution^2 of them; the text is streamed) and, for failure-curves, 180 B per
@@ -148,13 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name.replace('-', ' ')} of a dataset")
         p.add_argument("dataset", help="CSV file with 'label,value' header, or 'titanic'")
         p.add_argument("--n", type=_QUBITS, default=None, help="qubit count override")
-        p.add_argument("--c", type=_positive_int, default=3, help="interrupt constant")
+        p.add_argument("--c", type=_CONFIRMATIONS, default=3, help="interrupt constant")
         p.add_argument("--strategy", choices=("uniform", "sampled"), default="uniform")
         p.add_argument("--sample-size", type=_positive_int, default=None,
                        help="sampled strategy: draw size (default: census)")
         p.add_argument("--seed", type=_SEED, default=0)
         p.add_argument("--trials", type=_TRIALS, default=1)
-        p.add_argument("--retry-cap", type=_positive_int, default=32)
+        p.add_argument("--retry-cap", type=_RETRY_CAP, default=32)
         p.add_argument("--out", default=None)
 
     p = sub.add_parser("baseline-dha", help="run the baseline minimum finder")

@@ -9,6 +9,7 @@ hard, since equal values would break the threshold-descent rank argument).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from importlib import resources
@@ -19,6 +20,16 @@ from .driver import Database
 from .errors import DataError
 
 
+# Most rows a dataset may have after its header, counted from its newlines
+# before any column is allocated.  Loading 2^18 short rows peaked near 55 B a
+# row when plain and near 500 B through csv.reader (tracemalloc, bytes
+# included), so at the cap either stays near 2 GB or less.
+ROWS_MAX = 2**22
+
+_BOM = "\ufeff".encode("utf-8")
+_DIGITS_MAX = 18  # every run of 18 ASCII digits fits in int64
+
+
 def load_database(path_or_file, n: int | None = None) -> Database:
     """Read a label/value CSV into a Database.
 
@@ -27,43 +38,54 @@ def load_database(path_or_file, n: int | None = None) -> Database:
     2^(n-1) < N <= 2^n whenever the value range allows it.
     """
     if hasattr(path_or_file, "read"):
-        text = path_or_file.read()
-        name = getattr(path_or_file, "name", "<stream>")
-    else:
-        name = str(path_or_file)
-        text = read_text(path_or_file, DataError)
-    return parse_database(text, n=n, source=name)
+        return parse_database(path_or_file.read(), n, getattr(path_or_file, "name", "<stream>"))
+    return _parse(_read_utf8(path_or_file, DataError), n, str(path_or_file))
 
 
 def read_text(path, error: type[Exception]) -> str:
     """The file at ``path`` as UTF-8 text; bytes that are not UTF-8 raise ``error`` naming it."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            return fh.read()
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return _read_utf8(path, error).decode("utf-8")
+
+
+def _read_utf8(path, error: type[Exception]) -> bytes:
+    """The bytes of the file at ``path``, checked to be UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return data
 
 
 def parse_database(text: str, n: int | None = None, source: str = "<string>") -> Database:
-    """Parse label/value CSV text; one leading UTF-8 byte-order mark is ignored.
+    """Parse label/value CSV text; one leading UTF-8 byte-order mark is ignored."""
+    return _parse(text.encode("utf-8", "surrogatepass"), n, source)
+
+
+def _parse(data: bytes, n: int | None, source: str) -> Database:
+    """The Database of CSV bytes that are UTF-8, or text encoded with surrogates passed.
 
     A plain file is read by :func:`_column_pass` and checked by
-    :class:`Database`.  Any other file, or a plain one with a negative or
-    duplicate value or too small an n, is read by :func:`_row_pass`, which
-    names the first bad line.
+    :class:`Database`, and its labels are decoded on their first read.  Any
+    other file, or a plain one with a negative or duplicate value or too small
+    an n, is read by :func:`_row_pass`, which names the first bad line.
     """
-    if text.startswith("\ufeff"):
-        text = text[1:]
-    columns = _column_pass(text)
-    if columns is not None:
-        labels, values = columns
+    if data.startswith(_BOM):
+        data = data[len(_BOM):]
+    rows = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) - data.endswith(b"\n")
+    if rows > ROWS_MAX:
+        raise DataError(f"{source}: {rows} rows after the header; at most {ROWS_MAX} are read")
+    values = _column_pass(data)
+    if values is not None:
         needed = _qubits_needed(int(values.max()), len(values))
         if n is None or n >= needed:
             try:
-                return Database(labels, values, needed if n is None else n)
-            except DataError:  # a negative or duplicate value: the row path names its line
+                return Database(functools.partial(_labels, data), values, needed if n is None else n)
+            except DataError:  # a duplicate value: the row path names its line
                 pass
-    labels, values = _row_pass(text, source)
+    labels, values = _row_pass(data.decode("utf-8", "surrogatepass"), source)
     max_value = max(values)
     needed = _qubits_needed(max_value, len(values))
     if n is None:
@@ -80,49 +102,95 @@ def _qubits_needed(max_value: int, count: int) -> int:
     return max(1, max_value.bit_length(), math.ceil(math.log2(count)))
 
 
-def _column_pass(text: str) -> tuple[list[str], np.ndarray] | None:
-    """The label column and the int64 value column of a plain file; None for any other.
+def _column_pass(data: bytes) -> np.ndarray | None:
+    """The int64 value column of a plain file's bytes; None for any other file.
 
     A plain file has no ``"``, no lone ``\r``, a ``label,value`` header, one
-    comma on every line and no field longer than ``csv.field_size_limit()``,
-    so splitting on commas and newlines reads it as :mod:`csv` does.  numpy
-    casts each value text with ``int()``; one it refuses, such as 2^63 and up,
-    also makes this None.
+    comma on every line and no field longer than ``csv.field_size_limit()``
+    characters, so its commas and newlines split it as :mod:`csv` does.  A
+    value of 1 to 18 ASCII digits is read from the bytes; any other is
+    decoded and read by ``int()``.  One that ``int()`` refuses, or that is
+    negative or 2^63 and up, also makes this None.
     """
-    if '"' in text:
+    if b'"' in data or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
-    if text.endswith("\n"):
-        text = text[:-1]
-    if not _one_comma_per_line(text):
-        return None
-    fields = text.replace("\n", ",").split(",")
-    if [h.strip().lower() for h in fields[:2]] != ["label", "value"]:
-        return None
-    if len(text) > csv.field_size_limit() and max(map(len, fields)) > csv.field_size_limit():
-        return None
-    try:
-        values = np.array(fields[3::2], dtype=np.int64)
-    except (ValueError, OverflowError):
-        return None
-    return fields[2::2], values
-
-
-def _one_comma_per_line(text: str) -> bool:
-    """Whether ``text`` has two lines or more, each with exactly one comma.
-
-    That holds when its separators, in order, alternate comma and newline.
-    No byte of a multi-byte UTF-8 character is a comma or a newline.
-    """
-    encoded = np.frombuffer(text.encode("utf-8", "surrogatepass"), np.uint8)
-    seps = encoded[(encoded == ord(",")) | (encoded == ord("\n"))]
-    return (
+    u8 = np.frombuffer(data, dtype=np.uint8)
+    end = len(data) - data.endswith(b"\n")  # one final newline ends the last line
+    # one comma on every line of two or more: the separators alternate, from a
+    # comma to a comma; no byte of a multi-byte UTF-8 character is either
+    seps = np.flatnonzero((u8[:end] == ord(",")) | (u8[:end] == ord("\n")))
+    kinds = u8[seps]
+    if not (
         seps.size >= 3 and seps.size % 2 == 1
-        and (seps[0::2] == ord(",")).all() and (seps[1::2] == ord("\n")).all()
+        and (kinds[0::2] == ord(",")).all() and (kinds[1::2] == ord("\n")).all()
+    ):
+        return None
+    header = data[:seps[1]].decode("utf-8", "surrogatepass").split(",")
+    if [h.strip().lower() for h in header] != ["label", "value"]:
+        return None
+    if end > csv.field_size_limit() and _overlong_field(data, seps, end):
+        return None
+    starts = seps[2::2] + 1  # each record's value field, after its comma
+    stops = np.empty_like(starts)
+    stops[:-1] = seps[3::2]
+    stops[-1] = end
+    del seps, kinds
+    if b"\r" in data:  # a CRLF's carriage return ends the value field
+        stops -= u8[stops - 1] == ord("\r")
+    values = _digits(u8, starts, stops)
+    # the rest: signs, spaces, underscores, other digits, 19 digits and more, empty
+    for row in np.flatnonzero(values < 0).tolist():
+        try:
+            value = int(data[starts[row]:stops[row]].decode("utf-8", "surrogatepass"))
+        except ValueError:
+            return None
+        if not 0 <= value < 2**63:
+            return None
+        values[row] = value
+    return values
+
+
+def _overlong_field(data: bytes, seps: np.ndarray, end: int) -> bool:
+    """Whether a field of ``data[:end]``, split at ``seps``, is longer than csv's limit in characters."""
+    limit = csv.field_size_limit()
+    inner = np.flatnonzero(np.diff(seps) > limit + 1).tolist()  # fields with a separator each side
+    spans = [(0, seps[0]), (seps[-1] + 1, end), *((seps[i] + 1, seps[i + 1]) for i in inner)]
+    return any(  # a CRLF's carriage return is no part of its field
+        len(data[a:b].decode("utf-8", "surrogatepass").removesuffix("\r")) > limit
+        for a, b in spans if b - a > limit
     )
+
+
+def _digits(u8: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Each field ``u8[start:stop]`` of 1 to 18 ASCII digits as an int, and -1 for any other.
+
+    Horner's rule reads the fields right-aligned, a byte of each per pass,
+    and a byte before a field's start counts as a leading 0.  Memory is a few
+    arrays of one entry per field.
+    """
+    widths = stops - starts
+    other = (widths == 0) | (widths > _DIGITS_MAX)
+    passes = min(int(widths.max()), _DIGITS_MAX)
+    del widths
+    values = np.zeros(len(starts), dtype=np.int64)
+    at = np.empty_like(stops)
+    for back in range(passes, 0, -1):
+        live = np.subtract(stops, back, out=at) >= starts
+        digit = u8[at] - ord("0")  # wraps below "0"; a negative offset wraps too, and is not live
+        other |= live & (digit > 9)
+        digit *= live
+        values *= 10
+        values += digit
+    values[other] = -1
+    return values
+
+
+def _labels(data: bytes) -> tuple[str, ...]:
+    """The label column of a plain file's bytes: each record line up to its comma."""
+    lines = data.decode("utf-8", "surrogatepass").split("\n")[1:]
+    if not lines[-1]:  # the final newline
+        del lines[-1]
+    return tuple(line[:line.index(",")] for line in lines)
 
 
 def _row_pass(text: str, source: str) -> tuple[list[str], list[int]]:

@@ -22,50 +22,63 @@ from .grover_long import run_grover_long  # noqa: F401
 from .statevector import make_superposition, sample_measurement  # noqa: F401
 
 
-@dataclass(frozen=True)
 class Database:
-    """Labeled distinct integer values, encoded as basis states of n qubits."""
+    """Labeled distinct integer values, encoded as basis states of n qubits.
 
-    labels: tuple[str, ...]  # record order, parallel to values
-    values: tuple[int, ...]  # also accepts a 1-D int64 array, stored as a tuple
-    n: int
-    sorted_values: np.ndarray = field(init=False, repr=False, compare=False)  # ascending
+    ``values`` is a read-only 1-D array in record order: int64, or object
+    (Python ints) once a value reaches 2^63.  ``sorted_values`` is the same
+    column ascending.  ``labels`` is a tuple of str parallel to ``values``;
+    ``labels`` given as a function (a loader's) is called on its first read.
+    """
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
-        try:  # labels that are all str already, as the loader hands them, are kept as they are
-            "".join(labels)
-        except TypeError:
-            labels = tuple(map(str, labels))
-        if isinstance(self.values, np.ndarray) and self.values.dtype == np.int64:
-            values = tuple(self.values.tolist())
-            ordered = np.sort(self.values)
+    __slots__ = ("_labels", "values", "sorted_values", "n")
+
+    def __init__(self, labels, values, n: int):
+        if isinstance(values, np.ndarray) and values.dtype == np.int64:
+            column = values.copy()
         else:
-            values = tuple(map(int, self.values))
-            ordered = np.array(values)
-            if ordered.dtype.kind == "f":  # numpy rounds 2^63 and up beside smaller values to float64
-                ordered = np.array(values, dtype=object)
-            ordered.sort()
-        if len(labels) != len(values):
-            raise DataError(f"{len(labels)} labels for {len(values)} values")
-        if not values:
+            ints = list(map(int, values))
+            column = np.array(ints)
+            if column.dtype != np.int64:  # numpy rounds 2^63 and up beside smaller values to float64
+                column = np.array(ints, dtype=object)
+        if not callable(labels):
+            labels = tuple(labels)
+            try:  # labels that are all str already are kept as they are
+                "".join(labels)
+            except TypeError:
+                labels = tuple(map(str, labels))
+            if len(labels) != len(column):
+                raise DataError(f"{len(labels)} labels for {len(column)} values")
+        if not len(column):
             raise DataError("database must be nonempty")
+        ordered = np.sort(column)
         repeats = ordered[1:] == ordered[:-1]
         if repeats.any():
             dupes = np.unique(ordered[1:][repeats]).tolist()
             raise DataError(f"duplicate data values {dupes}: each value must be distinct")
-        if ordered[0] < 0 or int(ordered[-1]) >= 2**self.n:
-            raise DataError(
-                f"values must lie in [0, {2**self.n - 1}] for n={self.n} qubits"
-            )
-        ordered.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "sorted_values", ordered)
+        if ordered[0] < 0 or int(ordered[-1]) >= 2**n:
+            raise DataError(f"values must lie in [0, {2**n - 1}] for n={n} qubits")
+        column.flags.writeable = ordered.flags.writeable = False
+        for name, value in zip(self.__slots__, (labels, column, ordered, n)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Database is read-only: cannot set {name!r}")
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        if callable(self._labels):
+            object.__setattr__(self, "_labels", self._labels())
+        return self._labels
 
     @property
     def size(self) -> int:
         return len(self.values)
+
+    def __eq__(self, other):
+        if not isinstance(other, Database):
+            return NotImplemented
+        return (self.n, self.labels) == (other.n, other.labels) and np.array_equal(self.values, other.values)
 
 
 def _count_on_side(ordered: np.ndarray, d0: int, mode: str) -> int:
@@ -112,9 +125,9 @@ def ascending_sample(db: Database, strategy: EstimationStrategy, rng=None) -> np
         raise DataError("sample size must be >= 1")
     if rng is None:
         raise ValueError("sampled estimation needs an rng")
-    # draw indices, not values: numpy would round 2^63 and up beside smaller values
-    picks = rng.choice(db.size, size=strategy.sample_size, replace=True)
-    return np.sort(np.array([db.values[i] for i in picks], dtype=db.sorted_values.dtype))
+    sample = db.values[rng.choice(db.size, size=strategy.sample_size, replace=True)]
+    sample.sort()
+    return sample
 
 
 def estimate_params(

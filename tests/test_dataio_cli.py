@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import hashlib
 import io
@@ -8,13 +9,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import format_csv, random_circuit
 from qummsa import analysis
 from qummsa import circuit as circuit_module
-from qummsa import cli
+from qummsa import cli, dataio
 from qummsa import simplify as simplify_module
 from qummsa.analysis import failure_contour_grid
 from qummsa.circuit import export_circuit, run_circuit
@@ -117,7 +118,7 @@ def test_negative_value_rejected():
 
 def test_load_database_from_stream():
     db = load_database(io.StringIO(EQ8_CSV))
-    assert db.values == (0, 2, 3) and db.n == 2
+    assert db.values.tolist() == [0, 2, 3] and db.n == 2
 
 
 def test_format_csv_stamp():
@@ -382,6 +383,11 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["baseline-dha", "titanic", "--n", "100000"], 1),
         # one trial past cli.TRIALS_MAX
         (["find-min", "titanic", "--trials", "1000001"], 1),
+        # one past cli.CONFIRMATIONS_MAX and cli.RETRY_CAP_MAX
+        (["find-min", "titanic", "--c", "1001"], 1),
+        (["find-max", "titanic", "--c", "1001"], 1),
+        (["find-min", "titanic", "--retry-cap", "1001"], 1),
+        (["find-max", "titanic", "--retry-cap", "1001"], 1),
     ],
 )
 def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
@@ -666,11 +672,11 @@ def test_cli_build_oracle_threshold(tmp_path, capsys):
 
 
 def test_byte_order_mark_accepted(tmp_path, capsys):
-    assert parse_database("\ufeff" + EQ8_CSV).values == (0, 2, 3)
-    assert load_database(io.StringIO("\ufeff" + EQ8_CSV)).values == (0, 2, 3)
+    assert parse_database("\ufeff" + EQ8_CSV).values.tolist() == [0, 2, 3]
+    assert load_database(io.StringIO("\ufeff" + EQ8_CSV)).values.tolist() == [0, 2, 3]
     dataset = tmp_path / "bom.csv"
     dataset.write_text(EQ8_CSV, encoding="utf-8-sig")
-    assert load_database(dataset).values == (0, 2, 3)
+    assert load_database(dataset).values.tolist() == [0, 2, 3]
     assert main(["find-min", str(dataset), "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["aggregate"]["target_value"] == 0
     with pytest.raises(DataError, match="header"):  # one mark is stripped, not two
@@ -689,7 +695,7 @@ def test_overlong_field_names_its_line():
 
 def test_titanic_takes_n(capsys):
     assert titanic_database(40).n == 40
-    assert titanic_database(40).values == titanic_database().values
+    assert titanic_database(40).values.tolist() == titanic_database().values.tolist()
     assert main(["find-min", "titanic", "--n", "40", "--trials", "2", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["database"]["n"] == 40
     assert main(["find-min", "titanic", "--n", "3"]) == 2
@@ -712,23 +718,44 @@ def test_plain_file_takes_the_column_pass(tmp_path, monkeypatch):
 
     monkeypatch.setattr(csv, "reader", refuse)
     got = load_database(dataset)
-    assert (got.labels, got.values, got.n) == (want.labels, want.values, want.n)
+    assert (got.labels, got.values.tolist(), got.n) == (want.labels, want.values.tolist(), want.n)
     assert got.sorted_values.tolist() == want.sorted_values.tolist()
-    assert all(type(v) is int for v in got.values)
+    assert got.values.dtype == np.int64
 
 
 def test_large_plain_file_loads_in_bounded_memory(tmp_path):
-    # 2^18 rows in 2^30: the csv.reader ingest peaked at 80 MiB, the column pass at 46 MiB
+    # 2^18 rows in 2^30: the csv.reader ingest peaked at 80 MiB, the str column
+    # pass at 46 MiB (186 B a row) and held 112 B a row; the byte pass keeps the
+    # bytes and two int64 columns, and leaves the labels unbuilt
+    rows = 2**18
     dataset = tmp_path / "large.csv"
-    values = _plain_csv(dataset, 2**18, 30, seed=7)
+    values = _plain_csv(dataset, rows, 30, seed=7)
     tracemalloc.start()
     try:
         db = load_database(dataset)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert db.values == tuple(values) and db.n == 30
+    assert db.values.tolist() == values and db.n == 30
     assert peak < 64 * 2**20
+    assert held <= 48 * rows and peak <= 100 * rows, (held / rows, peak / rows)
+    assert len(db.labels) == rows and db.labels[-2:] == (f"v{rows - 2}", f"v{rows - 1}")
+
+
+def test_rows_past_the_cap_are_refused_before_any_column(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(dataio, "ROWS_MAX", 3)
+    dataset = tmp_path / "rows.csv"
+    dataset.write_text("label,value\na,1\nb,2\nc,3\n")
+    assert load_database(dataset).size == 3  # at the cap, with or without the final newline
+    assert parse_database("label,value\na,1\nb,2\nc,3").size == 3
+    monkeypatch.setattr(dataio, "_column_pass", mock.Mock(side_effect=AssertionError("columns allocated")))
+    for text in ("label,value\na,1\nb,2\nc,3\nd,4\n", "label,value\na,1\n\n\n\n"):
+        with pytest.raises(DataError, match=r"^t\.csv: 4 rows after the header; at most 3 are read$"):
+            parse_database(text, source="t.csv")
+    dataset.write_text("label,value\na,1\nb,2\nc,3\n\"d\",4")
+    assert main(["find-min", str(dataset)]) == 2
+    err = capsys.readouterr().err
+    assert "4 rows after the header; at most 3 are read" in err and "Traceback" not in err
 
 
 def row_by_row_parse(text, n=None, source="<string>"):
@@ -849,7 +876,7 @@ def test_parse_database_matches_row_by_row(text, n):
         assert got == want
         return
     assert not isinstance(got, str), got
-    assert (got.labels, got.values, got.n) == (want.labels, want.values, want.n)
+    assert (got.labels, got.values.tolist(), got.n) == (want.labels, want.values.tolist(), want.n)
     assert got.sorted_values.tolist() == want.sorted_values.tolist() == sorted(got.values)
 
 
@@ -868,7 +895,55 @@ def test_plain_texts_skip_csv_and_match_row_by_row(rows, ends, last):
     want = row_by_row_parse(text)
     with mock.patch.object(csv, "reader", side_effect=AssertionError("read by csv.reader")):
         got = parse_database(text)
-    assert (got.labels, got.values, got.n) == (want.labels, want.values, want.n)
+    assert (got.labels, got.values.tolist(), got.n) == (want.labels, want.values.tolist(), want.n)
+
+
+# values of 17 to 20 digits and around 2^63 and 2^64, and the spellings int()
+# reads that the digit pass leaves to it, and an empty field, which it refuses
+_WIDE_INTS = st.one_of(
+    st.integers(0, 999),
+    st.integers(16, 19).flatmap(lambda k: st.integers(10**k, 10 ** (k + 1) - 1)),
+    st.integers(2**63 - 3, 2**63 + 3), st.integers(2**64 - 3, 2**64 + 3),
+)
+_FIELD_SPELLINGS = [
+    str, str, "00{}".format, "+{}".format, " {}".format, "{:_}".format, _SPELLINGS[-1], lambda v: "",
+]
+_BYTE_LABELS = st.text(alphabet="ab \x00\x0b\x1c\x7f\xe9\u4e2d\U0001f600", max_size=4)
+
+
+@st.composite
+def byte_pass_texts(draw):
+    """Plain texts: any line ends, a byte-order mark or not, a final newline or not."""
+    values = draw(st.lists(_WIDE_INTS, min_size=1, max_size=12))
+    lines = [f"{draw(_BYTE_LABELS)},{draw(st.sampled_from(_FIELD_SPELLINGS))(v)}" for v in values]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "label,value" + "".join(map(str.__add__, ends, lines)) + draw(st.sampled_from(["", "\n", "\r\n"]))
+    return draw(st.sampled_from(["", "\ufeff"])), text
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(byte_pass_texts(), st.one_of(st.none(), st.integers(1, 72)))
+def test_byte_pass_matches_row_by_row(tmp_path, case, n):
+    bom, text = case
+
+    def outcome(parse):
+        try:
+            db = parse()
+        except DataError as exc:
+            return str(exc)
+        return db.labels, db.values.tolist(), db.n
+
+    dataset = tmp_path / "t.csv"
+    dataset.write_bytes((bom + text).encode("utf-8"))
+    want = outcome(lambda: row_by_row_parse(text, n, "t.csv"))
+    # a file of values below 2^63 that loads is read without csv
+    plain = not isinstance(want, str) and max(want[1]) < 2**63
+    refuse = mock.patch.object(csv, "reader", side_effect=AssertionError("read by csv.reader"))
+    with refuse if plain else contextlib.nullcontext():
+        assert outcome(lambda: parse_database(bom + text, n, "t.csv")) == want
+        assert outcome(lambda: load_database(dataset, n)) == outcome(
+            lambda: parse_database(bom + text, n, str(dataset))
+        )
 
 
 def _cli_digest(argv, capsys) -> str:

@@ -32,7 +32,7 @@ def test_database_validation():
     with pytest.raises(DataError):
         Database("a", (9,), 3)
     db = Database("ab", (1, 2), 3)
-    assert db.size == 2 and db.values == (1, 2)
+    assert db.size == 2 and db.values.tolist() == [1, 2]
 
 
 def test_database_rank():
@@ -322,8 +322,8 @@ def test_sample_keeps_64_bit_values_exact():
 
 def test_database_converts_loose_columns():
     db = Database(["a", "b", 3], [np.int64(5), True, 2], 3)
-    assert tuple(zip(db.labels, db.values)) == (("a", 5), ("b", 1), ("3", 2))
-    assert all(type(v) is int for v in db.values)
+    assert tuple(zip(db.labels, db.values.tolist())) == (("a", 5), ("b", 1), ("3", 2))
+    assert db.values.dtype == np.int64
     assert Database((4, 5.5), [1, 2], 2).labels == ("4", "5.5")
     labels = [f"row {i}" for i in range(2)]
     assert all(kept is label for kept, label in zip(Database(labels, [1, 2], 2).labels, labels))
@@ -335,7 +335,7 @@ def test_database_takes_an_int64_column():
     column = np.array([9, 2**62, 0, 5], dtype=np.int64)
     db = Database("abcd", column, 63)
     assert db == Database("abcd", column.tolist(), 63)
-    assert all(type(v) is int for v in db.values)
+    assert db.values.dtype == np.int64
     assert db.sorted_values.tolist() == [0, 5, 9, 2**62] and db.sorted_values.dtype == np.int64
     column[0] = 1  # the database holds no view of its input
     assert db.values[0] == 9 and db.sorted_values.tolist()[-1] == 2**62
