@@ -155,8 +155,7 @@ def min_sample_size(spec: SampleSpec) -> int:
 def qesa_expected_gamma(m: float) -> float:
     """E[floor(U[0, m))] for the iteration draw of the exponential search."""
     f = math.floor(m)
-    exact = sum(range(f)) / m
-    return exact + (m - f) / m * f
+    return f * (f - 1) // 2 / m + (m - f) / m * f
 
 
 def sampled_failure_curve(spec: SampleSpec, ratios, draws: int = 200, rng=None) -> np.ndarray:

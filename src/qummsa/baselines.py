@@ -111,15 +111,16 @@ def qesa_failure_model(M: float, N: float, t: int, lam: float = GROWTH_FACTOR_MA
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
     beta = math.asin(math.sqrt(M / N))
-    eps = 1.0
+    eps, last = 1.0, None
     for s in range(1, t + 1):
         m = draw_range(s, lam, N)
-        f = math.floor(m)
-        factor = (1.0 / m) * (1.0 - M / N)
-        for v in range(1, f):
-            factor += (1.0 / m) * math.cos((2 * v + 1) * beta) ** 2
-        if m > f:
-            factor += ((m - f) / m) * math.cos((2 * f + 1) * beta) ** 2
+        if m != last:  # every round past the sqrt(N) cap repeats its factor
+            last, f = m, math.floor(m)
+            factor = (1.0 / m) * (1.0 - M / N)
+            for v in range(1, f):
+                factor += (1.0 / m) * math.cos((2 * v + 1) * beta) ** 2
+            if m > f:
+                factor += ((m - f) / m) * math.cos((2 * f + 1) * beta) ** 2
         eps *= factor
     return eps
 

@@ -15,13 +15,12 @@ oracle from the builders or the passes is made from its cubes instead and emits
 its gates (:func:`emit_fragment`) only when ``.ops`` is first read, so a raw
 oracle is never lexed and its gates are built only if read.  ``run_circuit``
 compiles a circuit into steps and applies them: each run of phase fragments is
-one diagonal, consecutive narrow controlled gates (at most NARROW_PAIRS
-amplitude pairs each) are split into layers of pairwise disjoint supports, each
-one gather, product and scatter, and a one-gate layer, a wider gate or an
-uncontrolled one stays on the stride kernel.  The result is bit-identical to
-applying the gates one by one.  Circuits are immutable after construction and
-safe to share across threads: two threads that lex a circuit, or emit its ops,
-at once compute and cache equal ones.
+one diagonal, consecutive narrow gates (at most NARROW_PAIRS amplitude pairs
+each) are split into layers of pairwise disjoint supports, each one gather,
+product and scatter, and a wider gate runs on the stride kernel.  The result is
+bit-identical to applying the gates one by one.  Circuits are immutable after
+construction and safe to share across threads: two threads that lex a circuit,
+or emit its ops, at once compute and cache equal ones.
 """
 
 from __future__ import annotations
@@ -308,13 +307,13 @@ def _gate_shapes(circuit: Circuit) -> list[tuple[int, bool]]:
 #
 # run_circuit lowers a circuit into steps, each a function that updates the
 # amplitude array in place: a phase run with its factors worked out, a layer of
-# narrow gates, or one gate on the stride kernel.  Every step performs the
+# narrow gates, or one wide gate on the stride kernel.  Every step performs the
 # float operations of gate-by-gate application on each amplitude, in the same
 # order, so the result is bit-identical to it.
 
-# A controlled gate that mixes at most this many amplitude pairs is narrow and
-# may join a layer.  On one core of a 2-core Xeon the stride kernel, which
-# needs no index arrays, costs about 20 us a gate up to a few hundred pairs,
+# A gate that mixes at most this many amplitude pairs is narrow and joins a
+# layer.  On one core of a 2-core Xeon the stride kernel, which needs no index
+# arrays, costs about 20 us a gate up to a few hundred pairs,
 # and a layer about 3 us a gate plus 40-80 ns a pair listed, sorted and
 # gathered.  On a 2^20 register, where gathers miss the cache, a preparation
 # tree ran about as fast in layers of up to 64-pair gates as on the kernel,
@@ -371,7 +370,7 @@ def _phase_cube(sel: tuple, factor: complex, amps: np.ndarray) -> None:
 
 
 def _gate_steps(n: int, ops: tuple[GateOp, ...]):
-    """Wide and uncontrolled gates one by one on the stride kernel, narrow ones in layers.
+    """Wide gates one by one on the stride kernel, narrow ones in layers.
 
     Consecutive narrow gates are lowered in batches of at most BATCH_PAIRS pairs.
     """
@@ -379,7 +378,7 @@ def _gate_steps(n: int, ops: tuple[GateOp, ...]):
     pairs = 0
     for op in ops:
         width = 1 << (n - 1 - op.mask.bit_count())
-        narrow = op.mask and width <= NARROW_PAIRS
+        narrow = width <= NARROW_PAIRS
         if batch and (not narrow or pairs + width > BATCH_PAIRS):
             yield from _layers(n, batch)
             batch, pairs = [], 0
@@ -388,7 +387,8 @@ def _gate_steps(n: int, ops: tuple[GateOp, ...]):
             pairs += width
         else:
             yield functools.partial(_apply_gate_inplace, n=n, gate=op)
-    yield from _layers(n, batch)
+    if batch:
+        yield from _layers(n, batch)
 
 
 def _layers(n: int, ops: list[GateOp]):
@@ -398,12 +398,9 @@ def _layers(n: int, ops: list[GateOp]):
     bit clear and ``hi`` with it set.  One stable sort of all the indices finds,
     for each gate, the last earlier gate that touches one of its amplitudes; a
     layer grows while the next gate touches none of the layer's amplitudes, so
-    its gates commute and may be applied at once.  A layer of one gate runs on
-    the stride kernel; a larger one is one gather, product and scatter.
+    its gates commute and may be applied at once.  Each layer is one gather,
+    product and scatter.
     """
-    if len(ops) < 2:
-        yield from (functools.partial(_apply_gate_inplace, n=n, gate=op) for op in ops)
-        return
     lo, counts = _pair_indices(n, ops)
     hi = lo + np.repeat(np.array([1 << op.target for op in ops]), counts)
 
@@ -422,9 +419,6 @@ def _layers(n: int, ops: list[GateOp]):
     offsets = [0, *np.cumsum(counts).tolist()]
     matrices: dict = {}
     for a, b in zip(bounds, bounds[1:]):
-        if b - a == 1:
-            yield functools.partial(_apply_gate_inplace, n=n, gate=ops[a])
-            continue
         m = np.array([_entries(op, matrices) for op in ops[a:b]]).T
         pairs = slice(offsets[a], offsets[b])
         yield functools.partial(_apply_layer, lo[pairs], hi[pairs], np.repeat(m, counts[a:b], axis=1))

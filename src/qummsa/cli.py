@@ -45,6 +45,10 @@ TRIALS_MAX = 10**6
 # attempts of each.  `find-min titanic --c 1000` takes about 0.1 s.
 CONFIRMATIONS_MAX = 1000
 RETRY_CAP_MAX = 1000
+# Most `simulate --grover-long --iterations`: the largest tuned J a 20-qubit
+# register needs is about 804, and there an iteration takes about 20 ms (41 ran
+# in 2.59 s and 1 in 1.80 s, in process on a 2-core Xeon), so a run stays near 200 s.
+ITERATIONS_MAX = 10_000
 # Widest `--n`: 2^n is an exact int, and build-oracle's cost report holds
 # 2^(n-1), which stays within the 4,300 digits an int may print as.
 QUBITS_MAX = 8192
@@ -79,6 +83,9 @@ _CONFIRMATIONS = _ranged(
     int, lambda v: 1 <= v <= CONFIRMATIONS_MAX, f"an integer in [1, {CONFIRMATIONS_MAX}]"
 )
 _RETRY_CAP = _ranged(int, lambda v: 1 <= v <= RETRY_CAP_MAX, f"an integer in [1, {RETRY_CAP_MAX}]")
+_ITERATIONS = _ranged(
+    int, lambda v: 1 <= v <= ITERATIONS_MAX, f"an integer in [1, {ITERATIONS_MAX}]"
+)
 _QUBITS = _ranged(int, lambda v: 1 <= v <= QUBITS_MAX, f"an integer in [1, {QUBITS_MAX}]")
 # Model-command size caps: peak memory grows by about 8 B per failure-map cell
 # (resolution^2 of them; the text is streamed) and, for failure-curves, 180 B per
@@ -216,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", default="uniform", help="uniform | basis:k | db:<csv>")
     p.add_argument("--grover-long", action="store_true",
                    help="treat the circuit as an oracle inside a full tuned search")
-    p.add_argument("--iterations", type=_positive_int, default=None,
+    p.add_argument("--iterations", type=_ITERATIONS, default=None,
                    help="override the iteration count used with --grover-long")
     p.add_argument("--out", default=None)
 
@@ -403,7 +410,7 @@ def _cmd_build_oracle(args, argv) -> int:
 def _initial_state(spec: str, n: int) -> StateVector:
     kind, _, arg = spec.partition(":")
     if spec == "uniform":
-        return make_superposition(n, range(2**n))
+        return StateVector(n, np.full(2**n, 1.0 / np.sqrt(2**n), dtype=np.complex128))
     # more than n digits is at least 10^n > 2^n, and may be past int()'s digit limit
     digits = arg.strip().lstrip("0") or "0"
     if kind == "basis" and arg.strip().isdecimal() and len(digits) <= n and int(digits) < 2**n:

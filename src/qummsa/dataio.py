@@ -37,9 +37,12 @@ def load_database(path_or_file, n: int | None = None) -> Database:
     every value and keeps N <= 2^n; that choice also satisfies
     2^(n-1) < N <= 2^n whenever the value range allows it.
     """
-    if hasattr(path_or_file, "read"):
-        return parse_database(path_or_file.read(), n, getattr(path_or_file, "name", "<stream>"))
-    return _parse(_read_utf8(path_or_file, DataError), n, str(path_or_file))
+    if not hasattr(path_or_file, "read"):
+        return _parse(_read_utf8(path_or_file, DataError), n, str(path_or_file))
+    data, source = path_or_file.read(), getattr(path_or_file, "name", "<stream>")
+    if isinstance(data, str):
+        return parse_database(data, n, source)
+    return _parse(_utf8(data, source, DataError), n, source)
 
 
 def read_text(path, error: type[Exception]) -> str:
@@ -50,12 +53,16 @@ def read_text(path, error: type[Exception]) -> str:
 def _read_utf8(path, error: type[Exception]) -> bytes:
     """The bytes of the file at ``path``, checked to be UTF-8."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        return _utf8(fh.read(), path, error)
+
+
+def _utf8(data: bytes, source, error: type[Exception]) -> bytes:
+    """``data``, checked to be UTF-8; other bytes raise ``error`` naming ``source`` and the byte."""
     if not data.isascii():
         try:
             data.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+            raise error(f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     return data
 
 
@@ -106,11 +113,12 @@ def _column_pass(data: bytes) -> np.ndarray | None:
     """The int64 value column of a plain file's bytes; None for any other file.
 
     A plain file has no ``"``, no lone ``\r``, a ``label,value`` header, one
-    comma on every line and no field longer than ``csv.field_size_limit()``
-    characters, so its commas and newlines split it as :mod:`csv` does.  A
-    value of 1 to 18 ASCII digits is read from the bytes; any other is
-    decoded and read by ``int()``.  One that ``int()`` refuses, or that is
-    negative or 2^63 and up, also makes this None.
+    comma on every line and no field wider than ``csv.field_size_limit()``
+    bytes, so its commas and newlines split it as :mod:`csv` does.  A field
+    has no fewer bytes than characters, so a wider one is left to csv, which
+    counts its characters.  A value of 1 to 18 ASCII digits is read from the
+    bytes; any other is decoded and read by ``int()``.  One that ``int()``
+    refuses, or that is negative or 2^63 and up, also makes this None.
     """
     if b'"' in data or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
@@ -128,8 +136,9 @@ def _column_pass(data: bytes) -> np.ndarray | None:
     header = data[:seps[1]].decode("utf-8", "surrogatepass").split(",")
     if [h.strip().lower() for h in header] != ["label", "value"]:
         return None
-    if end > csv.field_size_limit() and _overlong_field(data, seps, end):
-        return None
+    limit = csv.field_size_limit()  # a gap between separators is its field's width + 1
+    if end > limit and max(seps[0] + 1, np.diff(seps).max(), end - seps[-1]) > limit + 1:
+        return None  # a field wider than limit bytes: csv counts its characters
     starts = seps[2::2] + 1  # each record's value field, after its comma
     stops = np.empty_like(starts)
     stops[:-1] = seps[3::2]
@@ -148,17 +157,6 @@ def _column_pass(data: bytes) -> np.ndarray | None:
             return None
         values[row] = value
     return values
-
-
-def _overlong_field(data: bytes, seps: np.ndarray, end: int) -> bool:
-    """Whether a field of ``data[:end]``, split at ``seps``, is longer than csv's limit in characters."""
-    limit = csv.field_size_limit()
-    inner = np.flatnonzero(np.diff(seps) > limit + 1).tolist()  # fields with a separator each side
-    spans = [(0, seps[0]), (seps[-1] + 1, end), *((seps[i] + 1, seps[i + 1]) for i in inner)]
-    return any(  # a CRLF's carriage return is no part of its field
-        len(data[a:b].decode("utf-8", "surrogatepass").removesuffix("\r")) > limit
-        for a, b in spans if b - a > limit
-    )
 
 
 def _digits(u8: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Test-only helpers: circuits, state comparisons, models, and references for the failure curves, measurement, the uniform support, the threshold descent, CSV output, the preparation tree and the rewrite passes."""
+"""Test-only helpers: circuits, state comparisons, models, and references for the failure curves, the exponential-search failure model, measurement, the uniform support, the threshold descent, CSV output, the preparation tree and the rewrite passes."""
 
 import csv
 import io
@@ -224,6 +224,22 @@ def sampled_failure_curve_by_ratio(spec: SampleSpec, ratios, draws: int = 200, r
             }
         )
     return rows
+
+
+def qesa_failure_model_reference(M: float, N: float, t: int, lam: float = GROWTH_FACTOR_MAX) -> float:
+    """``baselines.qesa_failure_model`` as it stood with every round's miss factor worked out anew."""
+    beta = math.asin(math.sqrt(M / N))
+    eps = 1.0
+    for s in range(1, t + 1):
+        m = draw_range(s, lam, N)
+        f = math.floor(m)
+        factor = (1.0 / m) * (1.0 - M / N)
+        for v in range(1, f):
+            factor += (1.0 / m) * math.cos((2 * v + 1) * beta) ** 2
+        if m > f:
+            factor += ((m - f) / m) * math.cos((2 * f + 1) * beta) ** 2
+        eps *= factor
+    return eps
 
 
 # The closed form in one piece, and the measurement rule as it stood with a run

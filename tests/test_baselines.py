@@ -3,9 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import qesa_failure_model_reference
+from qummsa.analysis import qesa_expected_gamma
 from qummsa.baselines import (
     GROWTH_FACTOR_MAX, QesaConfig, draw_range, qesa_failure_model, run_dha_minimum, run_qesa,
 )
@@ -52,6 +54,24 @@ def test_failure_model_two_branch_form_small_t():
         factor = qesa_failure_model(M, N, t, lam) / qesa_failure_model(M, N, t - 1, lam)
         closed = lam ** (1 - t) * (1 - M / N) + (1 - lam ** (1 - t)) * math.cos(3 * beta) ** 2
         assert factor == pytest.approx(closed, abs=1e-12)
+
+
+@settings(max_examples=150)
+@given(
+    st.floats(1.0, 1e4),
+    st.floats(0.0, 1.0, exclude_min=True),
+    st.integers(1, 80),
+    st.floats(1.0, GROWTH_FACTOR_MAX, exclude_min=True),
+)
+@example(1e4, 0.25, 80, GROWTH_FACTOR_MAX)  # capped from round 18 on
+@example(3.0, 1.0, 40, 1.01)
+def test_failure_model_matches_the_round_by_round_loop(N, ratio, t, lam):
+    # bit for bit: a factor is worked out once per draw range, so once past the cap
+    M = ratio * N
+    assert qesa_failure_model(M, N, t, lam) == qesa_failure_model_reference(M, N, t, lam)
+    m = draw_range(t, lam, N)
+    f = math.floor(m)
+    assert qesa_expected_gamma(m) == sum(range(f)) / m + (m - f) / m * f
 
 
 def test_run_qesa_all_marked_succeeds_immediately():

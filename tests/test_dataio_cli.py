@@ -119,6 +119,16 @@ def test_negative_value_rejected():
 def test_load_database_from_stream():
     db = load_database(io.StringIO(EQ8_CSV))
     assert db.values.tolist() == [0, 2, 3] and db.n == 2
+    # a binary stream's bytes take the file's UTF-8 check, named by the stream
+    for data in (EQ8_CSV.encode(), EQ8_CSV.encode("utf-8-sig")):
+        assert load_database(io.BytesIO(data)) == db
+    latin1 = io.BytesIO("label,value\nJos\xe9,3\n".encode("latin-1"))
+    with pytest.raises(DataError, match=r"^<stream>: not UTF-8 text \(invalid continuation byte at byte 15\)$"):
+        load_database(latin1)
+    latin1.seek(0)
+    latin1.name = "ages.csv"
+    with pytest.raises(DataError, match=r"^ages\.csv: not UTF-8 text .* at byte 15\)$"):
+        load_database(latin1)
 
 
 def test_format_csv_stamp():
@@ -388,11 +398,15 @@ def test_cli_exit_codes(tmp_path, capsys):
         (["find-max", "titanic", "--c", "1001"], 1),
         (["find-min", "titanic", "--retry-cap", "1001"], 1),
         (["find-max", "titanic", "--retry-cap", "1001"], 1),
+        # one past cli.ITERATIONS_MAX, and the cap on a 2-qubit oracle
+        (["simulate", "oracle.qc", "--grover-long", "--iterations", "10001"], 1),
+        (["simulate", "oracle.qc", "--grover-long", "--iterations", "10000"], 0),
     ],
 )
 def test_cli_out_of_range_arguments(argv, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "two.qc").write_text("qubits: 2\nX 0 | controls:\n")
+    (tmp_path / "oracle.qc").write_text("qubits: 2\nPHASE(3.141592653589793) 0 | controls: +q1\n")
     (tmp_path / "wide4.csv").write_text(
         f"label,value\na,5\nb,{2**63 - 1}\nc,{2**63 + 1}\nd,{2**70}\n"
     )
@@ -626,6 +640,21 @@ def test_cli_simulate_runs_at_its_qubit_cap(tmp_path, monkeypatch, capsys):
     assert main(["simulate", str(qc)]) == 2
 
 
+def test_cli_simulate_uniform_initial_state_is_one_array():
+    # the register make_superposition builds from range(2^n), without a set of 2^n ints
+    for n in range(1, 13):
+        want = make_superposition(n, range(2**n)).amps.tobytes()
+        assert cli._initial_state("uniform", n).amps.tobytes() == want
+    n = 16
+    tracemalloc.start()
+    try:
+        state = cli._initial_state("uniform", n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.n == n and peak < 1.25 * 16 * 2**n, peak  # the 16 B amplitudes and a little more
+
+
 def test_cli_simulate_grover_long_above_the_dense_cap(tmp_path, monkeypatch, capsys):
     # 13 qubits: one more than circuit_to_matrix lowers
     monkeypatch.chdir(tmp_path)
@@ -691,6 +720,25 @@ def test_overlong_field_names_its_line():
     # at the limit the field is read, by the column pass as by csv
     label = label[:-1]
     assert parse_database(f"label,value\na,1\n{label},2\n").labels == ("a", label)
+
+
+def test_fields_wider_in_bytes_than_the_limit_go_to_csv(tmp_path):
+    # a field of limit characters in more bytes (multi-byte text, or a last
+    # field before a CRLF's \r) is read by csv; one character more is refused
+    limit = csv.field_size_limit()
+    for row, longer, end in (
+        ("\u00e9" * limit + ",2", "\u00e9" * (limit + 1) + ",2", "\n"),
+        ("\u4e2d" * limit + ",2", "\u4e2d" * (limit + 1) + ",2", "\n"),
+        ("b," + " " * (limit - 1) + "2", "b," + " " * limit + "2", "\r\n"),
+    ):
+        text = f"label,value{end}a,1{end}{row}{end}"
+        want = row_by_row_parse(text)
+        dataset = tmp_path / "wide.csv"
+        dataset.write_bytes(text.encode("utf-8"))
+        for got in (parse_database(text), load_database(dataset)):
+            assert (got.labels, got.values.tolist(), got.n) == (want.labels, want.values.tolist(), want.n)
+        with pytest.raises(DataError, match=r"^t\.csv: line 3: field larger than field limit"):
+            parse_database(f"label,value{end}a,1{end}{longer}{end}", source="t.csv")
 
 
 def test_titanic_takes_n(capsys):
