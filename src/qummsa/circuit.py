@@ -325,14 +325,14 @@ BATCH_PAIRS = 2**12
 
 
 class CompiledCircuit:
-    """A circuit lowered once into the steps :func:`run_circuit` applies, for circuits run many times."""
+    """Circuits lowered once, each from its own runs, into the steps :func:`run_circuit` applies in turn."""
 
     __slots__ = ("n", "steps", "gates")
 
-    def __init__(self, circuit: Circuit):
-        self.n = circuit.n
-        self.steps = tuple(_steps(circuit))
-        self.gates = len(circuit)  # op count of the source circuit
+    def __init__(self, circuit: Circuit, *more: Circuit):
+        self.n = circuit.n  # every part is taken to have circuit.n qubits
+        self.steps = tuple(step for part in (circuit, *more) for step in _steps(part))
+        self.gates = sum(map(len, (circuit, *more)))  # op count of the source circuits
 
     def __len__(self) -> int:
         return self.gates

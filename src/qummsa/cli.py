@@ -26,7 +26,7 @@ from .dataio import load_database, read_text, titanic_database
 from .errors import CircuitError, DataError, ParseError, QummsaError
 from .grover_long import SearchParams, compute_params, run_grover_long
 from .oracles import MarkedSet, ThresholdPredicate, build_multi_oracle
-from .statevector import StateVector, make_basis_state, make_superposition
+from .statevector import StateVector, make_basis_state
 
 
 # Largest register `simulate` runs: it writes one CSV row per basis state, so
@@ -419,7 +419,9 @@ def _initial_state(spec: str, n: int) -> StateVector:
         db = load_database(arg)
         if db.n > n:
             raise DataError(f"dataset needs n={db.n} qubits but the circuit has n={n}")
-        return make_superposition(n, db.values)
+        amps = np.zeros(2**n, dtype=np.complex128)  # db.values are distinct and below 2^n
+        amps[db.values] = 1.0 / np.sqrt(db.size)
+        return StateVector(n, amps)
     raise DataError(f"bad --initial {spec!r} (expected uniform | basis:k | db:<csv>)")
 
 

@@ -76,8 +76,9 @@ def _parse(data: bytes, n: int | None, source: str) -> Database:
 
     A plain file is read by :func:`_column_pass` and checked by
     :class:`Database`, and its labels are decoded on their first read.  Any
-    other file, or a plain one with a negative or duplicate value or too small
-    an n, is read by :func:`_row_pass`, which names the first bad line.
+    other file, or a plain one with a negative or duplicate value, is read by
+    :func:`_row_pass`, which names the first bad line.  The Database is built
+    with max(needed, n) qubits; only then is an n below needed refused, once.
     """
     if data.startswith(_BOM):
         data = data[len(_BOM):]
@@ -87,22 +88,20 @@ def _parse(data: bytes, n: int | None, source: str) -> Database:
     values = _column_pass(data)
     if values is not None:
         needed = _qubits_needed(int(values.max()), len(values))
-        if n is None or n >= needed:
-            try:
-                return Database(functools.partial(_labels, data), values, needed if n is None else n)
-            except DataError:  # a duplicate value: the row path names its line
-                pass
-    labels, values = _row_pass(data.decode("utf-8", "surrogatepass"), source)
-    max_value = max(values)
-    needed = _qubits_needed(max_value, len(values))
-    if n is None:
-        n = needed
-    elif n < needed:
+        try:
+            db = Database(functools.partial(_labels, data), values, max(needed, n or 0))
+        except DataError:  # a duplicate value: the row path names its line
+            values = None
+    if values is None:
+        labels, values = _row_pass(data.decode("utf-8", "surrogatepass"), source)
+        needed = _qubits_needed(max(values), len(values))
+        db = Database(labels, values, max(needed, n or 0))
+    if n is not None and n < needed:
         raise DataError(
-            f"{source}: n={n} too small: {len(values)} records with max value "
-            f"{max_value} need at least {needed} qubits"
+            f"{source}: n={n} too small: {db.size} records with max value "
+            f"{db.sorted_values[-1]} need at least {needed} qubits"
         )
-    return Database(labels, values, n)
+    return db
 
 
 def _qubits_needed(max_value: int, count: int) -> int:

@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .circuit import Circuit, CompiledCircuit, invert_circuit, run_circuit
+from .circuit import CompiledCircuit, invert_circuit, run_circuit
 from .errors import CircuitError
 from .oracles import MarkedSet, build_I0, build_multi_oracle, build_preparation
 from .statevector import NORM_TOL, StateVector, apply_rank1_reflection
@@ -71,7 +71,7 @@ def oracle_phase_step(state: StateVector, marked: MarkedSet, phi: float) -> Stat
     if marked.n != state.n:
         raise CircuitError(f"dimension mismatch: marked.n={marked.n}, state.n={state.n}")
     out = state.amps.copy()
-    out[sorted(marked.V)] *= np.exp(1j * phi)
+    out[np.fromiter(marked.V, np.int64, marked.size)] *= np.exp(1j * phi)
     return StateVector(state.n, out)
 
 
@@ -88,25 +88,19 @@ def grover_long_states(
         raise CircuitError(f"dimension mismatch: marked.n={marked.n}, initial.n={initial.n}")
 
     if mode == "rank1":
-        state = initial
-        for _ in range(params.iterations):
-            state = apply_rank1_reflection(
-                oracle_phase_step(state, marked, params.phi), initial, params.phi
-            )
-            yield state
-        return
+        def step(state):
+            return apply_rank1_reflection(oracle_phase_step(state, marked, params.phi), initial, params.phi)
+    else:
+        prep = build_preparation(initial.uniform_support().tolist(), initial.n)
+        compiled = CompiledCircuit(build_multi_oracle(marked, params.phi), invert_circuit(prep),
+                                   build_I0(initial.n, params.phi), prep)  # once for all J iterations
 
-    prep = build_preparation(initial.uniform_support().tolist(), initial.n)
-    oracle = build_multi_oracle(marked, params.phi)
-    i0 = build_I0(initial.n, params.phi)
-    # one circuit in application order, compiled once for all J iterations; no
-    # X-PHASE-X triple spans two parts, so its phase runs and results are those
-    # of the four parts run in turn
-    step = CompiledCircuit(Circuit(initial.n, oracle.ops + invert_circuit(prep).ops + i0.ops + prep.ops))
+        def step(state):
+            return StateVector(state.n, -run_circuit(compiled, state).amps)
+
     state = initial
     for _ in range(params.iterations):
-        state = run_circuit(step, state)
-        state = StateVector(state.n, -state.amps)
+        state = step(state)
         yield state
 
 

@@ -11,6 +11,7 @@ costing and running an oracle read its cubes and build none of its gates.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -112,28 +113,29 @@ def build_preparation(occupied, n: int) -> Circuit:
     (controlled) RY rotations splits the amplitude qubit by qubit from the
     most significant bit down; branches that are certain carry no control.
     The tree is emitted level by level, so each level's gates, whose control
-    cubes are disjoint, sit next to each other.
+    cubes are disjoint, sit next to each other.  A node is a range of the
+    sorted support that agrees above the split qubit, so one bisection splits it.
     """
     occ = sorted_occupied(n, occupied)
     if len(occ) == 2**n:
         return Circuit(n, tuple(GateOp("H", q) for q in range(n)))
 
     ops: list[GateOp] = []
-    level = [(0, 0, occ)]  # (mask, value, members) of each node, in depth-first order
+    level = [(0, 0, 0, len(occ))]  # each node's (mask, value, lo, hi), members occ[lo:hi], depth-first
     for qubit in range(n - 1, -1, -1):
         below = []
-        for mask, value, members in level:
-            zeros = [m for m in members if not (m >> qubit) & 1]
-            ones = [m for m in members if (m >> qubit) & 1]
+        for mask, value, lo, hi in level:
+            split = bisect.bisect_left(occ, (occ[lo] >> qubit | 1) << qubit, lo, hi)
+            zeros, ones = split - lo, hi - split
             if ones and zeros:
-                theta = 2.0 * math.atan2(math.sqrt(len(ones)), math.sqrt(len(zeros)))
+                theta = 2.0 * math.atan2(math.sqrt(ones), math.sqrt(zeros))
                 ops.append(GateOp("RY", qubit, mask, value, theta))
             elif ones:
                 ops.append(GateOp("RY", qubit, mask, value, math.pi))
             bit = 1 << qubit if ones and zeros else 0  # a certain branch adds no control
             if zeros:
-                below.append((mask | bit, value, zeros))
+                below.append((mask | bit, value, lo, split))
             if ones:
-                below.append((mask | bit, value | bit, ones))
+                below.append((mask | bit, value | bit, split, hi))
         level = below
     return Circuit(n, tuple(ops))

@@ -248,7 +248,8 @@ def test_wide_gates_and_split_batches_match_the_stride_kernel_bit_for_bit():
     n = 13
     rng = np.random.default_rng(1813)
     prep = build_preparation(rng.choice(2**n, size=600, replace=False).tolist(), n)
-    circuit = concat(random_circuit(n, 40, rng), prep, invert_circuit(prep), random_circuit(n, 40, rng))
+    parts = (random_circuit(n, 40, rng), prep, invert_circuit(prep), random_circuit(n, 40, rng))
+    circuit = concat(*parts)
     widths = [1 << (n - 1 - op.mask.bit_count()) for op in circuit.ops if op.mask]
     assert max(widths) > NARROW_PAIRS and sum(w for w in widths if w <= NARROW_PAIRS) > BATCH_PAIRS
     compiled = CompiledCircuit(circuit)
@@ -257,6 +258,13 @@ def test_wide_gates_and_split_batches_match_the_stride_kernel_bit_for_bit():
     want = run_gate_by_gate(circuit, state).amps.tobytes()
     assert run_circuit(circuit, state).amps.tobytes() == want
     assert run_circuit(compiled, state).amps.tobytes() == want
+    # the parts compiled as one run as they do one after another
+    in_turn = state
+    for part in parts:
+        in_turn = run_circuit(part, in_turn)
+    in_parts = CompiledCircuit(*parts)
+    assert len(in_parts) == len(circuit)
+    assert run_circuit(in_parts, state).amps.tobytes() == in_turn.amps.tobytes() == want
 
 
 def test_invert_circuit():

@@ -109,6 +109,9 @@ def test_empty_file_rejected():
 def test_explicit_n_too_small():
     with pytest.raises(DataError, match="too small"):
         parse_database("label,value\na,12\n", n=2)
+    # a duplicate is named by its line before a small n is refused
+    with pytest.raises(DataError, match=r"line 4: duplicate value 12 \(first seen on line 2\)"):
+        parse_database("label,value\na,12\nb,3\nc,12\n", n=2)
 
 
 def test_negative_value_rejected():
@@ -655,6 +658,22 @@ def test_cli_simulate_uniform_initial_state_is_one_array():
     assert state.n == n and peak < 1.25 * 16 * 2**n, peak  # the 16 B amplitudes and a little more
 
 
+def test_cli_simulate_db_initial_state_is_one_array(tmp_path):
+    # the register make_superposition builds from the dataset's values, without
+    # a sorted list of numpy scalars: 2^16 values held 69 B each beside it
+    n, rows = 17, 2**16
+    dataset = tmp_path / "db.csv"
+    values = _plain_csv(dataset, rows, n, seed=9)
+    tracemalloc.start()
+    try:
+        state = cli._initial_state(f"db:{dataset}", n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.amps.tobytes() == make_superposition(n, values).amps.tobytes()
+    assert peak < 16 * 2**n + 48 * rows, peak  # the register and the loaded database's 33 B a row
+
+
 def test_cli_simulate_grover_long_above_the_dense_cap(tmp_path, monkeypatch, capsys):
     # 13 qubits: one more than circuit_to_matrix lowers
     monkeypatch.chdir(tmp_path)
@@ -788,6 +807,25 @@ def test_large_plain_file_loads_in_bounded_memory(tmp_path):
     assert peak < 64 * 2**20
     assert held <= 48 * rows and peak <= 100 * rows, (held / rows, peak / rows)
     assert len(db.labels) == rows and db.labels[-2:] == (f"v{rows - 2}", f"v{rows - 1}")
+
+
+def test_too_small_n_refuses_a_plain_file_read_once(tmp_path):
+    # the n rule is stated after either reader: a plain file refused for its n
+    # was read again through csv, and peaked near 500 B a row
+    rows = 2**16
+    dataset = tmp_path / "plain.csv"
+    _plain_csv(dataset, rows, 30, seed=8)
+    with pytest.raises(DataError) as want:
+        row_by_row_parse(dataset.read_text(), 5, str(dataset))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError) as got:
+            load_database(dataset, n=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(got.value) == str(want.value) and "n=5 too small" in str(got.value)
+    assert peak < 100 * rows, peak / rows
 
 
 def test_rows_past_the_cap_are_refused_before_any_column(tmp_path, monkeypatch, capsys):
@@ -992,6 +1030,75 @@ def test_byte_pass_matches_row_by_row(tmp_path, case, n):
         assert outcome(lambda: load_database(dataset, n)) == outcome(
             lambda: parse_database(bom + text, n, str(dataset))
         )
+
+
+def _contract(argv) -> tuple[int, str]:
+    """Exit code and standard error of one CLI call; an escaping exception fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # usage errors leave through argparse
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=120, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    csv_texts(), st.sampled_from(["utf-8", "latin-1"]), st.sampled_from(["find-min", "find-max", "baseline-dha"]),
+    st.one_of(st.none(), st.integers(1, 80)), st.sampled_from([[], ["--strategy", "sampled"]]),
+)
+def test_cli_contract_on_csv_bodies(tmp_path, text, encoding, command, n, strategy):
+    # any body exits 0, 1 (usage) or 2 (data), never 3 or with a traceback
+    dataset = tmp_path / "d.csv"
+    dataset.write_bytes(text.encode(encoding, "replace"))
+    argv = [command, str(dataset), "--seed", "1", *(["--n", str(n)] if n else [])]
+    code, err = _contract(argv + (strategy if command != "baseline-dha" else []))
+    assert code in (0, 1, 2) and "Traceback" not in err, (code, err)
+
+
+@st.composite
+def qc_texts(draw):
+    """A header and gate lines: half the texts parse, of phases alone, phases and X, or any gate."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 5))
+        names = draw(st.sampled_from([("PHASE",), ("PHASE", "X"), ("X", "H", "RY", "PHASE")]))
+        angles = st.one_of(st.sampled_from([math.pi, -math.pi / 2, 2 * math.pi, 0.0]), st.floats(-7, 7))
+        shared = draw(angles) if draw(st.booleans()) else None  # one angle: a phase oracle --grover-long runs
+        lines = [f"qubits: {n}"]
+        for _ in range(draw(st.integers(0, 6))):
+            name = draw(st.sampled_from(names))
+            param = "" if name in ("X", "H") else f"({draw(angles) if shared is None else shared!r})"
+            target, *ctrls = draw(st.permutations(range(n)))[:draw(st.integers(1, n))]
+            signs = draw(st.lists(st.sampled_from("+-"), min_size=len(ctrls), max_size=len(ctrls)))
+            lines.append(f"{name}{param} {target} | controls: " + " ".join(f"{a}q{q}" for a, q in zip(signs, ctrls)))
+        return "\n".join(lines) + "\n"
+    n = draw(st.integers(0, 5))
+    lines = [draw(st.sampled_from([f"qubits: {n}", f"qubits:{n}", "qubits: x", "qubit: 2", "# c", ""]))]
+    params = ["", "(0.5)", "(-1.25)", "(nan)", "(inf)", "(x)", "()"]
+    targets = ["0", "1", "2", "4", "007", "9" * 20, "-1"]
+    controls = ["+q0", "-q1", "+q2", "-q3", "q1", "+q9", "+q0", "-q" + "9" * 20]
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(["X", "H", "RY", "PHASE", "Y", "x"]))
+        param, target = draw(st.sampled_from(params)), draw(st.sampled_from(targets))
+        ctrls = " ".join(draw(st.lists(st.sampled_from(controls), max_size=3)))
+        lines.append(f"{name}{param} {target}{draw(st.sampled_from([' | controls:', '|controls:', ' controls:']))} {ctrls}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    qc_texts(), st.sampled_from([[], ["--grover-long"], ["--grover-long", "--iterations", "3"]]),
+    st.sampled_from(["uniform", "basis:0", "basis:3", "basis:x", "db"]),
+)
+def test_cli_contract_on_qc_bodies(tmp_path, text, grover_long, initial):
+    # any body exits 0 or 2 (data), never 3 or with a traceback, with and without --grover-long
+    circuit, dataset = tmp_path / "c.qc", tmp_path / "db.csv"
+    circuit.write_text(text, encoding="utf-8")
+    dataset.write_text("label,value\na,0\nb,2\n")
+    initial = f"db:{dataset}" if initial == "db" else initial
+    code, err = _contract(["simulate", str(circuit), "--initial", initial, *grover_long])
+    assert code in (0, 2) and "Traceback" not in err, (code, err)
 
 
 def _cli_digest(argv, capsys) -> str:
