@@ -460,10 +460,10 @@ def _simulate_grover_long(circuit, state, iterations):
     marked_idx = np.flatnonzero(np.abs(diag - 1.0) > 1e-9)
     if marked_idx.size == 0:
         raise DataError("--grover-long: the circuit marks no states")
-    phases = np.angle(diag[marked_idx])
-    if np.max(np.abs(phases - phases[0])) > 1e-9:
+    entries = diag[marked_idx]  # e^{i phi} each: compared as numbers, so phi = pi and -pi agree
+    if np.max(np.abs(entries - entries[0])) > 1e-9:
         raise DataError("--grover-long: marked states carry inconsistent phases")
-    phi = float(phases[0])
+    phi = float(np.angle(entries[0]))
     marked = MarkedSet(circuit.n, frozenset(int(i) for i in marked_idx))
     tuned = compute_params(marked.size, 2**circuit.n)
     j = iterations if iterations is not None else tuned.iterations

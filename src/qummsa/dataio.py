@@ -1,9 +1,11 @@
 """Dataset ingestion.
 
 Datasets are CSV files with a ``label,value`` header, UTF-8 (a leading
-byte-order mark is allowed), one record per line.  Values must be distinct
-non-negative integers (duplicates are the one hypothesis the loader enforces
-hard, since equal values would break the threshold-descent rank argument).
+byte-order mark is allowed), one record per line, whose values are distinct
+non-negative integers (equal values would break the threshold-descent rank
+argument).  A file is read once: a plain one column by column from its bytes,
+any other row by row through csv.  Either reader refuses its first bad line,
+and one rule names a repeated value by its line and its first occurrence's.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from .errors import DataError
 
 # Most rows a dataset may have after its header, counted from its newlines
 # before any column is allocated.  Loading 2^18 short rows peaked near 55 B a
-# row when plain and near 500 B through csv.reader (tracemalloc, bytes
-# included), so at the cap either stays near 2 GB or less.
+# row when plain, refused or not, and near 235 B through csv.reader
+# (tracemalloc, bytes included), so at the cap either stays near 1 GB or less.
 ROWS_MAX = 2**22
 
 _BOM = "\ufeff".encode("utf-8")
@@ -74,28 +76,23 @@ def parse_database(text: str, n: int | None = None, source: str = "<string>") ->
 def _parse(data: bytes, n: int | None, source: str) -> Database:
     """The Database of CSV bytes that are UTF-8, or text encoded with surrogates passed.
 
-    A plain file is read by :func:`_column_pass` and checked by
-    :class:`Database`, and its labels are decoded on their first read.  Any
-    other file, or a plain one with a negative or duplicate value, is read by
-    :func:`_row_pass`, which names the first bad line.  The Database is built
-    with max(needed, n) qubits; only then is an n below needed refused, once.
+    :func:`_column_pass` reads a plain file, :func:`_row_pass` any other (or
+    one with a value of 2^63 or more); each refuses its first bad line after
+    any repeat above it.  Then one Database of max(needed, n) qubits refuses a
+    repeat, named by :func:`_refuse_repeat`, and only then a too small n.
     """
     if data.startswith(_BOM):
         data = data[len(_BOM):]
     rows = np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")) - data.endswith(b"\n")
     if rows > ROWS_MAX:
         raise DataError(f"{source}: {rows} rows after the header; at most {ROWS_MAX} are read")
-    values = _column_pass(data)
-    if values is not None:
-        needed = _qubits_needed(int(values.max()), len(values))
-        try:
-            db = Database(functools.partial(_labels, data), values, max(needed, n or 0))
-        except DataError:  # a duplicate value: the row path names its line
-            values = None
-    if values is None:
-        labels, values = _row_pass(data.decode("utf-8", "surrogatepass"), source)
-        needed = _qubits_needed(max(values), len(values))
+    labels, values, lines = _column_pass(data, source) or _row_pass(data, source)
+    needed = _qubits_needed(int(values.max()), len(values))
+    try:
         db = Database(labels, values, max(needed, n or 0))
+    except DataError:
+        _refuse_repeat(values, lines, source)
+        raise
     if n is not None and n < needed:
         raise DataError(
             f"{source}: n={n} too small: {db.size} records with max value "
@@ -108,16 +105,15 @@ def _qubits_needed(max_value: int, count: int) -> int:
     return max(1, max_value.bit_length(), math.ceil(math.log2(count)))
 
 
-def _column_pass(data: bytes) -> np.ndarray | None:
-    """The int64 value column of a plain file's bytes; None for any other file.
+def _column_pass(data: bytes, source: str) -> tuple | None:
+    """The labels, int64 values and lines of a plain file's records; None for any other file.
 
     A plain file has no ``"``, no lone ``\r``, a ``label,value`` header, one
     comma on every line and no field wider than ``csv.field_size_limit()``
-    bytes, so its commas and newlines split it as :mod:`csv` does.  A field
-    has no fewer bytes than characters, so a wider one is left to csv, which
-    counts its characters.  A value of 1 to 18 ASCII digits is read from the
-    bytes; any other is decoded and read by ``int()``.  One that ``int()``
-    refuses, or that is negative or 2^63 and up, also makes this None.
+    bytes, so its commas and newlines split it as :mod:`csv` does.  A value of
+    1 to 18 ASCII digits is read from the bytes, any other by :func:`_value`;
+    one of 2^63 or more makes this None.  Labels are decoded on their first
+    read, and record i is on line i + 2.
     """
     if b'"' in data or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
@@ -149,13 +145,14 @@ def _column_pass(data: bytes) -> np.ndarray | None:
     # the rest: signs, spaces, underscores, other digits, 19 digits and more, empty
     for row in np.flatnonzero(values < 0).tolist():
         try:
-            value = int(data[starts[row]:stops[row]].decode("utf-8", "surrogatepass"))
-        except ValueError:
-            return None
-        if not 0 <= value < 2**63:
+            value = _value(data[starts[row]:stops[row]].decode("utf-8", "surrogatepass"), row + 2, source)
+        except DataError:
+            _refuse_repeat(values[:row], range(2, row + 2), source)
+            raise
+        if value >= 2**63:
             return None
         values[row] = value
-    return values
+    return functools.partial(_labels, data), values, range(2, len(values) + 2)
 
 
 def _digits(u8: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -190,50 +187,65 @@ def _labels(data: bytes) -> tuple[str, ...]:
     return tuple(line[:line.index(",")] for line in lines)
 
 
-def _row_pass(text: str, source: str) -> tuple[list[str], list[int]]:
-    """Row by row through :mod:`csv`: skip blank lines, and report the first bad line by its number.
+def _row_pass(data: bytes, source: str) -> tuple[list[str], np.ndarray, list[int]]:
+    """The labels, values and lines of the records, read by :mod:`csv`; blank lines are skipped.
 
-    A record is numbered by the physical line it ends on, as ``reader.line_num``
-    counts them, so a quoted field that spans lines does not shift later numbers.
+    A record's line is the physical line it ends on (``reader.line_num``), so
+    a quoted field that spans lines does not shift later numbers.
     """
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(data.decode("utf-8", "surrogatepass")))
+    labels, values, lines = [], [], []
     try:
-        rows = [(reader.line_num, row) for row in reader]
+        header = next(reader, None)
+        if header is None:
+            raise DataError(f"{source}: empty file")
+        try:
+            if [h.strip().lower() for h in header] != ["label", "value"]:
+                raise DataError(
+                    f"{source}: line {reader.line_num}: expected header 'label,value', got {header!r}"
+                )
+            for row in reader:
+                if row and (len(row) > 1 or row[0].strip()):  # a blank line is skipped
+                    if len(row) != 2:
+                        raise DataError(f"{source}: line {reader.line_num}: expected 2 fields, got {len(row)}")
+                    values.append(_value(row[1], reader.line_num, source))
+                    labels.append(row[0])
+                    lines.append(reader.line_num)
+        except DataError:  # read on: a csv error below the bad line wins, then a repeat above it
+            for _ in reader:
+                pass
+            _refuse_repeat(np.array(values, dtype=object), lines, source)
+            raise
     except csv.Error as exc:
         raise DataError(f"{source}: line {reader.line_num}: {exc}") from None
-    if not rows:
-        raise DataError(f"{source}: empty file")
-    header_line, header_row = rows[0]
-    if [h.strip().lower() for h in header_row] != ["label", "value"]:
-        raise DataError(
-            f"{source}: line {header_line}: expected header 'label,value', got {header_row!r}"
-        )
-    labels: list[str] = []
-    values: list[int] = []
-    seen: dict[int, int] = {}
-    for lineno, row in rows[1:]:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2:
-            raise DataError(f"{source}: line {lineno}: expected 2 fields, got {len(row)}")
-        label, raw = row[0], row[1].strip()
-        try:
-            value = int(raw)
-        except ValueError:
-            raise DataError(f"{source}: line {lineno}: value {raw!r} is not an integer") from None
-        if value < 0:
-            raise DataError(f"{source}: line {lineno}: value {value} is negative")
-        if value in seen:
-            raise DataError(
-                f"{source}: line {lineno}: duplicate value {value} "
-                f"(first seen on line {seen[value]}); data values must be distinct"
-            )
-        seen[value] = lineno
-        labels.append(label)
-        values.append(value)
     if not values:
         raise DataError(f"{source}: no records")
-    return labels, values
+    return labels, np.array(values, dtype=object), lines
+
+
+def _value(raw: str, line: int, source: str) -> int:
+    """The non-negative integer a value field spells; any other is refused by its line."""
+    raw = raw.strip()  # str.strip: it also strips "\x1c" to "\x1f", which int() refuses
+    try:
+        value = int(raw)
+    except ValueError:
+        raise DataError(f"{source}: line {line}: value {raw!r} is not an integer") from None
+    if value < 0:
+        raise DataError(f"{source}: line {line}: value {value} is negative")
+    return value
+
+
+def _refuse_repeat(values: np.ndarray, lines, source: str) -> None:
+    """Refuse the first value equal to an earlier one, naming both lines (record i's is ``lines[i]``)."""
+    order = np.argsort(values, kind="stable")  # each run of equal values in record order
+    ordered = values[order]
+    repeats = order[1:][ordered[1:] == ordered[:-1]]
+    if repeats.size:
+        row = repeats.min()
+        raise DataError(
+            f"{source}: line {lines[row]}: duplicate value {values[row]} (first seen on line "
+            f"{lines[order[ordered.searchsorted(values[row])]]}); data values must be distinct"
+        )
 
 
 def titanic_database(n: int | None = None) -> Database:

@@ -85,6 +85,9 @@ def test_malformed_row_reports_line():
         ('label,value\n"a\nb",1\nc,x\n', "line 4: value 'x' is not an integer"),
         ('label,value\n"a\nb",1\nc\r,x\n', "line 4: new-line character seen in unquoted field"),
         ('label,value\n"a\nb",1\nc,1\n', "line 4: duplicate value 1 (first seen on line 3)"),
+        # a csv error below a bad value wins, and a repeat above it comes first
+        ('label,value\n"a\nb",1\nc,x\nd\r,2\n', "line 5: new-line character seen in unquoted field"),
+        ('label,value\n"a\nb",1\nc,1\nd,x\n', "line 4: duplicate value 1 (first seen on line 3)"),
     ],
 )
 def test_row_messages_name_physical_lines_after_a_quoted_newline(text, message):
@@ -691,6 +694,22 @@ def test_cli_simulate_grover_long_above_the_dense_cap(tmp_path, monkeypatch, cap
     np.testing.assert_allclose(probs, expected.probabilities(), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("qubits", [2, 4])
+def test_cli_simulate_grover_long_takes_phase_pi_and_minus_pi_as_one(tmp_path, monkeypatch, qubits, capsys):
+    # e^{i pi} and e^{-i pi} are the same diagonal entry, though their angles differ by 2 pi
+    monkeypatch.chdir(tmp_path)
+    high = " ".join(f"+q{q}" for q in range(1, qubits))
+    outs = []
+    for phi in ("-3.141592653589793", "3.141592653589793"):
+        (tmp_path / "c.qc").write_text(
+            f"qubits: {qubits}\nPHASE(3.141592653589793) 0 | controls: {high}\n"
+            f"PHASE({phi}) 0 | controls: {high.replace('+', '-')}\n"
+        )
+        assert main(["simulate", "c.qc", "--grover-long"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 @pytest.mark.parametrize(
     "gates", ["H 0 | controls:\n", "X 0 | controls:\nX 0 | controls:\n"], ids=["H", "XX"]
 )
@@ -826,6 +845,40 @@ def test_too_small_n_refuses_a_plain_file_read_once(tmp_path):
         tracemalloc.stop()
     assert str(got.value) == str(want.value) and "n=5 too small" in str(got.value)
     assert peak < 100 * rows, peak / rows
+
+
+def _outcome(parse, *args):
+    """What a parse gives: labels, values and n, or its error's text."""
+    try:
+        db = parse(*args)
+    except DataError as exc:
+        return str(exc)
+    return db.labels, db.values.tolist(), db.n
+
+
+@pytest.mark.parametrize("case,bound", [("repeat", 100), ("not an integer", 100), ("quoted", 300)])
+def test_bad_plain_and_quoted_files_are_read_once(tmp_path, case, bound):
+    # a plain file with a repeat or a bad value in its last row was read again
+    # through csv, and the csv path kept every row before checking any: all
+    # three peaked near 500 B a row
+    rows = 2**16
+    dataset = tmp_path / "t.csv"
+    values = _plain_csv(dataset, rows, 30, seed=9)
+    lines = dataset.read_text().splitlines()
+    if case == "quoted":
+        lines[1] = f'"v,0",{values[0]}'
+    else:
+        lines[-1] = f"last,{values[0]}" if case == "repeat" else "last,1.5"
+    dataset.write_text("\n".join(lines) + "\n")
+    want = _outcome(row_by_row_parse, dataset.read_text(), None, str(dataset))
+    tracemalloc.start()
+    try:
+        got = _outcome(load_database, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want and isinstance(got, str) == (case != "quoted")
+    assert peak < bound * rows, peak / rows
 
 
 def test_rows_past_the_cap_are_refused_before_any_column(tmp_path, monkeypatch, capsys):
@@ -966,6 +1019,10 @@ def test_parse_database_matches_row_by_row(text, n):
     assert got.sorted_values.tolist() == want.sorted_values.tolist() == sorted(got.values)
 
 
+# negative, or refused by int(); none of them sends a plain file to csv
+_BAD_PLAIN_VALUES = ["-1", " -300", "-\u0663", "-0x1", "x", "1.5", "", "+-1", "0x10", "1e3", "7 7"]
+
+
 @settings(max_examples=200)
 @given(
     st.lists(
@@ -974,14 +1031,20 @@ def test_parse_database_matches_row_by_row(text, n):
     ),
     st.lists(st.sampled_from(["\n", "\r\n"]), min_size=21, max_size=21),
     st.sampled_from(["", "\n", "\r\n"]),
+    st.one_of(
+        st.none(),
+        st.tuples(st.integers(0, 20), st.one_of(st.integers(0, 19), st.sampled_from(_BAD_PLAIN_VALUES))),
+    ),
 )
-def test_plain_texts_skip_csv_and_match_row_by_row(rows, ends, last):
+def test_plain_texts_skip_csv_and_match_row_by_row(rows, ends, last, flaw):
     lines = [f"{label},{a}{spell(value)}{b}" for label, a, value, spell, b in rows]
+    if flaw is not None:  # one more line: a repeat of row k's value, or a bad value
+        at, what = flaw
+        lines.insert(at % (len(lines) + 1), f"x,{rows[what % len(rows)][2] if isinstance(what, int) else what}")
     text = "label,value" + "".join(map(str.__add__, ends, lines)) + last
-    want = row_by_row_parse(text)
+    want = _outcome(row_by_row_parse, text)
     with mock.patch.object(csv, "reader", side_effect=AssertionError("read by csv.reader")):
-        got = parse_database(text)
-    assert (got.labels, got.values.tolist(), got.n) == (want.labels, want.values.tolist(), want.n)
+        assert _outcome(parse_database, text) == want
 
 
 # values of 17 to 20 digits and around 2^63 and 2^64, and the spellings int()
